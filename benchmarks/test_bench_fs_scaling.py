@@ -3,8 +3,9 @@
 Measured: exact table-cell counts of the instrumented FS run per n,
 fitted growth base (should be ~3 within the polynomial envelope), the
 closed-form model, and the brute-force comparison with its crossover.
-Also the engine ablation (vectorized numpy kernel vs the per-cell Python
-transcription) from DESIGN.md's design-choices list, and the profiled
+Also the kernel ablation (the vectorized ``compact`` vs the per-cell
+``COMPACT`` oracle kept in the test suite) from DESIGN.md's
+design-choices list, and the profiled
 wall-clock/memory trajectory of the execution engine, recorded to
 ``BENCH_fs_profile.json`` next to this file.
 """
@@ -24,9 +25,10 @@ from repro.analysis.complexity import (
     theorem5_bound,
     trivial_bound,
 )
-from repro.core import brute_force_optimal, run_fs
+from repro.core import brute_force_optimal, compact, initial_state, run_fs
 from repro.observability import Profiler
 from repro.truth_table import TruthTable
+from tests.compact_oracle import compact_python
 
 SWEEP_NS = [4, 5, 6, 7, 8, 9, 10]
 
@@ -94,21 +96,29 @@ def test_fs_vs_bruteforce_crossover(benchmark):
         assert bf_cells == brute_force_cells(n)
 
 
-def test_engine_ablation_numpy(benchmark):
-    table = TruthTable.random(8, seed=8)
-    result = benchmark(lambda: run_fs(table, engine="numpy"))
-    assert result.mincost == run_fs(table, engine="python").mincost
+def _chain_mincost(kernel, table):
+    """Cost one full chain (identity order) with ``kernel``."""
+    state = initial_state(table)
+    for var in range(table.n):
+        state = kernel(state, var)
+    return state.mincost
 
 
-def test_engine_ablation_python(benchmark):
+def test_compact_ablation_numpy(benchmark):
+    table = TruthTable.random(12, seed=8)
+    result = benchmark(lambda: _chain_mincost(compact, table))
+    assert result == _chain_mincost(compact_python, table)
+
+
+def test_compact_ablation_oracle(benchmark):
     # The per-cell executable specification: identical answers, far slower
-    # (the DESIGN.md table-representation ablation).  Kept at n=8 so the
-    # suite stays fast; compare mean times in the benchmark table.
-    table = TruthTable.random(8, seed=8)
+    # (the DESIGN.md table-representation ablation); compare mean times in
+    # the benchmark table.
+    table = TruthTable.random(12, seed=8)
     result = benchmark.pedantic(
-        lambda: run_fs(table, engine="python"), rounds=1, iterations=1
+        lambda: _chain_mincost(compact_python, table), rounds=1, iterations=1
     )
-    assert result.mincost == run_fs(table, engine="numpy").mincost
+    assert result == _chain_mincost(compact, table)
 
 
 def test_fs_wallclock_n10(benchmark):

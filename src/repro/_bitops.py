@@ -100,12 +100,11 @@ def iter_submasks(mask: int, size: int | None = None) -> Iterator[int]:
     With ``size=None`` this is :func:`all_submasks` (the classic
     ``sub = (sub - 1) & mask`` walk, descending numerically from ``mask``
     to ``0``).  With a ``size``, each yielded mask has exactly that many
-    bits; the batch frontier kernel uses ``size = popcount(mask) - 1`` to
-    enumerate a subset's predecessors.  In that predecessor case the
-    combination order of :func:`subsets_of_size` excludes members in
-    *descending* order, so reversing the output aligns with the ascending
-    candidate order of :func:`bits_of` — the equivalence tests pin both
-    orders.
+    bits; ``size = popcount(mask) - 1`` enumerates a subset's
+    predecessors.  In that predecessor case the combination order of
+    :func:`subsets_of_size` excludes members in *descending* order, so
+    reversing the output aligns with the ascending candidate order of
+    :func:`bits_of` — the equivalence tests pin both orders.
     """
     if size is None:
         yield from all_submasks(mask)

@@ -11,7 +11,7 @@ functions remain the full-fidelity interfaces (every method-specific
 field lives on ``OrderingSolution.result``); ``solve`` is sugar over
 them, never a fork of their logic.
 
-Engine knobs (``engine=``, ``jobs=``, ``backend=``, ``frontier=``,
+Engine knobs (``jobs=``, ``backend=``, ``frontier=``,
 ``frontier_store=``,
 ``profiler=``, ``checkpoint_dir=``, ``resume=``, ``cache=``,
 ``budget=``, ``io_retry=``) pass through uniformly — including to
@@ -45,23 +45,13 @@ from .truth_table import TruthTable
 
 METHODS = ("fs", "shared", "constrained", "window", "fs_star")
 
-# EngineConfig field for each uniformly accepted engine kwarg (None =
-# passes through under its own name to the run_* entry points).
-_ENGINE_KWARGS: Dict[str, str] = {
-    "engine": "kernel",
-    "jobs": "jobs",
-    "backend": "backend",
-    "frontier": "frontier",
-    "frontier_store": "frontier_store",
-    "profiler": "profiler",
-    "checkpoint_dir": "checkpoint_dir",
-    "resume": "resume",
-    "fault_injector": "fault_injector",
-    "cache": "cache",
-    "budget": "budget",
-    "io_retry": "io_retry",
-    "max_pool_rebuilds": "max_pool_rebuilds",
-}
+# The uniformly accepted engine kwargs: EngineConfig fields, and the
+# same-named parameters of the run_* entry points.
+_ENGINE_KWARGS = (
+    "jobs", "backend", "frontier", "frontier_store", "profiler",
+    "checkpoint_dir", "resume", "fault_injector", "cache", "budget",
+    "io_retry", "max_pool_rebuilds",
+)
 
 
 @dataclass
@@ -164,17 +154,14 @@ def _split_engine_kwargs(
 
 
 def _engine_config(method: str, kwargs: Dict[str, Any]) -> EngineConfig:
-    _split_engine_kwargs(method, kwargs)
-    return EngineConfig(
-        **{_ENGINE_KWARGS[name]: value for name, value in kwargs.items()}
-    )
+    return EngineConfig(**_split_engine_kwargs(method, kwargs))
 
 
 # The subset of engine kwargs the inexact strategy paths accept (no
 # frontier policy / fault injection / io_retry: strategies run many
 # small exact sweeps and never checkpoint mid-heuristic).
 _STRATEGY_ENGINE_KWARGS = (
-    "engine", "jobs", "backend", "frontier_store", "profiler", "cache",
+    "jobs", "backend", "frontier_store", "profiler", "cache",
     "budget", "checkpoint_dir", "resume", "max_pool_rebuilds",
 )
 
@@ -244,10 +231,10 @@ def solve(
         Optional instrumentation sink (a fresh one is created and
         returned on the solution otherwise).
     **engine_kwargs:
-        Uniform execution knobs, identical across methods: ``engine``,
-        ``jobs``, ``backend``, ``frontier``, ``frontier_store``,
-        ``profiler``, ``checkpoint_dir``, ``resume``, ``fault_injector``,
-        ``cache``, ``budget``, ``io_retry``, ``max_pool_rebuilds``.
+        Uniform execution knobs, identical across methods: ``jobs``,
+        ``backend``, ``frontier``, ``frontier_store``, ``profiler``,
+        ``checkpoint_dir``, ``resume``, ``fault_injector``, ``cache``,
+        ``budget``, ``io_retry``, ``max_pool_rebuilds``.
 
     Returns
     -------
@@ -422,7 +409,6 @@ def _solve_strategy(
             budget=kwargs.get("budget"),
             rule=rule,
             counters=counters,
-            engine=kwargs.get("engine", "numpy"),
             jobs=kwargs.get("jobs", 1),
             backend=kwargs.get("backend", "thread"),
             cache=kwargs.get("cache"),
@@ -442,7 +428,6 @@ def _solve_strategy(
         )
 
     config = EngineConfig(
-        kernel=kwargs.get("engine", "numpy"),
         jobs=kwargs.get("jobs", 1),
         backend=kwargs.get("backend", "thread"),
         frontier_store=kwargs.get("frontier_store", "dict"),

@@ -29,7 +29,6 @@ from .portfolio import sift_search, window_permutation_search
 from .core.astar import astar_optimal_ordering
 from .core.bruteforce import brute_force_optimal
 from .core.divide_conquer import opt_obdd
-from .core.engine import available_kernels
 from .core.executor import available_backends
 from .core.frontier import available_frontier_stores
 from .core.fs import run_fs
@@ -111,7 +110,7 @@ def _make_io_retry(args: argparse.Namespace):
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
     """Execution options shared by every DP-running subcommand."""
-    kwargs = dict(engine=args.engine, jobs=args.jobs,
+    kwargs = dict(jobs=args.jobs,
                   backend=getattr(args, "backend", "thread"),
                   frontier_store=getattr(args, "frontier_store", "dict"))
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
@@ -201,7 +200,6 @@ def _run_optimize(args: argparse.Namespace) -> int:
             budget=engine_kwargs.get("budget"),
             ladder=parse_ladder(fallback_spec),
             rule=rule,
-            engine=args.engine,
             jobs=args.jobs,
             backend=getattr(args, "backend", "thread"),
             cache=engine_kwargs.get("cache"),
@@ -285,7 +283,7 @@ def _solve_with_strategy(table, strategy, rule, args, profiler,
     engine options the inexact strategy paths accept."""
     from .api import solve
 
-    allowed = ("engine", "jobs", "backend", "frontier_store", "cache",
+    allowed = ("jobs", "backend", "frontier_store", "cache",
                "budget", "checkpoint_dir", "resume", "max_pool_rebuilds")
     kwargs = {k: v for k, v in engine_kwargs.items() if k in allowed}
     if profiler is not None:
@@ -437,7 +435,7 @@ def _run_optimize_batch(args: argparse.Namespace) -> int:
             max_frontier_bytes=int(frontier_mb * 1024 * 1024)
         )
     outcome = optimize_many(
-        tables, rule=rule, cache=cache, engine=args.engine, jobs=args.jobs,
+        tables, rule=rule, cache=cache, jobs=args.jobs,
         backend=getattr(args, "backend", "thread"),
         profiler=profiler,
         per_item_timeout=getattr(args, "timeout", None),
@@ -601,7 +599,6 @@ def _governed_exact(table, args, profiler, rule=None):
         table,
         budget=engine_kwargs.get("budget"),
         ladder=parse_ladder(fallback_spec),
-        engine=args.engine,
         jobs=args.jobs,
         backend=getattr(args, "backend", "thread"),
         cache=engine_kwargs.get("cache"),
@@ -677,7 +674,6 @@ def _run_portfolio_cmd(args: argparse.Namespace) -> int:
     from .core.engine import EngineConfig
 
     config = EngineConfig(
-        kernel=args.engine,
         jobs=args.jobs,
         backend=getattr(args, "backend", "thread"),
         frontier_store=getattr(args, "frontier_store", "dict"),
@@ -742,14 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         return value
 
     def add_engine_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--engine", choices=available_kernels(),
-                       default="numpy",
-                       help="compaction kernel for the FS-family dynamic "
-                            "programs: 'numpy' is the vectorized default, "
-                            "'python' the per-cell executable specification "
-                            "(exponentially slower; for validation). Plugins "
-                            "registered via repro.core.engine.register_kernel "
-                            "appear here automatically")
         p.add_argument("--jobs", type=positive_int, default=1,
                        help="workers per DP layer (subsets of equal "
                             "size are independent); results and operation "
@@ -935,9 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "and prints it on startup")
     srv.add_argument("--unix-socket", default=None, metavar="PATH",
                      help="serve on this unix-domain socket instead of TCP")
-    srv.add_argument("--engine", choices=available_kernels(),
-                     default="numpy",
-                     help="compaction kernel every request runs under")
     srv.add_argument("--jobs", type=positive_int, default=None,
                      help="worker width of the one warm pool (default: "
                           "CPU count)")
@@ -1015,7 +1000,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         unix_socket=args.unix_socket,
         backend=getattr(args, "backend", "process"),
         jobs=args.jobs if args.jobs else (os.cpu_count() or 1),
-        engine=args.engine,
         frontier_store=getattr(args, "frontier_store", "dict"),
         cache_dir=getattr(args, "cache_dir", None),
         cache_size=args.cache_size,

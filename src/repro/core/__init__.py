@@ -54,7 +54,7 @@ from .certificate import (
     verify_certificate,
     verify_lower_bound,
 )
-from .compaction import compact, compact_python
+from .compaction import compact
 from .constrained import (
     ConstrainedResult,
     order_satisfies,
@@ -70,9 +70,6 @@ from .engine import (
     EngineConfig,
     FrontierPolicy,
     SweepOutcome,
-    available_kernels,
-    get_kernel,
-    register_kernel,
     run_layered_sweep,
 )
 from .executor import (
@@ -170,7 +167,6 @@ __all__ = [
     "initial_state",
     "terminal_values",
     "compact",
-    "compact_python",
     "EngineConfig",
     "FrontierPolicy",
     "SweepOutcome",
@@ -179,9 +175,6 @@ __all__ = [
     "InjectedFault",
     "corrupt_checkpoint",
     "sweep_fingerprint",
-    "available_kernels",
-    "get_kernel",
-    "register_kernel",
     "run_layered_sweep",
     "DictFrontier",
     "FrontierStore",

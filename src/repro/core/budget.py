@@ -402,7 +402,6 @@ class FallbackResult:
 
 def _governed_size_fn(
     rule: ReductionRule,
-    engine: str,
     counters: OperationCounters,
     budget: Budget,
 ):
@@ -411,16 +410,14 @@ def _governed_size_fn(
     :func:`repro.truth_table.obdd_size`'s convention), with a budget
     check per evaluation so even the heuristic rung honors cancellation
     promptly."""
-    from .engine import get_kernel
+    from .compaction import compact
     from .fs import initial_state, terminal_values
-
-    kernel = get_kernel(engine)
 
     def size_fn(table: Any, order: Sequence[int]) -> int:
         budget.check(counters=counters, where="sift evaluation")
         state = initial_state(table, rule)
         for var in reversed(list(order)):
-            state = kernel(state, var, rule, counters)
+            state = compact(state, var, rule, counters)
         return state.mincost + len(terminal_values(table, rule))
 
     return size_fn
@@ -432,7 +429,6 @@ def run_ladder(
     ladder: Sequence[str] = DEFAULT_LADDER,
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
-    engine: str = "numpy",
     jobs: int = 1,
     backend: Any = "thread",
     cache: Optional[Any] = None,
@@ -517,7 +513,6 @@ def run_ladder(
     backend_obj, owns_backend = resolve_backend(backend)
     opts = {
         "rule": rule,
-        "engine": engine,
         "jobs": jobs,
         "backend": backend_obj,
         "cache": cache,
@@ -591,7 +586,6 @@ def _run_rung_fs(
         table,
         rule=opts["rule"],
         counters=counters,
-        engine=opts["engine"],
         jobs=opts["jobs"],
         backend=opts["backend"],
         profiler=opts["profiler"],
@@ -625,7 +619,6 @@ def _run_rung_window(
     from .window import window_sweep
 
     config = EngineConfig(
-        kernel=opts["engine"],
         jobs=opts["jobs"],
         backend=opts["backend"],
         frontier_store=opts["frontier_store"],
@@ -663,7 +656,7 @@ def _run_rung_sift(
     from ..portfolio import sift_search
     from .fs import terminal_values
 
-    size_fn = _governed_size_fn(opts["rule"], opts["engine"], counters, sub)
+    size_fn = _governed_size_fn(opts["rule"], counters, sub)
     result = sift_search(table, initial_order=seed_order, size_fn=size_fn)
     num_terminals = len(terminal_values(table, opts["rule"]))
     return FallbackResult(
@@ -710,7 +703,6 @@ def _make_strategy_rung(name: str) -> Callable[..., FallbackResult]:
         from .engine import EngineConfig
 
         config = EngineConfig(
-            kernel=opts["engine"],
             jobs=opts["jobs"],
             backend=opts["backend"],
             frontier_store=opts["frontier_store"],
@@ -779,7 +771,6 @@ def optimize_with_fallback(
     ladder: Sequence[str] = DEFAULT_LADDER,
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
-    engine: str = "numpy",
     jobs: int = 1,
     backend: Any = "thread",
     cache: Optional[Any] = None,
@@ -809,7 +800,6 @@ def optimize_with_fallback(
         ladder=ladder,
         rule=rule,
         counters=counters,
-        engine=engine,
         jobs=jobs,
         backend=backend,
         cache=cache,

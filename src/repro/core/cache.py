@@ -52,10 +52,8 @@ its stored width profile is exact (Lemma 3: level widths depend only on
 the variable sets, which the canonical permutation transports).  When a
 function has several optimal orderings, the hit reproduces the one the
 *first* (cache-filling) run found, translated to the caller's variable
-names; repeated hits are bit-identical to each other.  Cache entries are
-kernel-independent (both kernels are exact), so results computed with
-``engine="python"`` serve hits to ``engine="numpy"`` callers and vice
-versa.  Invalidation is structural: the fingerprint embeds a format
+names; repeated hits are bit-identical to each other.  Invalidation is
+structural: the fingerprint embeds a format
 version, the rule, and the canonical bytes, so a format bump or any
 change to the function simply misses.
 
@@ -853,7 +851,6 @@ def optimize_many(
     tables: Sequence[TruthTable],
     rule: ReductionRule = ReductionRule.BDD,
     cache: Optional[ResultCache] = None,
-    engine: str = "numpy",
     jobs: int = 1,
     backend: "Union[str, ExecutorBackend]" = "thread",
     profiler: Optional[Profiler] = None,
@@ -996,7 +993,6 @@ def optimize_many(
                     budget=sub,
                     ladder=ladder,
                     rule=rule,
-                    engine=engine,
                     jobs=solve_jobs,
                     backend=solve_backend,
                     cache=cache,
@@ -1005,7 +1001,7 @@ def optimize_many(
                 status = "ok" if outcome.rung == ladder[0] else "fallback"
                 return BatchItem(index=index, status=status, result=outcome)
             result = run_fs(
-                tables[index], rule=rule, engine=engine, jobs=solve_jobs,
+                tables[index], rule=rule, jobs=solve_jobs,
                 backend=solve_backend, cache=cache, budget=sub,
                 frontier_store=frontier_store,
             )

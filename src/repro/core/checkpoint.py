@@ -13,7 +13,7 @@ and FS*) for free.
 Design points:
 
 * **Self-describing files.**  Each layer writes one JSON file carrying a
-  *fingerprint* of the sweep (kernel, rule, ``n``, universe mask, frontier
+  *fingerprint* of the sweep (rule, ``n``, universe mask, frontier
   policy, a content hash of the base state, ...) and a SHA-256 *checksum*
   of the payload.  Loading validates both; a truncated file, a checksum
   mismatch or a fingerprint mismatch raises
@@ -351,7 +351,6 @@ def sweep_fingerprint(
     universe_mask: int,
     rule: str,
     upto: int,
-    kernel: str,
     frontier: str,
     tag: str = "",
 ) -> Dict[str, Any]:
@@ -362,13 +361,15 @@ def sweep_fingerprint(
     placement bookkeeping; ``tag`` lets entry points with state the engine
     cannot see (the constrained DP's precedence closure — its
     ``subset_filter`` is an opaque callable) contribute to the identity.
+    ``"kernel"`` is a constant naming the one compaction kernel, kept so
+    checkpoints written while the kernel was selectable still resume.
     """
     base_hash = hashlib.sha256()
     base_hash.update(str(base.table.dtype).encode())
     base_hash.update(np.ascontiguousarray(base.table).tobytes())
     return {
         "format": FORMAT_VERSION,
-        "kernel": kernel,
+        "kernel": "numpy",
         "rule": rule,
         "frontier": frontier,
         "n": base.n,

@@ -6,15 +6,20 @@ assignment ``b`` to the remaining variables, the two parent cells
 ``TABLE_I[b, x_i=0]`` and ``TABLE_I[b, x_i=1]``, applying the reduction
 rule, and deduplicating the surviving pairs into nodes.
 
-Two implementations are provided, each registered with the execution
-engine's kernel registry (:func:`repro.core.engine.register_kernel`) so
-every DP entry point and the CLI can select them by name:
+The arithmetic of one step — merge predicate, CBDD edge normalization,
+key packing, ``np.unique`` dedup, id assignment — lives in exactly one
+place, :func:`compact_table`.  Two callers share it:
 
-* :func:`compact` — vectorized over numpy (the default ``"numpy"`` kernel);
-* :func:`compact_python` — a direct, cell-at-a-time transcription of the
-  paper's ``COMPACT`` pseudo code (the ``"python"`` kernel), kept as an
-  executable specification and used by the tests to cross-check the
-  vectorized kernel.
+* :func:`compact` — one step on one :class:`~repro.core.spec.FSState`
+  (chain replays, window costing, sifting oracles);
+* :func:`repro.core.executor.sweep_chunk` — the DP's chunk loop, which
+  reuses the cofactor index arrays (:func:`cofactor_indices`) across
+  every candidate of a layer and builds a state only for each subset's
+  winning candidate.
+
+The cell-at-a-time transcription of the paper's ``COMPACT`` pseudo code
+lives in the test suite as the executable oracle this kernel is checked
+against.
 
 Correctness note on the paper's ``NODE`` membership test: the paper's
 pseudo code initializes ``NODE_(I\\i,i)`` with ``NODE_(I\\i)`` and tests
@@ -32,59 +37,65 @@ diagram can be emitted.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .._bitops import insert_bit_indices, rank_in_mask
 from ..analysis.counters import OperationCounters
-from .engine import register_kernel
 from .spec import FSState, ReductionRule
 
 _KEY_SHIFT = 32
 _ID_LIMIT = 1 << _KEY_SHIFT
 
 
-@register_kernel("numpy")
-def compact(
-    state: FSState,
-    var: int,
-    rule: ReductionRule = ReductionRule.BDD,
-    counters: Optional[OperationCounters] = None,
-) -> FSState:
-    """Produce ``FS(<chain..., var>)`` from ``state`` (vectorized).
+def cofactor_indices(
+    n: int, placed: int, num_roots: int, position: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Parent-table cells of the 0- and 1-cofactor of every new cell.
 
-    ``var`` must be one of the state's free variables.  Node structure is
-    tracked iff the input state tracks it.
+    ``placed`` variables are already below; the folded variable is the
+    ``position``-th smallest free one.  Every state of one DP layer
+    shares this geometry, so the sweep computes it once per position.
     """
-    free = state.free_mask
-    position = rank_in_mask(free, var)
-    new_segment = 1 << (state.n - state.placed - 1)
-    new_size = state.num_roots * new_segment
-
+    new_segment = 1 << (n - placed - 1)
     idx0, idx1 = insert_bit_indices(new_segment, position)
-    if state.num_roots > 1:
+    if num_roots > 1:
         # One table segment per root; the cofactor indexing applies within
-        # each segment, the node dedup below is shared across all of them.
+        # each segment, the node dedup is shared across all of them.
         offsets = (
-            np.arange(state.num_roots, dtype=np.int64)[:, None]
-            * state.segment_size
+            np.arange(num_roots, dtype=np.int64)[:, None]
+            * (new_segment << 1)
         )
         idx0 = (offsets + idx0[None, :]).ravel()
         idx1 = (offsets + idx1[None, :]).ravel()
-    u0 = state.table[idx0]
-    u1 = state.table[idx1]
+    return idx0, idx1
 
+
+def compact_table(
+    table: np.ndarray,
+    idx0: np.ndarray,
+    idx1: np.ndarray,
+    next_id: int,
+    rule: ReductionRule,
+    counters: Optional[OperationCounters] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One ``COMPACT`` step on a bare table.
+
+    Returns the new table and the sorted packed ``(u0, u1)`` keys of the
+    nodes it created; node ``next_id + j`` is ``unique_keys[j]``.
+    """
+    u0 = table[idx0]
+    u1 = table[idx1]
     if rule is ReductionRule.ZDD:
         merged = u1 == 0
     else:  # BDD / MTBDD / CBDD all merge equal cofactors
         merged = u0 == u1
 
-    next_id = state.next_id
     if next_id >= _ID_LIMIT:  # pragma: no cover - needs >2^32 nodes
         raise OverflowError("node id space exhausted")
 
-    new_table = np.empty(new_size, dtype=np.int64)
+    new_table = np.empty(u0.shape[0], dtype=np.int64)
     new_table[merged] = u0[merged]
 
     live = ~merged
@@ -99,111 +110,58 @@ def compact(
         live_u0 = live_u0 ^ out_complement
         live_u1 = live_u1 ^ out_complement
     keys = (live_u0 << _KEY_SHIFT) | live_u1
-    unique_keys, first_pos, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    created = int(unique_keys.shape[0])
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
     if rule is ReductionRule.CBDD:
-        new_table[live] = (((next_id + inverse) << 1) | out_complement)
+        new_table[live] = ((next_id + inverse) << 1) | out_complement
     else:
         new_table[live] = next_id + inverse
 
+    if counters is not None:
+        counters.compactions += 1
+        counters.table_cells += new_table.shape[0]
+        counters.nodes_created += unique_keys.shape[0]
+    return new_table, unique_keys
+
+
+def extend_state(
+    state: FSState, var: int, table: np.ndarray, unique_keys: np.ndarray
+) -> FSState:
+    """The state :func:`compact_table` produced by folding ``var`` into
+    ``state``.  Node structure is tracked iff ``state`` tracks it."""
     nodes = None
     if state.nodes is not None:
         nodes = dict(state.nodes)
-        for j in range(created):
-            key = int(unique_keys[j])
+        next_id = state.next_id
+        for j, key in enumerate(unique_keys.tolist()):
             nodes[next_id + j] = (var, key >> _KEY_SHIFT, key & (_ID_LIMIT - 1))
-
-    if counters is not None:
-        counters.compactions += 1
-        counters.table_cells += new_size
-        counters.nodes_created += created
-
     return FSState(
         n=state.n,
         mask=state.mask | (1 << var),
         pi=state.pi + (var,),
-        mincost=state.mincost + created,
-        table=new_table,
+        mincost=state.mincost + unique_keys.shape[0],
+        table=table,
         num_terminals=state.num_terminals,
         nodes=nodes,
         num_roots=state.num_roots,
     )
 
 
-@register_kernel("python")
-def compact_python(
+def compact(
     state: FSState,
     var: int,
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
 ) -> FSState:
-    """Cell-at-a-time transcription of the paper's ``COMPACT`` procedure.
+    """Produce ``FS(<chain..., var>)`` from ``state``.
 
-    Functionally identical to :func:`compact` (the tests assert this); kept
-    as an executable specification and as the ablation point for the
-    "vectorized tables vs per-cell dictionaries" design choice.
+    ``var`` must be one of the state's free variables.  Node structure is
+    tracked iff the input state tracks it.
     """
-    from .._bitops import insert_bit  # local import to keep module header lean
-
-    free = state.free_mask
-    position = rank_in_mask(free, var)
-    new_segment = 1 << (state.n - state.placed - 1)
-    new_size = state.num_roots * new_segment
-    old_segment = state.segment_size
-
-    table = state.table
-    new_table = np.empty(new_size, dtype=np.int64)
-    mincost = state.mincost
-    nodes = dict(state.nodes) if state.nodes is not None else None
-    # Per-step unique table, keyed on the cofactor pair for the current var.
-    step_unique = {}
-
-    for b in range(new_size):
-        root, cell = divmod(b, new_segment)
-        base = root * old_segment
-        u0 = int(table[base + insert_bit(cell, position, 0)])
-        u1 = int(table[base + insert_bit(cell, position, 1)])
-        if rule is ReductionRule.ZDD:
-            drop = u1 == 0
-        else:
-            drop = u0 == u1
-        if drop:
-            new_table[b] = u0
-            continue
-        out_complement = 0
-        if rule is ReductionRule.CBDD:
-            out_complement = u1 & 1
-            u0 ^= out_complement
-            u1 ^= out_complement
-        existing = step_unique.get((u0, u1))
-        if existing is not None:
-            node_id = existing
-        else:
-            mincost += 1
-            node_id = state.num_terminals + mincost - 1  # "one plus MINCOST"
-            step_unique[(u0, u1)] = node_id
-            if nodes is not None:
-                nodes[node_id] = (var, u0, u1)
-        if rule is ReductionRule.CBDD:
-            new_table[b] = (node_id << 1) | out_complement
-        else:
-            new_table[b] = node_id
-
-    created = mincost - state.mincost
-    if counters is not None:
-        counters.compactions += 1
-        counters.table_cells += new_size
-        counters.nodes_created += created
-
-    return FSState(
-        n=state.n,
-        mask=state.mask | (1 << var),
-        pi=state.pi + (var,),
-        mincost=mincost,
-        table=new_table,
-        num_terminals=state.num_terminals,
-        nodes=nodes,
-        num_roots=state.num_roots,
+    idx0, idx1 = cofactor_indices(
+        state.n, state.placed, state.num_roots,
+        rank_in_mask(state.free_mask, var),
     )
+    table, unique_keys = compact_table(
+        state.table, idx0, idx1, state.next_id, rule, counters
+    )
+    return extend_state(state, var, table, unique_keys)

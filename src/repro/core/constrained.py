@@ -106,7 +106,6 @@ def run_fs_constrained(
     precedence: Precedence,
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
-    engine: str = "numpy",
     jobs: int = 1,
     backend: "str | ExecutorBackend" = "thread",
     frontier: str | FrontierPolicy = FrontierPolicy.FULL,
@@ -127,8 +126,7 @@ def run_fs_constrained(
     with a total order it just costs the single feasible chain.  The
     shared execution engine restricts the sweep to the feasible
     sub-lattice via a subset filter, so constrained runs get the same
-    kernel selection, layer parallelism, profiling and checkpoint/resume
-    support for free.
+    layer parallelism, profiling and checkpoint/resume support for free.
     """
     if counters is None:
         counters = OperationCounters()
@@ -141,7 +139,7 @@ def run_fs_constrained(
     # with different constraints must never resume from each other.
     tag = "constrained:" + ",".join(f"{m:x}" for m in after)
     config = EngineConfig(
-        kernel=engine, jobs=jobs, backend=backend, frontier=frontier,
+        jobs=jobs, backend=backend, frontier=frontier,
         frontier_store=frontier_store,
         profiler=profiler, checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, checkpoint_tag=tag, cache=cache,

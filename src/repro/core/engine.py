@@ -7,12 +7,8 @@ sweep the subsets of a universe mask in order of cardinality, computing
 each subset's best state from its one-smaller predecessors via a table
 compaction, and retain the finished layer as the frontier for the next.
 This module owns that sweep; the entry points only prepare a base state
-and interpret the outcome.  Centralizing it buys three things at once:
+and interpret the outcome.  Centralizing it buys two things at once:
 
-* a **kernel registry** — compaction implementations register by name
-  (:func:`register_kernel`) and are selectable uniformly everywhere,
-  including the CLI, instead of the old hardcoded ``if engine ==``
-  dispatch;
 * **layer parallelism** — masks of equal cardinality are independent
   (Lemma 4's recurrence only reads the previous layer), so ``jobs=N``
   fans each layer over a pluggable
@@ -60,7 +56,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union,
 )
 
 from .._bitops import popcount, subsets_of_size
@@ -83,58 +79,6 @@ from .spec import FSState, ReductionRule
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports spec)
     from .budget import Budget
     from .cache import ResultCache
-
-KernelFn = Callable[..., FSState]
-"""Signature of a compaction kernel:
-``kernel(state, var, rule, counters) -> FSState``."""
-
-_KERNELS: Dict[str, KernelFn] = {}
-_BUILTINS_LOADED = False
-
-
-def register_kernel(name: str) -> Callable[[KernelFn], KernelFn]:
-    """Class decorator registering a compaction kernel under ``name``.
-
-    Kernels self-register at import time (see
-    :mod:`repro.core.compaction` for the built-in ``numpy`` and
-    ``python`` kernels); registered names become valid for every
-    ``engine=`` parameter and the CLI ``--engine`` flag.
-    """
-
-    def decorate(fn: KernelFn) -> KernelFn:
-        _KERNELS[name] = fn
-        return fn
-
-    return decorate
-
-
-def _ensure_builtins() -> None:
-    # The built-in kernels live in repro.core.compaction, which imports
-    # this module for the decorator; defer the reverse import until a
-    # kernel is actually looked up to keep the modules acyclic.
-    global _BUILTINS_LOADED
-    if not _BUILTINS_LOADED:
-        from . import compaction  # noqa: F401  (import triggers registration)
-
-        _BUILTINS_LOADED = True
-
-
-def get_kernel(name: str) -> KernelFn:
-    """Resolve a registered kernel; raises ``ValueError`` on unknown names."""
-    _ensure_builtins()
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of {available_kernels()}"
-        ) from None
-
-
-def available_kernels() -> List[str]:
-    """Registered kernel names, sorted (for CLI choices and errors)."""
-    _ensure_builtins()
-    return sorted(_KERNELS)
-
 
 class FrontierPolicy(enum.Enum):
     """What each finished DP layer retains."""
@@ -173,7 +117,6 @@ class EngineConfig:
     a knob was added between releases.
     """
 
-    kernel: str = "numpy"
     jobs: int = 1
 
     backend: Union[str, ExecutorBackend] = "thread"
@@ -270,7 +213,6 @@ class EngineConfig:
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir")
         # Resolve eagerly so configuration errors surface at call sites.
-        get_kernel(self.kernel)
         if isinstance(self.frontier_store, str):
             get_frontier_store(self.frontier_store)
         elif not (isinstance(self.frontier_store, type)
@@ -355,7 +297,6 @@ def run_layered_sweep(
         config = EngineConfig()
     if counters is None:
         counters = OperationCounters()
-    kernel = get_kernel(config.kernel)
     profiler = config.profiler
 
     if universe_mask & base.mask:
@@ -404,7 +345,6 @@ def run_layered_sweep(
                 universe_mask=universe_mask,
                 rule=rule.value,
                 upto=upto,
-                kernel=config.kernel,
                 frontier=config.frontier.value,
                 tag=config.checkpoint_tag,
             ),
@@ -439,7 +379,6 @@ def run_layered_sweep(
     backend.begin_sweep(
         SweepContext(
             base=base,
-            kernel=config.kernel,
             rule=rule,
             jobs=config.jobs,
             counters=counters,
@@ -585,7 +524,7 @@ def run_layered_sweep(
             backend.close()
 
     frontier = {
-        mask: materialize_entry(base, entry, kernel, rule, counters)
+        mask: materialize_entry(base, entry, rule, counters)
         for mask, entry in previous.items()
     }
     return SweepOutcome(

@@ -8,8 +8,8 @@ Three implementations ship:
 * ``serial`` — chunks run inline on the coordinator, one after another.
 * ``thread`` — chunks fan out over a lazily created
   :class:`~concurrent.futures.ThreadPoolExecutor` (the historical
-  ``jobs>1`` behavior).  Cheap to start, but the pure-Python kernels gain
-  little under the GIL.
+  ``jobs>1`` behavior).  Cheap to start, but the chunk loop gains little
+  under the GIL.
 * ``process`` — chunks fan out over a spawn-context
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Read-only base data
   (the root table's bytes) is shipped once per sweep through
@@ -91,13 +91,12 @@ from typing import (
 
 import numpy as np
 
-from .._bitops import bits_of
+from .._bitops import bits_of, rank_in_mask
 from ..analysis.counters import OperationCounters
 from ..errors import ExecutorBrokenError, OrderingError
 from .checkpoint import RetryPolicy, Skeleton
-from .frontier import (
-    BaseOverlay, PackedFrontier, PackedSlice, batch_sweep_chunk,
-)
+from .compaction import cofactor_indices, compact, compact_table, extend_state
+from .frontier import BaseOverlay, PackedFrontier, PackedSlice
 from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -105,7 +104,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from .budget import Budget
     from .checkpoint import FaultInjector
 
-KernelFn = Callable[..., FSState]
 Entry = Union[FSState, Skeleton]
 """A frontier entry: a full state, or a ``(pi, mincost)`` skeleton under
 the mincost-only frontier policy."""
@@ -115,8 +113,7 @@ PreviousLayer = Any
 :class:`~repro.core.frontier.FrontierStore` (what the engine hands the
 backends), a plain ``mask -> entry`` dict (direct callers, tests), or a
 worker-side :class:`~repro.core.frontier.BaseOverlay`.  Chunk code only
-relies on ``.get(mask)``; the batch fast path additionally probes for the
-packed store's ``prev_data``/``batchable``."""
+relies on ``.get(mask)``."""
 
 # Flat per-entry overhead charged by the shipping-volume estimate (dict
 # slot + dataclass header); deliberately a round constant so the
@@ -148,14 +145,14 @@ class ChunkResult:
     """Position of the chunk within its layer's chunk list."""
 
     entries: Dict[int, Entry] = field(default_factory=dict)
-    """Finished entries keyed by mask (the scalar path's output).  Empty
-    when the chunk ran the packed batch path — see :attr:`packed`."""
+    """Finished entries keyed by mask.  Empty when a process worker
+    shipped them back packed — see :attr:`packed`."""
 
     packed: Optional[PackedSlice] = None
-    """Finished entries as contiguous packed columns (the batch path's
-    output; also how process workers ship results back without pickling
-    per-entry dataclasses).  ``entries`` and ``packed`` never overlap;
-    the engine's store absorbs whichever is present."""
+    """Finished entries as contiguous packed columns: how process workers
+    ship results of a packed-store sweep back without pickling per-entry
+    dataclasses.  ``entries`` and ``packed`` never overlap; the engine's
+    store absorbs whichever is present."""
 
     mincost: Dict[int, int] = field(default_factory=dict)
     best_last: Dict[int, int] = field(default_factory=dict)
@@ -184,12 +181,10 @@ def sweep_chunk(
     masks: Sequence[int],
     previous: PreviousLayer,
     base: FSState,
-    kernel: KernelFn,
     rule: ReductionRule,
     retain_full: bool,
     counters: OperationCounters,
     should_stop: Optional[Callable[[], bool]] = None,
-    kernel_name: Optional[str] = None,
 ) -> ChunkResult:
     """Finalize a slice of one layer (runs wherever the backend says).
 
@@ -198,60 +193,53 @@ def sweep_chunk(
     routine is the bit-identity anchor: every backend routes every chunk
     through it, so where a chunk ran can never change what it computed.
 
-    When ``kernel_name`` says the built-in ``numpy`` kernel is running
-    and ``previous`` is a batchable packed store, the chunk takes the
-    whole-layer batch path (:func:`repro.core.frontier.batch_sweep_chunk`)
-    — same arithmetic, same counters, no per-subset Python objects — and
-    returns its entries as a packed slice.  Every other combination runs
-    the scalar per-candidate loop below.
+    Every candidate runs :func:`~repro.core.compaction.compact_table` on
+    its predecessor's table.  All predecessors of a layer share table
+    geometry, so the cofactor index arrays are computed once per bit
+    position, and a full state is built only for each subset's winning
+    candidate.
 
     ``should_stop`` (the process workers' view of the mirrored
     cancellation event) is polled between masks; a stopped chunk returns
     with ``cancelled=True`` and whatever masks it had not reached simply
     absent.
     """
-    if kernel_name == "numpy":
-        batch = batch_sweep_chunk(
-            masks, previous, base, rule, retain_full, counters, should_stop
-        )
-        if batch is not None:
-            store, mincost, best_last, level_cost, processed, cancelled = batch
-            return ChunkResult(
-                packed=store.to_slice() if len(store) else None,
-                mincost=mincost,
-                best_last=best_last,
-                level_cost=level_cost,
-                processed=processed,
-                counters=counters,
-                cancelled=cancelled,
-            )
     out = ChunkResult(counters=counters)
+    indices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for mask in masks:
         if should_stop is not None and should_stop():
             out.cancelled = True
             break
-        best: Optional[FSState] = None
-        best_i = -1
+        best: Optional[Tuple[int, int, FSState, np.ndarray, np.ndarray]] = None
         for i in bits_of(mask):
             entry = previous.get(mask & ~(1 << i))
             if entry is None:
                 continue  # infeasible predecessor under a subset filter
-            prev_state = materialize_entry(base, entry, kernel, rule, counters)
-            candidate = kernel(prev_state, i, rule, counters)
-            out.level_cost[(prev_state.mask, i)] = (
-                candidate.mincost - prev_state.mincost
+            prev = materialize_entry(base, entry, rule, counters)
+            position = rank_in_mask(prev.free_mask, i)
+            cofactors = indices.get(position)
+            if cofactors is None:
+                cofactors = indices[position] = cofactor_indices(
+                    prev.n, prev.placed, prev.num_roots, position
+                )
+            table, unique_keys = compact_table(
+                prev.table, *cofactors, prev.next_id, rule, counters
             )
-            if best is None or candidate.mincost < best.mincost:
-                best = candidate
-                best_i = i
+            created = unique_keys.shape[0]
+            out.level_cost[(prev.mask, i)] = created
+            mincost = prev.mincost + created
+            if best is None or mincost < best[0]:
+                best = (mincost, i, prev, table, unique_keys)
         if best is None:
             raise OrderingError(
                 f"no feasible chain reaches subset {mask:#x}"
             )
+        mincost, best_i, prev, table, unique_keys = best
         out.entries[mask] = (
-            best if retain_full else Skeleton(pi=best.pi, mincost=best.mincost)
+            extend_state(prev, best_i, table, unique_keys) if retain_full
+            else Skeleton(pi=prev.pi + (best_i,), mincost=mincost)
         )
-        out.mincost[mask] = best.mincost
+        out.mincost[mask] = mincost
         out.best_last[mask] = best_i
         out.processed += 1
         counters.subsets_processed += 1
@@ -261,7 +249,6 @@ def sweep_chunk(
 def materialize_entry(
     base: FSState,
     entry: Entry,
-    kernel: KernelFn,
     rule: ReductionRule,
     counters: OperationCounters,
 ) -> FSState:
@@ -279,7 +266,7 @@ def materialize_entry(
     scratch = OperationCounters()
     state = base
     for var in entry.pi[len(base.pi):]:
-        state = kernel(state, var, rule, scratch)
+        state = compact(state, var, rule, scratch)
     assert state.mincost == entry.mincost, "replayed chain must reproduce mincost"
     counters.add_extra("recompute_compactions", scratch.compactions)
     counters.add_extra("recompute_cells", scratch.table_cells)
@@ -299,7 +286,6 @@ class SweepContext:
     it; all kernel work lands in per-chunk counters the engine merges."""
 
     base: FSState
-    kernel: str
     rule: ReductionRule
     jobs: int
     counters: OperationCounters
@@ -336,17 +322,11 @@ class ExecutorBackend(abc.ABC):
 
     def __init__(self) -> None:
         self._context: Optional[SweepContext] = None
-        self._kernel: Optional[KernelFn] = None
         self._sweep_lock = threading.Lock()
         self._sweep_owner: Optional[int] = None
 
     def begin_sweep(self, context: SweepContext) -> None:
-        """Adopt a sweep (blocking while another thread's sweep runs).
-        Resolves the kernel once so inline execution and worker dispatch
-        agree on the implementation."""
-        from .engine import get_kernel  # deferred: engine imports this module
-
-        kernel = get_kernel(context.kernel)  # validate before locking
+        """Adopt a sweep (blocking while another thread's sweep runs)."""
         if self._sweep_owner == threading.get_ident():
             raise OrderingError(
                 f"backend {self.name!r} is already mid-sweep on this "
@@ -357,7 +337,6 @@ class ExecutorBackend(abc.ABC):
         self._sweep_lock.acquire()
         self._sweep_owner = threading.get_ident()
         self._context = context
-        self._kernel = kernel
 
     @abc.abstractmethod
     def run_layer(
@@ -375,7 +354,6 @@ class ExecutorBackend(abc.ABC):
         call without an open sweep (``close`` paths do): only the thread
         that owns the sweep releases the mutex."""
         self._context = None
-        self._kernel = None
         if self._sweep_owner == threading.get_ident():
             self._sweep_owner = None
             self._sweep_lock.release()
@@ -406,16 +384,15 @@ class ExecutorBackend(abc.ABC):
         previous: PreviousLayer,
         retain_full: bool,
     ) -> List[ChunkResult]:
-        context, kernel = self._context, self._kernel
-        assert context is not None and kernel is not None, (
+        context = self._context
+        assert context is not None, (
             "run_layer called outside begin_sweep/end_sweep"
         )
         results: List[ChunkResult] = []
         for index, chunk in enumerate(chunks):
             part = sweep_chunk(
-                chunk, previous, context.base, kernel, context.rule,
+                chunk, previous, context.base, context.rule,
                 retain_full, OperationCounters(),
-                kernel_name=context.kernel,
             )
             part.index = index
             results.append(part)
@@ -429,7 +406,7 @@ def register_backend(name: str) -> Callable[[Type[ExecutorBackend]], Type[Execut
     """Class decorator registering a backend under ``name``.
 
     Registered names become valid for ``EngineConfig(backend=...)`` and
-    the CLI ``--backend`` flag, mirroring the kernel registry."""
+    the CLI ``--backend`` flag."""
 
     def decorate(cls: Type[ExecutorBackend]) -> Type[ExecutorBackend]:
         _BACKENDS[name] = cls
@@ -582,14 +559,13 @@ class ThreadBackend(ExecutorBackend):
     ) -> List[ChunkResult]:
         if len(chunks) <= 1:
             return self._run_inline(chunks, previous, retain_full)
-        context, kernel = self._context, self._kernel
-        assert context is not None and kernel is not None
+        context = self._context
+        assert context is not None
         pool = self._ensure_pool(context)
         futures = [
             pool.submit(
-                sweep_chunk, chunk, previous, context.base, kernel,
+                sweep_chunk, chunk, previous, context.base,
                 context.rule, retain_full, OperationCounters(),
-                kernel_name=context.kernel,
             )
             for chunk in chunks
         ]
@@ -642,7 +618,6 @@ class ChunkTask:
     token: str
     shm_name: str
     base_spec: Dict[str, Any]
-    kernel: str
     rule_value: str
     layer: int
     index: int
@@ -664,7 +639,7 @@ class ChunkTask:
 # Worker-process globals (populated by the pool initializer and the
 # first task of each sweep; one sweep's base is cached per worker).
 _WORKER_CANCEL: Optional[Any] = None
-_WORKER_SWEEP: Optional[Tuple[str, Any, FSState, KernelFn, ReductionRule]] = None
+_WORKER_SWEEP: Optional[Tuple[str, Any, FSState, ReductionRule]] = None
 
 
 def _worker_initializer(cancel_event: Any) -> None:
@@ -681,7 +656,7 @@ def _worker_initializer(cancel_event: Any) -> None:
         pass
 
 
-def _worker_bind_sweep(task: ChunkTask) -> Tuple[str, Any, FSState, KernelFn, ReductionRule]:
+def _worker_bind_sweep(task: ChunkTask) -> Tuple[str, Any, FSState, ReductionRule]:
     """Attach this worker to the task's sweep (cached per token).
 
     The previous sweep's shared-memory attachment is closed when a new
@@ -729,12 +704,7 @@ def _worker_bind_sweep(task: ChunkTask) -> Tuple[str, Any, FSState, KernelFn, Re
         num_terminals=int(spec["num_terminals"]),
         num_roots=int(spec["num_roots"]),
     )
-    from .engine import get_kernel
-
-    _WORKER_SWEEP = (
-        task.token, shm, base, get_kernel(task.kernel),
-        ReductionRule(task.rule_value),
-    )
+    _WORKER_SWEEP = (task.token, shm, base, ReductionRule(task.rule_value))
     return _WORKER_SWEEP
 
 
@@ -743,10 +713,10 @@ def _suicide_midway(
 ) -> Callable[[], bool]:
     """``should_stop`` wrapper realizing the ``"during"`` kill phase.
 
-    Both the scalar loop and the packed batch path poll ``should_stop``
-    once per mask, so counting polls places the SIGKILL about halfway
-    through the chunk's masks under either path — after real work has
-    been done and really lost, which is the point of the phase.  A
+    The chunk loop polls ``should_stop`` once per mask, so counting polls
+    places the SIGKILL about halfway through the chunk's masks — after
+    real work has been done and really lost, which is the point of the
+    phase.  A
     single-mask chunk has no halfway; there the kill fires on the first
     poll (degenerating to ``"before"``) rather than silently not at
     all."""
@@ -769,11 +739,10 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
         # SIGKILL, not an exception: uncatchable, no cleanup, exactly
         # what the OOM killer delivers.  The pool goes BrokenProcessPool.
         os.kill(os.getpid(), signal.SIGKILL)
-    _, _, base, kernel, rule = _worker_bind_sweep(task)
+    _, _, base, rule = _worker_bind_sweep(task)
     previous: PreviousLayer
     if task.packed is not None:
-        # The base entry never ships; it lives in shm.  Overlaying it on
-        # the unpacked slice preserves the batch fast path worker-side.
+        # The base entry never ships; it lives in shm.
         previous = BaseOverlay(base, PackedFrontier.from_slice(task.packed))
     else:
         previous = dict(task.entries)
@@ -783,12 +752,17 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
     if task.kill_self == "during":
         should_stop = _suicide_midway(len(task.masks), should_stop)
     out = sweep_chunk(
-        task.masks, previous, base, kernel, rule, task.retain_full,
+        task.masks, previous, base, rule, task.retain_full,
         OperationCounters(),
         should_stop=should_stop,
-        kernel_name=task.kernel,
     )
     out.index = task.index
+    if task.packed is not None and out.entries:
+        # A packed sweep's results ship back as columns, encoded here in
+        # the worker rather than on the coordinator.
+        store = PackedFrontier()
+        store.extend(out.entries)
+        out.packed, out.entries = store.to_slice(), {}
     return out
 
 
@@ -842,11 +816,6 @@ class ProcessBackend(ExecutorBackend):
     budget is cancelled or its deadline expires; workers poll it between
     masks.  Single-chunk layers run inline — no pool, no shipping — so
     ``jobs=1`` process runs are exactly serial runs.
-
-    Worker-side kernels resolve by *name*, so only kernels registered at
-    import time (the built-ins, or plugins registered by an imported
-    module) are reachable; in-process custom kernels need the ``thread``
-    or ``serial`` backend.
     """
 
     name = "process"
@@ -1069,7 +1038,6 @@ class ProcessBackend(ExecutorBackend):
             token=self._sweep_token,
             shm_name=self._shm.name,
             base_spec=self._base_spec,
-            kernel=context.kernel,
             rule_value=context.rule.value,
             layer=layer,
             index=index,

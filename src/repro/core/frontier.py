@@ -13,7 +13,7 @@ seam.  This module is the seam:
   builds, the backends read, the checkpoint store serializes and the
   budget meters, with a name registry
   (:func:`register_frontier_store` / :func:`get_frontier_store`)
-  mirroring the kernel and backend registries;
+  mirroring the backend registry;
 * :class:`DictFrontier` — the historical ``mask -> entry`` dict
   (``"dict"``, the default; byte accounting is the documented estimate);
 * :class:`PackedFrontier` — contiguous column storage (``"packed"``):
@@ -29,16 +29,11 @@ seam.  This module is the seam:
 
 Bit-identity contract: a store changes *where bytes live*, never what
 the sweep computes.  Reconstructed entries compare equal to the ones put
-in (table values exactly, via widening back to ``int64``), and the
-whole-layer batch kernel (:func:`batch_sweep_chunk`) reproduces the
-scalar kernel's results **and** :class:`~repro.analysis.counters.\
-OperationCounters` tallies arithmetic-for-arithmetic, which the
-``store x kernel x backend x jobs x FrontierPolicy`` parity matrix in
+in (table values exactly, via widening back to ``int64``), so results
+and :class:`~repro.analysis.counters.OperationCounters` tallies are
+independent of the store, which the
+``store x backend x jobs x FrontierPolicy`` parity matrix in
 ``tests/test_core_frontier.py`` pins.
-
-numpy accelerates the packing codec and enables the batch kernel, but
-the codec itself has a pure-stdlib fallback (``array`` module) selected
-when numpy is unavailable — flip :data:`_USE_NUMPY` to exercise it.
 """
 
 from __future__ import annotations
@@ -52,26 +47,14 @@ from typing import (
     Union,
 )
 
-try:  # pragma: no cover - numpy is present in the supported environments
-    import numpy as np
+import numpy as np
 
-    _USE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via the _USE_NUMPY flag
-    np = None  # type: ignore[assignment]
-    _USE_NUMPY = False
-
-from .._bitops import insert_bit_indices, popcount, popcount_buffer, rank_in_mask
-from ..errors import OrderingError
+from .._bitops import popcount_buffer
 from ..observability import frontier_nbytes as _estimate_nbytes
 from .checkpoint import Skeleton
 from .spec import FSState
 
 Entry = Union[FSState, Skeleton]
-
-# Mirrors repro.core.compaction: node ids are packed two-per-int64 word
-# during dedup, so the id space is 32 bits wide.
-_KEY_SHIFT = 32
-_ID_LIMIT = 1 << _KEY_SHIFT
 
 # Table cells (node ids, or edges under the CBDD rule) are always
 # non-negative and bounded by the packed id space, so they bit-pack at
@@ -96,36 +79,19 @@ def _row_bytes(cells: int, bits: int) -> int:
 
 def _encode_cells(table: Any, bits: int) -> bytes:
     """Bit-pack an ``int64`` table row (values preserved exactly)."""
-    if _USE_NUMPY:
-        values = np.asarray(table, dtype=np.uint64)
-        shifts = np.arange(bits, dtype=np.uint64)
-        cell_bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
-        return np.packbits(cell_bits.ravel(), bitorder="little").tobytes()
-    acc = 0
-    for row, value in enumerate(table):
-        acc |= int(value) << (row * bits)
-    return acc.to_bytes(_row_bytes(len(table), bits), "little")
+    values = np.asarray(table, dtype=np.uint64)
+    shifts = np.arange(bits, dtype=np.uint64)
+    cell_bits = ((values[:, None] >> shifts) & 1).astype(np.uint8)
+    return np.packbits(cell_bits.ravel(), bitorder="little").tobytes()
 
 
 def _decode_cells(buffer: Any, bits: int, count: int, offset: int = 0) -> Any:
     """Rebuild an ``int64`` table row from bit-packed bytes."""
-    nbytes = _row_bytes(count, bits)
-    if _USE_NUMPY:
-        raw = np.frombuffer(buffer, dtype=np.uint8, count=nbytes,
-                            offset=offset)
-        cell_bits = np.unpackbits(raw, bitorder="little")[:count * bits]
-        weights = np.int64(1) << np.arange(bits, dtype=np.int64)
-        return cell_bits.reshape(count, bits).astype(np.int64) @ weights
-    raw = bytes(memoryview(buffer)[offset:offset + nbytes])
-    acc = int.from_bytes(raw, "little")
-    mask = (1 << bits) - 1
-    values = [(acc >> (row * bits)) & mask for row in range(count)]
-    # numpy is genuinely absent only on exotic installs; FSState tables
-    # are numpy arrays, so the fallback still converges on one at the
-    # boundary when it can, else a stdlib array (duck-typed by nbytes).
-    if np is not None:
-        return np.array(values, dtype=np.int64)
-    return array("q", values)  # pragma: no cover - no-numpy installs
+    raw = np.frombuffer(buffer, dtype=np.uint8, count=_row_bytes(count, bits),
+                        offset=offset)
+    cell_bits = np.unpackbits(raw, bitorder="little")[:count * bits]
+    weights = np.int64(1) << np.arange(bits, dtype=np.int64)
+    return cell_bits.reshape(count, bits).astype(np.int64) @ weights
 
 
 def _rewiden(buffer: Any, cells: int, old_bits: int, new_bits: int) -> bytearray:
@@ -137,13 +103,6 @@ def _rewiden(buffer: Any, cells: int, old_bits: int, new_bits: int) -> bytearray
             _decode_cells(buffer, old_bits, cells, offset=offset), new_bits
         )
     return out
-
-
-def _table_bound(table: Any) -> int:
-    """Largest cell value (the quantity that picks the packed width)."""
-    if _USE_NUMPY and hasattr(table, "max"):
-        return int(table.max())
-    return max(int(v) for v in table)
 
 
 # ----------------------------------------------------------------------
@@ -206,16 +165,15 @@ class FrontierStore(abc.ABC):
     """One retained DP layer, behind a representation-agnostic interface.
 
     The engine builds one store per layer, the execution backends read it
-    (``get`` for the scalar kernel path, ``prev_data`` for the packed
-    batch path), the checkpoint store serializes it
+    (``get``), the checkpoint store serializes it
     (``checkpoint_payload`` / ``to_entry_dict``) and the budget meters it
     (``nbytes``).  Stores register by name
     (:func:`register_frontier_store`) and are selected via
     ``EngineConfig(frontier_store=...)`` and the CLI ``--frontier-store``
-    flag, mirroring the kernel and backend registries.
+    flag, mirroring the backend registry.
 
     Bit-identity contract: ``get(mask)`` must return an entry equal in
-    every field the kernels read (``n``/``mask``/``pi``/``mincost``/table
+    every field the chunk loop reads (``n``/``mask``/``pi``/``mincost``/table
     values/``num_terminals``/``num_roots``/``nodes``) to the entry that
     was ``put``; results and operation counters are then independent of
     the store by construction.
@@ -406,10 +364,8 @@ class PackedFrontier(FrontierStore):
     the budget's byte cap aborts at the same layer everywhere.
 
     Entries reconstruct on :meth:`get` (table values widened back to
-    ``int64``), so the scalar kernel path sees ordinary
-    :class:`~repro.core.spec.FSState` objects; the batch kernel reads
-    the raw rows via :meth:`prev_data` and never builds them.  Node
-    structure tracking (``entry.nodes``) is supported through a Python
+    ``int64``), so the chunk loop sees ordinary
+    :class:`~repro.core.spec.FSState` objects.  Node structure tracking (``entry.nodes``) is supported through a Python
     side list — such layers still pack their tables but ship and
     checkpoint through the per-entry codec.
     """
@@ -480,7 +436,7 @@ class PackedFrontier(FrontierStore):
                 "full", entry.n, entry.num_terminals, entry.num_roots,
                 entry.mask ^ mask, len(entry.pi), len(entry.table),
             )
-            self._ensure_width(_table_bound(entry.table))
+            self._ensure_width(int(entry.table.max()))
             self._tables += _encode_cells(entry.table, self._bits)
             if entry.nodes is not None and self._nodes is None:
                 self._nodes = [None] * len(self._masks)
@@ -544,31 +500,6 @@ class PackedFrontier(FrontierStore):
             + len(self._pis)
             + len(self._tables)
         )
-
-    # -- batch-kernel raw access ---------------------------------------
-
-    def batchable(self) -> bool:
-        """Whether the whole-layer batch kernel may read this store raw."""
-        return (
-            _USE_NUMPY
-            and self._kind == "full"
-            and self._nodes is None
-        )
-
-    def prev_data(self, mask: int) -> Optional[Tuple[Any, int, Tuple[int, ...], int]]:
-        """``(table, mincost, pi, abs_mask)`` without building an
-        :class:`FSState` — the batch kernel's read path.  The table row
-        is decoded to ``int64`` (bit-packed cells cannot be viewed in
-        place) but no entry object or tuple plumbing is built."""
-        row = self._index.get(mask)
-        if row is None:
-            return None
-        table = _decode_cells(
-            self._tables, self._bits, self._cells,
-            offset=row * _row_bytes(self._cells, self._bits),
-        )
-        pi = tuple(self._pis[row * self._pi_len:(row + 1) * self._pi_len])
-        return table, self._mincosts[row], pi, self._base_mask | mask
 
     # -- slices (shipping + merging) -----------------------------------
 
@@ -774,8 +705,8 @@ class BaseOverlay:
     """A frontier view joining the sweep's base state (mask 0, living in
     shared memory on process workers) with a shipped packed slice.
 
-    Exposes exactly what :func:`repro.core.executor.sweep_chunk` and the
-    batch kernel read: ``get`` and ``prev_data``/``batchable``.
+    Exposes exactly what :func:`repro.core.executor.sweep_chunk` reads:
+    ``get``.
     """
 
     def __init__(self, base: FSState, inner: PackedFrontier) -> None:
@@ -786,162 +717,3 @@ class BaseOverlay:
         if mask == 0:
             return self._base
         return self._inner.get(mask)
-
-    def batchable(self) -> bool:
-        return self._inner.batchable() or len(self._inner) == 0
-
-    def prev_data(self, mask: int) -> Optional[Tuple[Any, int, Tuple[int, ...], int]]:
-        if mask == 0:
-            base = self._base
-            return base.table, base.mincost, base.pi, base.mask
-        return self._inner.prev_data(mask)
-
-
-# ----------------------------------------------------------------------
-# the whole-layer batch kernel
-# ----------------------------------------------------------------------
-
-def batch_sweep_chunk(
-    masks: Sequence[int],
-    previous: Any,
-    base: FSState,
-    rule: Any,
-    retain_full: bool,
-    counters: Any,
-    should_stop: Optional[Callable[[], bool]] = None,
-) -> Optional[Tuple[PackedFrontier, Dict[int, int], Dict[int, int],
-                    Dict[Tuple[int, int], int], int, bool]]:
-    """Finalize one chunk of a layer in bulk over packed predecessor rows.
-
-    The fast path behind :func:`repro.core.executor.sweep_chunk` when the
-    previous layer is a batchable :class:`PackedFrontier`: instead of
-    reconstructing one :class:`FSState` per candidate and dispatching a
-    kernel call each, it reads predecessor tables as zero-copy buffer
-    rows, reuses the cofactor index arrays per bit position (every
-    predecessor of a layer shares table geometry, so the
-    ``insert_bit_indices`` work is done once per position, not once per
-    candidate), and appends finished entries straight into packed
-    columns — no per-subset Python objects anywhere on the hot path.
-
-    Arithmetic is a line-for-line restatement of
-    :func:`repro.core.compaction.compact` (same merge predicate, same
-    ``np.unique`` dedup, same id assignment, same counter tallies in the
-    same order), which is what keeps results *and*
-    :class:`~repro.analysis.counters.OperationCounters` bit-identical to
-    the scalar path — the parity matrix proves it.
-
-    Returns ``None`` when the fast path does not apply (non-packed or
-    skeleton previous layer, node tracking, numpy unavailable); the
-    caller then runs the scalar path.
-    """
-    if not _USE_NUMPY or base.nodes is not None:
-        return None
-    batchable = getattr(previous, "batchable", None)
-    prev_data = getattr(previous, "prev_data", None)
-    if batchable is None or prev_data is None or not batchable():
-        return None
-    from .spec import ReductionRule  # local: avoid import-order surprises
-
-    is_zdd = rule is ReductionRule.ZDD
-    is_cbdd = rule is ReductionRule.CBDD
-    n = base.n
-    num_terminals = base.num_terminals
-    num_roots = base.num_roots
-    full_n = (1 << n) - 1
-
-    out = PackedFrontier()
-    mincost_d: Dict[int, int] = {}
-    best_last_d: Dict[int, int] = {}
-    level_cost_d: Dict[Tuple[int, int], int] = {}
-    processed = 0
-    cancelled = False
-    idx_cache: Dict[int, Tuple[Any, Any]] = {}
-
-    for mask in masks:
-        if should_stop is not None and should_stop():
-            cancelled = True
-            break
-        best_mincost: Optional[int] = None
-        best_i = -1
-        best_table: Any = None
-        best_pi: Tuple[int, ...] = ()
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            data = prev_data(mask & ~low)
-            if data is None:
-                continue  # infeasible predecessor under a subset filter
-            ptable, pmincost, ppi, prev_abs = data
-            placed_prev = popcount(prev_abs)
-            new_segment = 1 << (n - placed_prev - 1)
-            new_size = num_roots * new_segment
-            position = rank_in_mask(full_n ^ prev_abs, i)
-            cached = idx_cache.get(position)
-            if cached is None:
-                idx0, idx1 = insert_bit_indices(new_segment, position)
-                if num_roots > 1:
-                    offsets = (
-                        np.arange(num_roots, dtype=np.int64)[:, None]
-                        * (1 << (n - placed_prev))
-                    )
-                    idx0 = (offsets + idx0[None, :]).ravel()
-                    idx1 = (offsets + idx1[None, :]).ravel()
-                idx_cache[position] = cached = (idx0, idx1)
-            idx0, idx1 = cached
-            u0 = ptable[idx0]
-            u1 = ptable[idx1]
-            merged = (u1 == 0) if is_zdd else (u0 == u1)
-            next_id = num_terminals + pmincost
-            if next_id >= _ID_LIMIT:  # pragma: no cover - needs >2^32 nodes
-                raise OverflowError("node id space exhausted")
-            new_table = np.empty(new_size, dtype=np.int64)
-            new_table[merged] = u0[merged]
-            live = ~merged
-            live_u0 = u0[live].astype(np.int64)
-            live_u1 = u1[live].astype(np.int64)
-            if is_cbdd:
-                out_complement = live_u1 & 1
-                live_u0 = live_u0 ^ out_complement
-                live_u1 = live_u1 ^ out_complement
-            keys = (live_u0 << _KEY_SHIFT) | live_u1
-            unique_keys, _, inverse = np.unique(
-                keys, return_index=True, return_inverse=True
-            )
-            created = int(unique_keys.shape[0])
-            if is_cbdd:
-                new_table[live] = ((next_id + inverse) << 1) | out_complement
-            else:
-                new_table[live] = next_id + inverse
-            counters.compactions += 1
-            counters.table_cells += new_size
-            counters.nodes_created += created
-            level_cost_d[(prev_abs, i)] = created
-            cand_mincost = pmincost + created
-            if best_mincost is None or cand_mincost < best_mincost:
-                best_mincost = cand_mincost
-                best_i = i
-                best_table = new_table
-                best_pi = ppi + (i,)
-        if best_mincost is None:
-            raise OrderingError(f"no feasible chain reaches subset {mask:#x}")
-        entry: Entry
-        if retain_full:
-            entry = FSState(
-                n=n,
-                mask=(base.mask | mask) if mask & base.mask == 0 else mask,
-                pi=best_pi,
-                mincost=best_mincost,
-                table=best_table,
-                num_terminals=num_terminals,
-                num_roots=num_roots,
-            )
-        else:
-            entry = Skeleton(pi=best_pi, mincost=best_mincost)
-        out.put(mask, entry)
-        mincost_d[mask] = best_mincost
-        best_last_d[mask] = best_i
-        processed += 1
-        counters.subsets_processed += 1
-    return out, mincost_d, best_last_d, level_cost_d, processed, cancelled

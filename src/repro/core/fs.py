@@ -17,7 +17,7 @@ measures exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from .spec import FSState, ReductionRule
 if TYPE_CHECKING:  # pragma: no cover - budget imports fs lazily
     from .budget import Budget
     from .executor import ExecutorBackend
-
-CompactFn = Callable[..., FSState]
 
 
 def initial_state(
@@ -193,7 +191,6 @@ def run_fs(
     table: TruthTable,
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
-    engine: str = "numpy",
     jobs: int = 1,
     backend: Union[str, "ExecutorBackend"] = "thread",
     frontier: Union[str, FrontierPolicy] = FrontierPolicy.FULL,
@@ -218,11 +215,6 @@ def run_fs(
         Diagram variant to minimize (BDD, ZDD, or MTBDD).
     counters:
         Optional instrumentation sink.
-    engine:
-        Name of a registered compaction kernel — ``"numpy"`` (vectorized)
-        or ``"python"`` (the executable specification; exponentially
-        slower, for validation/ablation).  See
-        :func:`repro.core.engine.available_kernels`.
     jobs:
         Fan each DP layer over this many workers (masks of equal
         cardinality are independent).  Results and counters are
@@ -294,7 +286,7 @@ def run_fs(
     if counters is None:
         counters = OperationCounters()
     config = EngineConfig(
-        kernel=engine, jobs=jobs, backend=backend, frontier=frontier,
+        jobs=jobs, backend=backend, frontier=frontier,
         frontier_store=frontier_store, profiler=profiler,
         checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,
@@ -326,7 +318,7 @@ def run_fs(
             state0 = initial_state(table, rule)
         profiler.meta.setdefault("n", n)
         profiler.meta.setdefault("rule", rule.value)
-        profiler.meta.setdefault("kernel", engine)
+        profiler.meta.setdefault("kernel", "numpy")
         profiler.meta.setdefault("jobs", jobs)
         profiler.meta.setdefault(
             "backend",
@@ -376,56 +368,10 @@ def run_fs(
     )
 
 
-def dp_over_all_subsets(
-    state0: FSState,
-    compact_fn: Union[CompactFn, str],
-    rule: ReductionRule,
-    counters: OperationCounters,
-) -> Tuple[FSState, Dict[int, int], Dict[int, int], Dict[Tuple[int, int], int]]:
-    """The FS dynamic program over every subset of the free variables.
-
-    Compatibility wrapper over :func:`repro.core.engine.run_layered_sweep`
-    (which now owns the sweep); kept because the Lemma 4 recurrence is
-    documented against this name.  ``compact_fn`` may be a registered
-    kernel name or a raw kernel callable.
-    """
-    if callable(compact_fn):
-        kernel_name = _kernel_name_of(compact_fn)
-    else:
-        kernel_name = compact_fn
-    full = (1 << state0.n) - 1
-    outcome = run_layered_sweep(
-        state0,
-        full & ~state0.mask,
-        rule=rule,
-        counters=counters,
-        config=EngineConfig(kernel=kernel_name),
-    )
-    final = outcome.frontier[full & ~state0.mask]
-    return (
-        final,
-        outcome.mincost_by_subset,
-        outcome.best_last,
-        outcome.level_cost_by_choice,
-    )
-
-
-def _kernel_name_of(fn: CompactFn) -> str:
-    """Map a raw kernel callable back to its registered name."""
-    from .engine import _KERNELS, available_kernels
-
-    available_kernels()  # force built-in registration
-    for name, registered in _KERNELS.items():
-        if registered is fn:
-            return name
-    raise ValueError(f"{fn!r} is not a registered compaction kernel")
-
-
 def find_optimal_ordering(
     source,
     n: Optional[int] = None,
     rule: ReductionRule = ReductionRule.BDD,
-    engine: str = "numpy",
     jobs: int = 1,
     backend: Union[str, "ExecutorBackend"] = "thread",
 ) -> FSResult:
@@ -443,4 +389,4 @@ def find_optimal_ordering(
         table = source
     else:
         table = to_truth_table(source, n)
-    return run_fs(table, rule=rule, engine=engine, jobs=jobs, backend=backend)
+    return run_fs(table, rule=rule, jobs=jobs, backend=backend)

@@ -20,7 +20,8 @@ from typing import Callable, Dict, Optional
 from .._bitops import bits_of, popcount
 from ..analysis.counters import OperationCounters
 from ..errors import CacheError, DimensionError
-from .engine import EngineConfig, get_kernel, run_layered_sweep
+from .compaction import compact
+from .engine import EngineConfig, run_layered_sweep
 from .spec import FSState, ReductionRule
 
 
@@ -44,8 +45,7 @@ def fs_star_levels(
         Stop after prefix size ``upto`` (defaults to ``|J|``).
     config:
         Optional :class:`~repro.core.engine.EngineConfig` selecting the
-        compaction kernel, layer parallelism, frontier policy and
-        profiler; the sweep itself runs on the shared execution engine.
+        layer parallelism, frontier policy and profiler; the sweep itself runs on the shared execution engine.
 
     Returns
     -------
@@ -129,11 +129,10 @@ def run_fs_star(
                     f"cache entry {fingerprint} holds a malformed FS* "
                     f"chain for J mask {j_mask:#x}"
                 )
-            kernel = get_kernel(config.kernel)
             scratch = OperationCounters()
             state = base
             for var in suffix:
-                state = kernel(state, var, rule, scratch)
+                state = compact(state, var, rule, scratch)
             if state.mincost != int(entry["mincost"]):
                 raise CacheError(
                     f"cache entry {fingerprint}: replayed FS* chain yields "

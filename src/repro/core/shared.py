@@ -103,7 +103,6 @@ def run_fs_shared(
     tables: Sequence[TruthTable],
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
-    engine: str = "numpy",
     jobs: int = 1,
     backend: "str | ExecutorBackend" = "thread",
     frontier: str | FrontierPolicy = FrontierPolicy.FULL,
@@ -122,7 +121,7 @@ def run_fs_shared(
     Same complexity as single-output FS up to the factor ``m`` in table
     sizes; returns an :class:`~repro.core.fs.FSResult` whose ``mincost``
     counts the *shared* internal nodes of the whole forest.  Execution
-    options (``engine``/``jobs``/``backend``/``frontier``/``profiler``/
+    options (``jobs``/``backend``/``frontier``/``profiler``/
     ``checkpoint_dir``/``resume``/``cache``/``budget``/``io_retry``/
     ``max_pool_rebuilds``) match
     :func:`repro.core.fs.run_fs` — the same engine runs both DPs, and a
@@ -135,7 +134,7 @@ def run_fs_shared(
     if counters is None:
         counters = OperationCounters()
     config = EngineConfig(
-        kernel=engine, jobs=jobs, backend=backend, frontier=frontier,
+        jobs=jobs, backend=backend, frontier=frontier,
         frontier_store=frontier_store,
         profiler=profiler, checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,

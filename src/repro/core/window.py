@@ -26,7 +26,8 @@ from ..analysis.counters import OperationCounters
 from ..errors import BudgetExceeded, CacheError, OrderingError
 from ..truth_table import TruthTable
 from .cache import raw_table_key
-from .engine import EngineConfig, get_kernel
+from .compaction import compact
+from .engine import EngineConfig
 from .executor import shared_backend
 from .fs import initial_state
 from .fs_star import run_fs_star
@@ -55,12 +56,10 @@ def _chain_cost(
     order: Sequence[int],
     rule: ReductionRule,
     counters: Optional[OperationCounters] = None,
-    config: Optional[EngineConfig] = None,
 ) -> int:
-    kernel = get_kernel(config.kernel if config is not None else "numpy")
     state = initial_state(table, rule)
     for var in reversed(list(order)):
-        state = kernel(state, var, rule, counters)
+        state = compact(state, var, rule, counters)
     return state.mincost
 
 
@@ -78,8 +77,7 @@ def exact_window(
 
     Returns the improved ordering (identical outside the window) and the
     new total internal-node count.  ``config`` selects the execution
-    engine options (kernel, jobs, profiler, cache) for the FS* solve and
-    the frozen-chain costing alike.
+    engine options (jobs, profiler, cache) for the FS* solve.
 
     Costing is incremental: the current window block is replayed on the
     frozen bottom chain (its cost read off the same base state the FS*
@@ -105,15 +103,14 @@ def exact_window(
 
     # Build the frozen bottom chain once; both the current block's cost
     # and the FS* solve extend this same state.
-    kernel = get_kernel(config.kernel if config is not None else "numpy")
     state = initial_state(table, rule)
     for var in reversed(below):
-        state = kernel(state, var, rule, counters)
+        state = compact(state, var, rule, counters)
     base_below = state
 
     current = base_below
     for var in reversed(window):
-        current = kernel(current, var, rule, counters)
+        current = compact(current, var, rule, counters)
     old_block = current.mincost - base_below.mincost
 
     final = run_fs_star(
@@ -139,7 +136,7 @@ def exact_window(
         # chain (Lemma 3: those widths are the same for both orders).
         top = current
         for var in reversed(order[:start]):
-            top = kernel(top, var, rule, counters)
+            top = compact(top, var, rule, counters)
         known_size = top.mincost
     new_size = known_size - old_block + new_block
 
@@ -224,7 +221,7 @@ def window_sweep(
                 from_cache=True,
             )
 
-    initial_size = _chain_cost(table, order, rule, counters, config)
+    initial_size = _chain_cost(table, order, rule, counters)
     size = initial_size
     solved = 0
 

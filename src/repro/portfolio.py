@@ -3,7 +3,7 @@
 The exact FS-family DP certifies optima but costs ``O*(3^n)``; the
 heuristics literature the paper's introduction surveys trades that
 certificate for speed.  This module makes the inexact side a first-class
-subsystem, mirroring the kernel / backend / frontier-store registries:
+subsystem, mirroring the backend / frontier-store registries:
 every heuristic registers under a name (:func:`register_strategy`), runs
 standalone (:func:`run_strategy`) under a :class:`~repro.core.budget.Budget`,
 or races against the whole field (:func:`run_portfolio`) with a
@@ -158,9 +158,14 @@ class TableSiftSubstrate:
             units.append(tuple(w for w in self._order if w in group))
         return units
 
-    def start_position(self, unit: Tuple[int, ...]) -> int:
-        first = min(self._order.index(v) for v in unit)
-        return min(first, len(self._order) - len(unit))
+    def start_position(self, unit: Tuple[int, ...]) -> Optional[int]:
+        levels = sorted(self._order.index(v) for v in unit)
+        if levels[-1] - levels[0] != len(unit) - 1:
+            # Another block was parked between this block's members; no
+            # scanned placement is the current order, so staying put is
+            # the only way to keep the size the schedule reports.
+            return None
+        return levels[0]
 
     def _split(self, unit: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
         members = set(unit)
@@ -174,7 +179,9 @@ class TableSiftSubstrate:
             candidate = working[:p] + block + working[p:]
             yield p, self._size_fn(self._table, candidate)
 
-    def park(self, unit: Tuple[int, ...], position: int) -> None:
+    def park(self, unit: Tuple[int, ...], position: Optional[int]) -> None:
+        if position is None:
+            return
         working, block = self._split(unit)
         self._order = working[:position] + block + working[position:]
 
@@ -423,7 +430,6 @@ class StrategyContext:
     rule: ReductionRule
     budget: Budget
     counters: OperationCounters
-    engine: str = "numpy"
     jobs: int = 1
     backend: Any = "serial"
     frontier_store: Any = "dict"
@@ -436,16 +442,12 @@ class StrategyContext:
     def governed_size_fn(self) -> SizeFn:
         """Exact chain-cost oracle under :attr:`rule` (total nodes,
         terminals included), budget-checked per evaluation."""
-        return _governed_size_fn(
-            self.rule, self.engine, self.counters, self.budget
-        )
+        return _governed_size_fn(self.rule, self.counters, self.budget)
 
     def ungoverned_size_fn(self) -> SizeFn:
         """The same oracle without budget checks — used exactly once to
         honestly score a best-so-far ordering after an abort."""
-        return _governed_size_fn(
-            self.rule, self.engine, self.counters, Budget()
-        )
+        return _governed_size_fn(self.rule, self.counters, Budget())
 
     def start_order(self) -> List[int]:
         if self.initial_order is not None:
@@ -631,7 +633,6 @@ def _window_strategy(width: int) -> Callable[[StrategyContext], _Outcome]:
         from .core.window import window_sweep
 
         config = EngineConfig(
-            kernel=ctx.engine,
             jobs=ctx.jobs,
             backend=ctx.backend,
             frontier_store=ctx.frontier_store,
@@ -780,8 +781,8 @@ def run_strategy(
 ) -> StrategyResult:
     """Run one registered strategy standalone under a budget.
 
-    Engine knobs (kernel, jobs, backend, frontier store, cache,
-    profiler) come from ``config`` (an
+    Engine knobs (jobs, backend, frontier store, cache, profiler) come
+    from ``config`` (an
     :class:`~repro.core.engine.EngineConfig`); ``budget`` overrides
     ``config.budget``.  A deadline or frontier-cap abort returns the
     best-so-far ordering with ``status="budget_exceeded"`` — its size
@@ -801,7 +802,6 @@ def run_strategy(
         rule=rule,
         budget=budget,
         counters=counters,
-        engine=config.kernel,
         jobs=config.jobs,
         backend=config.backend,
         frontier_store=config.frontier_store,
@@ -900,7 +900,6 @@ def run_portfolio(
         config.backend, max_pool_rebuilds=config.max_pool_rebuilds
     )
     member_config = EngineConfig(
-        kernel=config.kernel,
         jobs=config.jobs,
         backend=backend_obj,
         frontier_store=config.frontier_store,

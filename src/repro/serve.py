@@ -181,7 +181,6 @@ class ServeConfig:
     jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
     """Worker width of the warm pool (layer parallelism per sweep)."""
 
-    engine: str = "numpy"
     frontier_store: str = "dict"
 
     cache_dir: Optional[str] = None
@@ -618,7 +617,7 @@ class OrderingServer:
         Caller holds ``_backend_lock`` (or is single-threaded startup)."""
         config = self.config
         cm = shared_backend(
-            EngineConfig(kernel=config.engine, jobs=config.jobs,
+            EngineConfig(jobs=config.jobs,
                          backend=config.backend,
                          frontier_store=config.frontier_store,
                          max_pool_rebuilds=config.max_pool_rebuilds)
@@ -1302,7 +1301,6 @@ class OrderingServer:
                     ),
                     seed=prepared.strategy_seed,
                     rule=prepared.rule,
-                    engine=config.engine,
                     jobs=config.jobs,
                     backend=backend,
                     frontier_store=config.frontier_store,
@@ -1315,7 +1313,6 @@ class OrderingServer:
                     prepared.problem,
                     method=prepared.method,
                     rule=prepared.rule,
-                    engine=config.engine,
                     jobs=config.jobs,
                     backend=backend,
                     frontier_store=config.frontier_store,
@@ -1430,7 +1427,6 @@ class OrderingServer:
             "config": {
                 "backend": self.config.backend,
                 "jobs": self.config.jobs,
-                "engine": self.config.engine,
                 "frontier_store": self.config.frontier_store,
                 "queue_limit": self.config.queue_limit,
                 "max_inflight": self.config.max_inflight,
@@ -1457,7 +1453,7 @@ async def _amain(config: ServeConfig) -> int:
     print(
         f"repro serve: listening on {where} "
         f"(backend={config.backend}, jobs={config.jobs}, "
-        f"engine={config.engine}, queue_limit={config.queue_limit}, "
+        f"queue_limit={config.queue_limit}, "
         f"max_inflight={config.max_inflight})",
         flush=True,
     )

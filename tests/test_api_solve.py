@@ -135,7 +135,7 @@ class TestSolveEngineKwargs:
     def test_engine_kwargs_reach_window_config(self):
         direct = window_sweep(TABLE, width=3)
         sol = solve(TABLE, method="window", width=3, backend="serial",
-                    jobs=1, engine="numpy")
+                    jobs=1)
         assert sol.mincost == direct.size
 
     def test_profiler_attached_and_returned(self):

@@ -215,7 +215,7 @@ class TestIterSubmasks:
             assert len(got) == math.comb(popcount(mask), k)
 
     def test_reversed_predecessors_align_with_ascending_bits(self):
-        # The documented property the batch kernel leans on: dropping
+        # The documented predecessor-order property: dropping
         # one bit from ``mask`` via reversed(iter_submasks(mask, k-1))
         # excludes members in the same ascending order bits_of walks.
         for mask in (0b111, 0b10110, 0b1101001):

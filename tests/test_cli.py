@@ -42,14 +42,13 @@ class TestOptimize:
     def test_engine_and_jobs_flags(self, run):
         expr = "x0 & x1 | x2 & x3"
         _, reference, _ = run("optimize", "--expr", expr)
-        for extra in (["--engine", "python"], ["--jobs", "2"]):
-            code, out, _ = run("optimize", "--expr", expr, *extra)
-            assert code == 0
-            assert out == reference
+        code, out, _ = run("optimize", "--expr", expr, "--jobs", "2")
+        assert code == 0
+        assert out == reference
 
     def test_unknown_engine_rejected(self, run):
         with pytest.raises(SystemExit):
-            run("optimize", "--expr", "x0", "--engine", "cuda")
+            run("optimize", "--expr", "x0", "--engine", "numpy")
 
     def test_backend_flags_agree(self, run):
         expr = "x0 & x1 | x2 & x3"

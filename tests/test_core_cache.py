@@ -202,14 +202,6 @@ class TestCachedRunFs:
         with pytest.raises(ValueError, match="cache"):
             warm.optimal_orderings()
 
-    def test_kernel_independence(self):
-        cache = ResultCache()
-        tt = TruthTable.random(4, seed=8)
-        cold = run_fs(tt, engine="python", cache=cache)
-        warm = run_fs(tt, engine="numpy", cache=cache)
-        assert warm.from_cache
-        assert warm.mincost == cold.mincost
-
     def test_profiler_phases_and_stats(self):
         cache = ResultCache()
         tt = TruthTable.random(4, seed=9)

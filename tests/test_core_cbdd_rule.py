@@ -67,13 +67,6 @@ class TestExactness:
             == run_fs(table, rule=ReductionRule.CBDD).mincost
         )
 
-    def test_engines_agree(self):
-        table = TruthTable.random(4, seed=13)
-        assert (
-            run_fs(table, rule=ReductionRule.CBDD, engine="python").mincost
-            == run_fs(table, rule=ReductionRule.CBDD, engine="numpy").mincost
-        )
-
     def test_multivalued_rejected(self):
         with pytest.raises(Exception):
             run_fs(TruthTable(1, [0, 2]), rule=ReductionRule.CBDD)

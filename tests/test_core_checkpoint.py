@@ -321,27 +321,13 @@ class TestFingerprintMismatch:
     with the differing configuration keys spelled out."""
 
     @staticmethod
-    def _store(table, kernel="numpy", rule="bdd", frontier="full",
-               directory="."):
+    def _store(table, rule="bdd", frontier="full", directory="."):
         base = initial_state(table, ReductionRule(rule))
         full = (1 << table.n) - 1
         return CheckpointStore(
             str(directory),
-            sweep_fingerprint(base, full, rule, table.n, kernel, frontier),
+            sweep_fingerprint(base, full, rule, table.n, frontier),
         )
-
-    def test_different_kernel(self, tmp_path):
-        table, directory, files = _checkpointed_run(tmp_path)
-        python_store = self._store(table, kernel="python",
-                                   directory=directory)
-        target = python_store.layer_path(table.n)
-        shutil.copy(str(files[-1]), target)
-        with pytest.raises(CheckpointError) as excinfo:
-            run_fs(table, engine="python", checkpoint_dir=str(directory),
-                   resume=True)
-        message = str(excinfo.value)
-        assert target in message
-        assert "kernel" in message
 
     def test_different_rule(self, tmp_path):
         table, directory, files = _checkpointed_run(tmp_path)

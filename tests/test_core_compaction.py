@@ -1,31 +1,15 @@
-"""Unit tests for the table-compaction kernel (both engines)."""
+"""Unit tests for the table-compaction kernel, checked against the
+cell-at-a-time ``COMPACT`` oracle."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.counters import OperationCounters
-from repro.core import ReductionRule, compact, compact_python, initial_state
+from repro.core import ReductionRule, compact, initial_state
 from repro.core.spec import FSState
 from repro.errors import DimensionError
 from repro.truth_table import TruthTable, count_subfunctions
-
-
-def canonical_partition(table, num_terminals=2):
-    """Table cells up to node-id renaming (for engine comparison).
-
-    Terminal ids are kept as-is; node ids are relabelled by order of first
-    appearance, which is invariant under any id renaming.
-    """
-    relabel = {}
-    out = []
-    for value in table.tolist():
-        if value < num_terminals:
-            out.append(("t", value))
-        else:
-            if value not in relabel:
-                relabel[value] = len(relabel)
-            out.append(("n", relabel[value]))
-    return tuple(out)
+from tests.compact_oracle import canonical_cells, compact_python
 
 
 class TestInitialState:
@@ -161,31 +145,13 @@ class TestEngineEquivalence:
             a = compact(a, v, rule)
             b = compact_python(b, v, rule)
             assert a.mincost == b.mincost
-            assert canonical_partition(
-                a.table, a.num_terminals
-            ) == canonical_partition(b.table, b.num_terminals)
+            assert canonical_cells(a, rule) == canonical_cells(b, rule)
 
     def test_python_engine_counters(self):
         tt = TruthTable.random(3, seed=10)
         counters = OperationCounters()
         compact_python(initial_state(tt), 0, counters=counters)
         assert counters.compactions == 1 and counters.table_cells == 4
-
-
-def canonical_cbdd_partition(table):
-    """CBDD cells hold *edges* ``node << 1 | complement``; canonicalize
-    the node part up to renaming while keeping the complement bit."""
-    relabel = {}
-    out = []
-    for edge in table.tolist():
-        node, complement = edge >> 1, edge & 1
-        if node == 0:  # the single TRUE terminal
-            out.append(("t", complement))
-            continue
-        if node not in relabel:
-            relabel[node] = len(relabel)
-        out.append(("n", relabel[node], complement))
-    return tuple(out)
 
 
 class TestEngineEquivalenceCBDD:
@@ -202,8 +168,8 @@ class TestEngineEquivalenceCBDD:
             a = compact(a, v, ReductionRule.CBDD)
             b = compact_python(b, v, ReductionRule.CBDD)
             assert a.mincost == b.mincost
-            assert canonical_cbdd_partition(a.table) == (
-                canonical_cbdd_partition(b.table)
+            assert canonical_cells(a, ReductionRule.CBDD) == canonical_cells(
+                b, ReductionRule.CBDD
             )
 
     def test_cbdd_complement_pair_shares_node_in_both_engines(self):
@@ -251,9 +217,7 @@ class TestEngineEquivalenceMultiRooted:
             a = compact(a, v, rule)
             b = compact_python(b, v, rule)
             assert a.mincost == b.mincost
-            assert canonical_partition(
-                a.table, a.num_terminals
-            ) == canonical_partition(b.table, b.num_terminals)
+            assert canonical_cells(a, rule) == canonical_cells(b, rule)
 
     def test_multi_rooted_cbdd_engines_agree(self):
         from repro.core.shared import initial_state_shared
@@ -268,8 +232,8 @@ class TestEngineEquivalenceMultiRooted:
             a = compact(a, v, ReductionRule.CBDD)
             b = compact_python(b, v, ReductionRule.CBDD)
             assert a.mincost == b.mincost
-            assert canonical_cbdd_partition(a.table) == (
-                canonical_cbdd_partition(b.table)
+            assert canonical_cells(a, ReductionRule.CBDD) == canonical_cells(
+                b, ReductionRule.CBDD
             )
 
     def test_cross_root_sharing_counted_once_by_both_engines(self):

@@ -1,8 +1,8 @@
 """Tests for the shared execution engine (:mod:`repro.core.engine`).
 
 The engine owns the subset-cardinality sweep for every FS-family DP, so
-these tests pin the properties the refactor promises: kernel registry
-dispatch, bit-identical results and counters under layer parallelism,
+these tests pin the properties the refactor promises: configuration
+validation, bit-identical results and counters under layer parallelism,
 and result invariance under the mincost-only frontier policy.
 """
 
@@ -12,11 +12,7 @@ from repro.analysis.counters import OperationCounters
 from repro.core import (
     EngineConfig,
     FrontierPolicy,
-    ReductionRule,
-    available_kernels,
     compact,
-    get_kernel,
-    register_kernel,
     run_fs,
     run_fs_constrained,
     run_fs_shared,
@@ -24,7 +20,7 @@ from repro.core import (
     window_sweep,
 )
 from repro.core import engine as engine_module
-from repro.core.fs import dp_over_all_subsets, initial_state
+from repro.core.fs import initial_state
 from repro.core.fs_star import fs_star_levels
 from repro.functions import achilles_heel, hidden_weighted_bit, majority
 from repro.observability import Profiler
@@ -42,38 +38,10 @@ def families_n_le_8():
     ]
 
 
-class TestKernelRegistry:
-    def test_builtins_registered(self):
-        assert {"numpy", "python"} <= set(available_kernels())
-
-    def test_get_kernel_resolves(self):
-        assert get_kernel("numpy") is compact
-
-    def test_unknown_kernel_raises_value_error(self):
-        with pytest.raises(ValueError):
-            get_kernel("cuda")
-        with pytest.raises(ValueError):
-            run_fs(TruthTable.random(2, seed=0), engine="cuda")
-
-    def test_custom_kernel_selectable_everywhere(self):
-        calls = {"count": 0}
-
-        @register_kernel("counting")
-        def counting_kernel(state, var, rule=ReductionRule.BDD, counters=None):
-            calls["count"] += 1
-            return compact(state, var, rule, counters)
-
-        try:
-            tt = TruthTable.random(4, seed=4)
-            result = run_fs(tt, engine="counting")
-            assert result.mincost == run_fs(tt).mincost
-            assert calls["count"] > 0
-        finally:
-            del engine_module._KERNELS["counting"]
-
+class TestEngineConfig:
     def test_config_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            EngineConfig(kernel="nope")
+        with pytest.raises(TypeError, match="kernel"):
+            EngineConfig(kernel="numpy")
         with pytest.raises(ValueError):
             EngineConfig(jobs=0)
         with pytest.raises(ValueError):
@@ -196,7 +164,7 @@ class TestFrontierPolicy:
         tt = TruthTable.random(6, seed=21)
         default = window_sweep(tt, width=3)
         configured = window_sweep(
-            tt, width=3, config=EngineConfig(kernel="python", jobs=2)
+            tt, width=3, config=EngineConfig(jobs=2)
         )
         assert configured.order == default.order
         assert configured.size == default.size
@@ -214,18 +182,6 @@ class TestSweepContract:
             assert "subsets_of_size" not in source, (
                 f"core/{name}.py re-grew a hand-rolled subset sweep"
             )
-
-    def test_dp_over_all_subsets_compat_wrapper(self):
-        tt = TruthTable.random(4, seed=17)
-        counters = OperationCounters()
-        final, mincost, best_last, level_cost = dp_over_all_subsets(
-            initial_state(tt), compact, ReductionRule.BDD, counters
-        )
-        reference = run_fs(tt)
-        assert final.mincost == reference.mincost
-        assert mincost == reference.mincost_by_subset
-        assert best_last == reference.best_last
-        assert level_cost == reference.level_cost_by_choice
 
     def test_sweep_outcome_universe_relative_masks(self):
         tt = TruthTable.random(5, seed=19)

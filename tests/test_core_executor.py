@@ -139,8 +139,7 @@ class TestBackendRegistry:
             assert passthrough is None
 
     def test_deprecated_fs_engine_shim_removed(self):
-        # The PR-5 deprecation cycle is over: the shim is gone, and the
-        # supported spelling is repro.core.engine.get_kernel.
+        # The deprecation cycle is over: the shim is gone.
         from repro.core import fs as fs_module
 
         assert not hasattr(fs_module, "_engine")
@@ -436,7 +435,6 @@ def _sweep_context_for(table):
 
     return SweepContext(
         base=initial_state(table, ReductionRule.BDD),
-        kernel="numpy",
         rule=ReductionRule.BDD,
         jobs=1,
         counters=OperationCounters(),

@@ -4,7 +4,7 @@ The store contract: a frontier store changes *where the retained layer's
 bytes live*, never what the sweep computes.  ``DictFrontier`` (the
 historical dict of entries) and ``PackedFrontier`` (bit-packed columns)
 must produce bit-identical results AND operation counters across every
-``kernel x backend x jobs x FrontierPolicy`` cell; checkpoints written
+``backend x jobs x FrontierPolicy`` cell; checkpoints written
 under either store must resume under the other; and the packed store's
 byte accounting must be exact — deterministic enough for the budget's
 frontier cap to abort at the same layer under every backend.
@@ -41,9 +41,8 @@ from repro.core.frontier import (
     _decode_cells,
     _encode_cells,
     _row_bytes,
-    batch_sweep_chunk,
 )
-from repro.core.spec import FSState, ReductionRule
+from repro.core.spec import FSState
 from repro.errors import BudgetExceeded
 from repro.observability import STATE_OVERHEAD_BYTES, frontier_nbytes
 from repro.truth_table import TruthTable
@@ -204,7 +203,6 @@ class TestPackedRoundTrip:
         nodes = {2: (0, 1, 0)}
         store.put(0b1, make_state(0b1, (0,), 1, [0, 1, 2, 2], nodes=nodes))
         assert store.get(0b1).nodes == nodes
-        assert store.batchable() is False
         assert store.ship_slice([0b1]) is None
         assert store.checkpoint_payload() is None
 
@@ -234,9 +232,7 @@ class TestPackedRoundTrip:
         view = BaseOverlay(base, inner)
         assert view.get(0) is base
         np.testing.assert_array_equal(view.get(0b1).table, np.arange(32))
-        table, mincost, pi, mask = view.prev_data(0)
-        assert mincost == 0 and pi == () and mask == 0
-        assert view.prev_data(0b10) is None
+        assert view.get(0b10) is None
 
 
 class TestCodec:
@@ -249,23 +245,6 @@ class TestCodec:
         np.testing.assert_array_equal(
             _decode_cells(blob, bits, 37), values
         )
-
-    def test_stdlib_codec_matches_numpy(self, monkeypatch):
-        values = np.array([0, 1, 511, 300, 7, 255], dtype=np.int64)
-        numpy_blob = _encode_cells(values, 9)
-        monkeypatch.setattr(frontier_module, "_USE_NUMPY", False)
-        stdlib_blob = _encode_cells(values, 9)
-        assert stdlib_blob == numpy_blob
-        decoded = _decode_cells(stdlib_blob, 9, len(values))
-        np.testing.assert_array_equal(np.asarray(decoded), values)
-
-    def test_stdlib_store_full_run_parity(self, monkeypatch):
-        table = TruthTable.random(6, seed=11)
-        want = run_fs(table, frontier_store="dict")
-        monkeypatch.setattr(frontier_module, "_USE_NUMPY", False)
-        got = run_fs(table, frontier_store="packed")
-        assert (got.order, got.mincost) == (want.order, want.mincost)
-        assert got.counters == want.counters
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +308,7 @@ class TestByteAccounting:
 
 
 # ----------------------------------------------------------------------
-# bit-identical parity matrix: store x kernel x backend x jobs x policy
+# bit-identical parity matrix: store x backend x jobs x policy
 # ----------------------------------------------------------------------
 
 class TestParityMatrix:
@@ -366,20 +345,6 @@ class TestParityMatrix:
         assert result.mincost == mincost
         assert paper_counters(counters) == snap
 
-    @pytest.mark.parametrize("rule", [ReductionRule.BDD, ReductionRule.ZDD,
-                                      ReductionRule.CBDD])
-    def test_python_kernel_parity_per_rule(self, rule):
-        results = {}
-        for store in ("dict", "packed"):
-            for engine in ("numpy", "python"):
-                counters = OperationCounters()
-                result = run_fs(self.TABLE, rule=rule, engine=engine,
-                                frontier_store=store, counters=counters)
-                results[(store, engine)] = (
-                    result.order, result.mincost, counters.snapshot()
-                )
-        assert len(set(map(str, results.values()))) == 1
-
     def test_shared_and_constrained_parity(self):
         tables = [TruthTable.random(5, seed=s) for s in (1, 2)]
         for store in ("dict", "packed"):
@@ -399,48 +364,6 @@ class TestParityMatrix:
         a = solve(self.TABLE, frontier_store="dict")
         b = solve(self.TABLE, frontier_store="packed")
         assert (a.order, a.mincost) == (b.order, b.mincost)
-
-
-# ----------------------------------------------------------------------
-# batch kernel guard rails
-# ----------------------------------------------------------------------
-
-class TestBatchKernel:
-    def test_declines_non_batchable_previous(self):
-        base = make_state(0, (), 0, list(range(8)))
-        assert batch_sweep_chunk(
-            [0b1], {0: base}, base, ReductionRule.BDD, True,
-            OperationCounters(),
-        ) is None
-
-    def test_declines_node_tracking(self):
-        base = make_state(0, (), 0, list(range(8)),
-                          nodes={2: (0, 1, 0)})
-        prev = PackedFrontier()
-        assert batch_sweep_chunk(
-            [0b1], BaseOverlay(base, prev), base, ReductionRule.BDD, True,
-            OperationCounters(),
-        ) is None
-
-    def test_python_kernel_never_uses_batch_path(self, monkeypatch):
-        # The batch path restates the numpy compact(); the python kernel
-        # must keep running its executable-specification scalar loop.
-        calls = []
-        original = frontier_module.batch_sweep_chunk
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        import repro.core.executor as executor_module
-
-        monkeypatch.setattr(executor_module, "batch_sweep_chunk", spy)
-        run_fs(TruthTable.random(4, seed=2), engine="python",
-               frontier_store="packed")
-        assert calls == []
-        run_fs(TruthTable.random(4, seed=2), engine="numpy",
-               frontier_store="packed")
-        assert calls != []
 
 
 # ----------------------------------------------------------------------

@@ -178,8 +178,8 @@ class TestRules:
         assert run_fs(tt).mincost == run_fs(tt, rule=ReductionRule.MTBDD).mincost
 
     def test_bad_engine(self):
-        with pytest.raises(ValueError):
-            run_fs(TruthTable.random(2, seed=0), engine="cuda")
+        with pytest.raises(TypeError):
+            run_fs(TruthTable.random(2, seed=0), engine="numpy")
 
 
 class TestFrontEnd:

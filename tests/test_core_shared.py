@@ -104,13 +104,6 @@ class TestOptimality:
         _, bf_cost = brute_force_shared(tables, rule=ReductionRule.MTBDD)
         assert fs.mincost == bf_cost
 
-    def test_python_engine(self):
-        tables = [TruthTable.random(3, seed=44), TruthTable.random(3, seed=45)]
-        assert (
-            run_fs_shared(tables, engine="python").mincost
-            == run_fs_shared(tables, engine="numpy").mincost
-        )
-
 
 class TestForest:
     def test_roundtrip(self):

@@ -109,17 +109,6 @@ class TestResultConsistencyAcrossAlgorithms:
         assert opt_obdd(table).mincost == reference
         assert brute_force_up_to_symmetry(table)[1] == reference
 
-    def test_engine_and_rule_cross_product(self):
-        table = TruthTable.random(3, seed=50)
-        for rule in (ReductionRule.BDD, ReductionRule.ZDD, ReductionRule.CBDD):
-            numpy_result = run_fs(table, rule=rule, engine="numpy")
-            python_result = run_fs(table, rule=rule, engine="python")
-            assert numpy_result.mincost == python_result.mincost
-            assert (
-                numpy_result.mincost_by_subset
-                == python_result.mincost_by_subset
-            )
-
 
 class TestDiagramEdgeCases:
     def test_diagram_of_dead_variable_function(self):

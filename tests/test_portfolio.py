@@ -12,6 +12,7 @@ warning — through shims.
 
 import warnings
 
+import numpy as np
 import pytest
 
 import repro
@@ -106,6 +107,16 @@ class TestStrategyResults:
             # evaluation of the returned ordering.
             assert result.size == obdd_size(TABLE, list(result.order))
             assert result.size >= optimum
+
+    @pytest.mark.parametrize("name", available_strategies())
+    @pytest.mark.parametrize("n, seed", [(5, 2), (5, 3), (6, 7), (7, 0)])
+    def test_reported_size_is_the_returned_orders_size(self, name, n, seed):
+        # On (5, 2), (6, 7) and (7, 0) sift_group parks a block between
+        # two members of another block, which must not desync the size.
+        values = np.random.default_rng(seed).integers(0, 2, 1 << n)
+        table = TruthTable(n, values)
+        result = run_strategy(name, table)
+        assert result.size == obdd_size(table, list(result.order))
 
     def test_sift_bit_identical_to_legacy_shim(self):
         new = sift_search(TABLE)
