@@ -84,6 +84,7 @@ import threading
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
     Tuple, Type, Union,
@@ -91,7 +92,7 @@ from typing import (
 
 import numpy as np
 
-from .._bitops import bits_of, rank_in_mask
+from .._bitops import bits_of
 from ..analysis.counters import OperationCounters
 from ..errors import ExecutorBrokenError, OrderingError
 from .checkpoint import RetryPolicy, Skeleton
@@ -122,6 +123,11 @@ _ENTRY_OVERHEAD_BYTES = 64
 _SKELETON_BYTES = 32
 
 _WATCHER_POLL_SECONDS = 0.05
+
+# New table cells one batch of candidate compactions holds: enough that
+# numpy's fixed cost per call vanishes, few enough that a batch's
+# scratch arrays stay a few megabytes.
+_BATCH_CELLS = 1 << 16
 
 
 def _phase(profiler: Optional["Profiler"], name: str):
@@ -193,57 +199,112 @@ def sweep_chunk(
     routine is the bit-identity anchor: every backend routes every chunk
     through it, so where a chunk ran can never change what it computed.
 
-    Every candidate runs :func:`~repro.core.compaction.compact_table` on
-    its predecessor's table.  All predecessors of a layer share table
-    geometry, so the cofactor index arrays are computed once per bit
-    position, and a full state is built only for each subset's winning
-    candidate.
+    Masks are gathered one at a time — each candidate's predecessor read
+    through ``previous.get`` and materialized — into batches of
+    consecutive subsets holding about ``_BATCH_CELLS`` new table cells.
+    A batch is compacted with one
+    :func:`~repro.core.compaction.compact_table` call per cofactor
+    position (all predecessors of a layer share table geometry, so the
+    candidates folding the same position stack into one call), each
+    subset then takes its first cheapest candidate in ``bits_of`` order,
+    a full state is built only for that winner, and the batch is
+    dropped.
 
     ``should_stop`` (the process workers' view of the mirrored
-    cancellation event) is polled between masks; a stopped chunk returns
-    with ``cancelled=True`` and whatever masks it had not reached simply
-    absent.
+    cancellation event) is polled before each mask; a stopped chunk
+    returns with ``cancelled=True``, the masks of its open batch and
+    every mask it had not reached simply absent.
     """
     out = ChunkResult(counters=counters)
     indices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    # The open batch: each subset's candidates as (i, prev, position,
+    # row), and per cofactor position the stacked predecessors.
+    subsets: List[Tuple[int, List[Tuple[int, FSState, int, int]]]] = []
+    stacks: Dict[int, List[FSState]] = {}
+    cells = 0
     for mask in masks:
         if should_stop is not None and should_stop():
             out.cancelled = True
-            break
-        best: Optional[Tuple[int, int, FSState, np.ndarray, np.ndarray]] = None
+            return out
+        candidates = []
         for i in bits_of(mask):
             entry = previous.get(mask & ~(1 << i))
             if entry is None:
                 continue  # infeasible predecessor under a subset filter
             prev = materialize_entry(base, entry, rule, counters)
-            position = rank_in_mask(prev.free_mask, i)
-            cofactors = indices.get(position)
-            if cofactors is None:
-                cofactors = indices[position] = cofactor_indices(
-                    prev.n, prev.placed, prev.num_roots, position
-                )
-            table, unique_keys = compact_table(
-                prev.table, *cofactors, prev.next_id, rule, counters
-            )
-            created = unique_keys.shape[0]
-            out.level_cost[(prev.mask, i)] = created
-            mincost = prev.mincost + created
-            if best is None or mincost < best[0]:
-                best = (mincost, i, prev, table, unique_keys)
-        if best is None:
+            # i's rank among prev's free variables: the cofactor position.
+            position = i - (prev.mask & ((1 << i) - 1)).bit_count()
+            stack = stacks.setdefault(position, [])
+            candidates.append((i, prev, position, len(stack)))
+            stack.append(prev)
+        if not candidates:
             raise OrderingError(
                 f"no feasible chain reaches subset {mask:#x}"
             )
-        mincost, best_i, prev, table, unique_keys = best
-        out.entries[mask] = (
-            extend_state(prev, best_i, table, unique_keys) if retain_full
-            else Skeleton(pi=prev.pi + (best_i,), mincost=mincost)
-        )
-        out.mincost[mask] = mincost
-        out.best_last[mask] = best_i
-        out.processed += 1
-        counters.subsets_processed += 1
+        subsets.append((mask, candidates))
+        cells += len(candidates) * (prev.table.shape[0] >> 1)
+        if cells >= _BATCH_CELLS:
+            _settle_batch(subsets, stacks, indices, rule, retain_full, out)
+            subsets, stacks, cells = [], {}, 0
+    if subsets:
+        _settle_batch(subsets, stacks, indices, rule, retain_full, out)
     return out
+
+
+def _settle_batch(
+    subsets: List[Tuple[int, List[Tuple[int, FSState, int, int]]]],
+    stacks: Dict[int, List[FSState]],
+    indices: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    rule: ReductionRule,
+    retain_full: bool,
+    out: ChunkResult,
+) -> None:
+    """Compact one batch, a kernel call per stack, and record each
+    subset's winner."""
+    compacted = {}
+    for position, prevs in stacks.items():
+        cofactors = indices.get(position)
+        if cofactors is None:
+            first = prevs[0]
+            cofactors = indices[position] = cofactor_indices(
+                first.n, first.placed, first.num_roots, position
+            )
+        if len(prevs) == 1:
+            tables = prevs[0].table[None]
+        else:
+            tables = np.concatenate([prev.table for prev in prevs])
+            tables = tables.reshape(len(prevs), -1)
+        tables, unique_keys, counts = compact_table(
+            tables, *cofactors, [prev.next_id for prev in prevs], rule,
+            out.counters,
+        )
+        # Row r's keys are unique_keys[starts[r]:starts[r + 1]].
+        starts = list(accumulate(counts, initial=0))
+        compacted[position] = (tables, unique_keys, counts, starts)
+
+    for mask, candidates in subsets:
+        best = None
+        for i, prev, position, row in candidates:
+            created = compacted[position][2][row]
+            out.level_cost[(prev.mask, i)] = created
+            mincost = prev.mincost + created
+            if best is None or mincost < best[0]:
+                best = (mincost, i, prev, position, row)
+        mincost, i, prev, position, row = best
+        if retain_full:
+            tables, unique_keys, _, starts = compacted[position]
+            table = tables[row]
+            if tables.shape[0] > 1:
+                table = table.copy()  # let the rest of the stack go
+            out.entries[mask] = extend_state(
+                prev, i, table, unique_keys[starts[row]:starts[row + 1]],
+            )
+        else:
+            out.entries[mask] = Skeleton(pi=prev.pi + (i,), mincost=mincost)
+        out.mincost[mask] = mincost
+        out.best_last[mask] = i
+        out.processed += 1
+        out.counters.subsets_processed += 1
 
 
 def materialize_entry(
@@ -715,7 +776,8 @@ def _suicide_midway(
 
     The chunk loop polls ``should_stop`` once per mask, so counting polls
     places the SIGKILL about halfway through the chunk's masks — after
-    real work has been done and really lost, which is the point of the
+    real work (predecessor reads and replays, and any batch already
+    compacted) has been done and really lost, which is the point of the
     phase.  A
     single-mask chunk has no halfway; there the kill fires on the first
     poll (degenerating to ``"before"``) rather than silently not at

@@ -8,9 +8,10 @@ transient disk-store failures are retried with exponential backoff; and
 SIGINT/SIGTERM turn into cooperative cancellation at layer boundaries.
 """
 
+import itertools
 import os
 import signal
-import threading
+import time
 
 import pytest
 
@@ -98,17 +99,24 @@ class TestFailureIsolation:
 
 class TestBatchGovernance:
     def test_per_item_timeout_fails_only_the_slow_item(self):
-        # A real (tiny) deadline: n=10 cannot finish in 50ms, n=3 can.
+        # A clock ticking 5 ms per reading turns the 50 ms share into ten
+        # readings at any kernel speed: the n=3 solve reads the clock 8
+        # times, the n=10 solve 22 times, so only n=10 runs out of time.
         batch = [TruthTable.random(10, seed=1), TruthTable.random(3, seed=2)]
-        outcome = optimize_many(batch, per_item_timeout=0.05)
+        outcome = optimize_many(batch, per_item_timeout=0.05,
+                                budget=Budget(clock=fake_clock(0.005)))
         assert outcome.items[0].status == "error"
         assert outcome.items[0].error.error_type == "BudgetExceeded"
         assert outcome.items[1].status == "ok"
 
     def test_per_item_timeout_with_fallback_degrades_instead(self):
+        # The exact rung gets a third of the 50 ms share; at 1 ms per
+        # clock reading that is 16 readings, past the n=3 solve's 8 and
+        # short of the n=10 solve's 22, at any kernel speed.
         batch = [TruthTable.random(10, seed=1), TruthTable.random(3, seed=2)]
         outcome = optimize_many(batch, per_item_timeout=0.05,
-                                fallback="fs,window,sift")
+                                fallback="fs,window,sift",
+                                budget=Budget(clock=fake_clock(0.001)))
         slow = outcome.items[0]
         assert slow.status == "fallback"
         assert isinstance(slow.result, FallbackResult)
@@ -257,26 +265,31 @@ class TestDiskRetry:
 
 class TestBatchSignals:
     def test_sigint_cancels_batch_cooperatively(self):
-        # Deliver SIGINT from a timer while the batch runs; items then
-        # finish as BudgetExceeded(cancelled) errors, already-complete
-        # results are kept, and no traceback escapes.
+        # Deliver SIGINT while the batch runs; items then finish as
+        # BudgetExceeded(cancelled) errors, already-complete results are
+        # kept, and no traceback escapes.  The batch budget's clock is
+        # read once before the first sweep and once as each sweep arms,
+        # so its third reading falls inside the first n=10 sweep: the
+        # signal sent there lands mid-batch at any kernel speed.
         before = signal.getsignal(signal.SIGINT)
         batch = (
             [TruthTable.random(3, seed=1)]
             + [TruthTable.random(10, seed=s) for s in range(2, 8)]
         )
-        timer = threading.Timer(
-            0.15, lambda: os.kill(os.getpid(), signal.SIGINT))
-        timer.start()
-        try:
-            outcome = optimize_many(batch, install_signal_handlers=True)
-        finally:
-            timer.cancel()
+        readings = itertools.count(1)
+
+        def clock():
+            if next(readings) == 3:
+                os.kill(os.getpid(), signal.SIGINT)
+            return time.monotonic()
+
+        outcome = optimize_many(batch, install_signal_handlers=True,
+                                budget=Budget(clock=clock))
         assert signal.getsignal(signal.SIGINT) is before
         statuses = [item.status for item in outcome.items]
         assert len(statuses) == len(batch)
         # The tiny first item finishes before the signal; the n=10
-        # solves (hundreds of ms each) run into the cancellation.
+        # solves run into the cancellation.
         assert statuses[0] == "ok"
         assert "error" in statuses
         cancelled = [e for e in outcome.errors if "cancel" in e.message]

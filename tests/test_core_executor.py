@@ -26,6 +26,7 @@ from repro.core import (
     Budget,
     EngineConfig,
     ExecutorBackend,
+    FaultInjector,
     FrontierPolicy,
     ProcessBackend,
     SerialBackend,
@@ -46,6 +47,20 @@ from repro.core import executor as executor_module
 from repro.core.executor import resolve_backend, shared_backend, split_chunks
 from repro.errors import BudgetExceeded
 from repro.truth_table import TruthTable
+from tests.test_core_budget import fake_clock
+
+
+class SigintAfterLayer(FaultInjector):
+    """Sends this process SIGINT once layer ``k`` has committed."""
+
+    def __init__(self, k):
+        super().__init__()
+        self.k = k
+
+    def on_layer_committed(self, k, path):
+        super().on_layer_committed(k, path)
+        if k == self.k:
+            os.kill(os.getpid(), signal.SIGINT)
 
 
 def paper_counters(counters):
@@ -278,11 +293,13 @@ class TestProcessBackendAcrossEntryPoints:
 class TestProcessBudget:
     def test_deadline_aborts_at_committed_boundary(self, process_pool,
                                                    tmp_path):
+        # 20 ms per clock reading: the 50 ms deadline trips within the
+        # first layers at any kernel speed.
         table = TruthTable.random(12, seed=42)
         with pytest.raises(BudgetExceeded) as info:
             run_fs(table, backend=process_pool, jobs=4,
                    checkpoint_dir=str(tmp_path / "ck"),
-                   budget=Budget(deadline=0.05))
+                   budget=Budget(deadline=0.05, clock=fake_clock(0.02)))
         exc = info.value
         assert exc.reason == "deadline"
         assert exc.layers_completed is not None and exc.layers_completed >= 0
@@ -309,15 +326,11 @@ class TestProcessBudget:
         with handle_signals(budget) as installed:
             if not installed:
                 pytest.skip("not on the main thread")
-            timer = threading.Timer(
-                0.3, os.kill, args=(os.getpid(), signal.SIGINT))
-            timer.start()
-            try:
-                with pytest.raises(BudgetExceeded) as info:
-                    run_fs(table, backend=process_pool, jobs=4,
-                           budget=budget)
-            finally:
-                timer.cancel()
+            # Signal once layer 2 has run on the pool: the sweep is still
+            # going at any kernel speed.
+            with pytest.raises(BudgetExceeded) as info:
+                run_fs(table, backend=process_pool, jobs=4, budget=budget,
+                       fault_injector=SigintAfterLayer(2))
         assert info.value.reason == "cancelled"
 
     def test_checkpoint_resume_bit_identical(self, process_pool, tmp_path):
@@ -326,7 +339,7 @@ class TestProcessBudget:
         with pytest.raises(BudgetExceeded):
             run_fs(table, counters=OperationCounters(),
                    backend=process_pool, jobs=4, checkpoint_dir=ckpt,
-                   budget=Budget(deadline=0.05))
+                   budget=Budget(deadline=0.05, clock=fake_clock(0.02)))
         clean = run_fs(table, counters=OperationCounters(), backend="serial")
         resumed_counters = OperationCounters()
         resumed = run_fs(table, counters=resumed_counters,

@@ -349,8 +349,11 @@ class TestSigtermDrain:
         host, port = address.rsplit(":", 1)
         return proc, (host, int(port))
 
+    # The in-flight solve must outlast the tests' 0.3-0.5 s of sleeps:
+    # n=14 takes about 2 s in this daemon (thread backend, jobs=2) on a
+    # 2-core x86 host, four times the longer wait; n=12 took 0.33 s.
     def test_sigterm_during_load_drains_and_exits_zero(self):
-        slow = TruthTable.random(12, seed=80)
+        slow = TruthTable.random(14, seed=80)
         expected = solve(slow)
         proc, address = self._spawn()
         try:
@@ -377,7 +380,7 @@ class TestSigtermDrain:
                 proc.wait()
 
     def test_requests_after_sigterm_get_503(self):
-        slow = TruthTable.random(12, seed=81)
+        slow = TruthTable.random(14, seed=81)
         proc, address = self._spawn()
         try:
             sock = socket.create_connection(address, timeout=300)
