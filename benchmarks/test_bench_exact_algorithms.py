@@ -14,7 +14,7 @@ import pytest
 
 from conftest import print_table
 
-from repro.bdd import ReorderingBDD, sift as eval_sift
+from repro.bdd import ReorderingBDD
 from repro.core import exact_window, run_fs, window_sweep
 from repro.core.astar import astar_optimal_ordering
 from repro.functions import (
@@ -24,6 +24,7 @@ from repro.functions import (
     multiplexer,
     parity,
 )
+from repro.portfolio import sift_search as eval_sift
 from repro.truth_table import TruthTable, count_subfunctions, obdd_size
 
 

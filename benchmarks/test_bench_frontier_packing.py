@@ -1,103 +1,99 @@
-"""Frontier packing: peak retained-layer bytes, dict vs packed store.
+"""Frontier bytes: peak retained-layer bytes of the dense layer.
 
 The FS dynamic program's memory wall is the retained frontier — at the
-waist it holds ``C(n, n/2)`` states of ``2^{n/2}`` table cells each, the
-very cells the paper's ``3^n`` analysis counts.  The packed store keeps
-those cells bit-packed at ``bit_length(layer max)`` bits instead of one
-``int64`` plus interpreter overhead per state, with bit-identical
-results and counters.  Measured here: peak frontier bytes (the figure
-the budget's ``max_frontier_bytes`` cap meters) and sweep wall-clock for
-both stores over an ``n`` sweep — recorded to
-``BENCH_frontier_packing.json`` next to this file (the CI uploads it as
-an artifact).  The memory-regression gate: packed must stay under half
-the dict figure at ``n = 12`` (the recorded runs land around 7x).
+waist it holds ``C(n, n/2)`` rows of ``2^{n/2}`` table cells each, the
+very cells the paper's ``3^n`` analysis counts.  A layer is one dense
+matrix stored at the narrowest unsigned dtype that holds the sweep's
+node-id bound (``num_terminals + 2^n``), plus an ``int64`` mask and
+mincost per row, and its byte count is exact.  Measured here over an
+``n`` sweep: the budget-metered peak (what ``max_frontier_bytes`` caps),
+the same layers at ``int64`` width, and the estimate the earlier
+one-object-per-subset frontier charged, ``max_k C(n, k) * (8 * 2^{n-k}
++ 200)`` — recorded to ``BENCH_frontier_packing.json`` next to this file
+(the CI uploads it as an artifact).  The memory-regression gate: the
+dense peak must stay under half that estimate at ``n = 12`` (recorded
+runs land around 4x).
 """
 
 import json
+import math
 import pathlib
 import time
 
+import numpy as np
 from conftest import print_table
 
-from repro.analysis.counters import OperationCounters
 from repro.core import run_fs
 from repro.observability import Profiler
 from repro.truth_table import TruthTable
 
 
-def test_frontier_packing_artifact(benchmark):
-    sizes = (8, 10, 12)
+def layer_bytes(n, k, itemsize):
+    """Exact bytes of layer ``k``: int64 mask and mincost per row plus
+    ``2^{n-k}`` cells of ``itemsize`` bytes."""
+    return math.comb(n, k) * (16 + (itemsize << (n - k)))
+
+
+def test_frontier_bytes_artifact(benchmark):
     rows = []
-    for n in sizes:
+    for n in (8, 10, 12):
         table = TruthTable.random(n, seed=n)
-        cells = {}
-        for store in ("dict", "packed"):
-            profiler = Profiler()
-            counters = OperationCounters()
-            start = time.perf_counter()
-            result = run_fs(table, frontier_store=store,
-                            counters=counters, profiler=profiler)
-            elapsed = time.perf_counter() - start
-            cells[store] = {
-                "peak_frontier_bytes": profiler.peak_frontier_bytes,
-                "sweep_seconds": elapsed,
-                "mincost": result.mincost,
-                "order": list(result.order),
-                "counters": counters.snapshot(),
-            }
-        # Bit-identity first: packing must not change what the DP computes.
-        assert cells["packed"]["mincost"] == cells["dict"]["mincost"]
-        assert cells["packed"]["order"] == cells["dict"]["order"]
-        assert cells["packed"]["counters"] == cells["dict"]["counters"]
-        ratio = (cells["dict"]["peak_frontier_bytes"]
-                 / cells["packed"]["peak_frontier_bytes"])
+        profiler = Profiler()
+        start = time.perf_counter()
+        run_fs(table, profiler=profiler)
+        elapsed = time.perf_counter() - start
+        itemsize = np.min_scalar_type(2 + (1 << n)).itemsize
+        exact = max(layer_bytes(n, k, itemsize) for k in range(1, n + 1))
+        # The metered peak is exactly the largest layer's shape.
+        assert profiler.peak_frontier_bytes == exact
         rows.append({
             "n": n,
-            "dict_peak_frontier_bytes": cells["dict"]["peak_frontier_bytes"],
-            "packed_peak_frontier_bytes": cells["packed"][
-                "peak_frontier_bytes"],
-            "frontier_bytes_ratio": ratio,
-            "dict_sweep_seconds": cells["dict"]["sweep_seconds"],
-            "packed_sweep_seconds": cells["packed"]["sweep_seconds"],
+            "cell_dtype": f"uint{8 * itemsize}",
+            "peak_frontier_bytes": profiler.peak_frontier_bytes,
+            "int64_peak_bytes": max(
+                layer_bytes(n, k, 8) for k in range(1, n + 1)),
+            "dict_era_estimate_bytes": max(
+                math.comb(n, k) * (8 * (1 << (n - k)) + 200)
+                for k in range(1, n + 1)),
+            "sweep_seconds": elapsed,
         })
+        rows[-1]["estimate_ratio"] = (
+            rows[-1]["dict_era_estimate_bytes"]
+            / rows[-1]["peak_frontier_bytes"])
 
-    # The memory-regression gate at the largest size: the packed store
-    # must cut the budget-metered peak at least in half (recorded runs
-    # land around 7x; the gate is deliberately slack so noise in the
-    # id-width of a random instance cannot flake CI).
+    # The memory-regression gate at the largest size: the dense layer
+    # must hold at most half the bytes the one-object-per-subset
+    # frontier was charged (recorded runs land around 4x; the gate is
+    # deliberately slack).
     top = rows[-1]
     assert top["n"] == 12
-    assert (top["packed_peak_frontier_bytes"] * 2
-            <= top["dict_peak_frontier_bytes"])
+    assert top["dict_era_estimate_bytes"] == 1_112_760
+    assert top["peak_frontier_bytes"] * 2 <= top["dict_era_estimate_bytes"]
 
     record = {
-        "benchmark": "frontier_packing",
-        "stores": ["dict", "packed"],
-        "dict_bytes_are_estimates": True,
-        "packed_bytes_are_exact": True,
+        "benchmark": "frontier_bytes",
+        "peak_bytes_are_exact": True,
         "rows": rows,
     }
     out_path = pathlib.Path(__file__).parent / "BENCH_frontier_packing.json"
     with open(out_path, "w") as handle:
         json.dump(record, handle, indent=2)
     with open(out_path) as handle:
-        assert json.load(handle)["rows"][-1]["frontier_bytes_ratio"] >= 2
+        assert json.load(handle)["rows"][-1]["estimate_ratio"] >= 2
 
     benchmark.pedantic(
-        lambda: run_fs(TruthTable.random(10, seed=10),
-                       frontier_store="packed"),
+        lambda: run_fs(TruthTable.random(10, seed=10)),
         rounds=1, iterations=1,
     )
 
     print_table(
-        "Frontier packing (numpy kernel, FULL policy)",
-        ["n", "dict peak B", "packed peak B", "ratio", "dict s", "packed s"],
+        "Frontier bytes (dense layer, FULL policy)",
+        ["n", "dtype", "peak B", "int64 B", "dict-era B", "ratio", "s"],
         [
-            (row["n"], row["dict_peak_frontier_bytes"],
-             row["packed_peak_frontier_bytes"],
-             f"{row['frontier_bytes_ratio']:.2f}x",
-             f"{row['dict_sweep_seconds']:.3f}",
-             f"{row['packed_sweep_seconds']:.3f}")
+            (row["n"], row["cell_dtype"], row["peak_frontier_bytes"],
+             row["int64_peak_bytes"], row["dict_era_estimate_bytes"],
+             f"{row['estimate_ratio']:.2f}x",
+             f"{row['sweep_seconds']:.3f}")
             for row in rows
         ],
     )

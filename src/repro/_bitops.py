@@ -58,9 +58,11 @@ def rank_in_mask(mask: int, var: int) -> int:
 def subsets_of_size(universe_mask: int, k: int) -> Iterator[int]:
     """Yield all sub-masks of ``universe_mask`` with exactly ``k`` bits set.
 
-    Enumeration is in increasing numeric order of the produced masks when
-    the universe is contiguous; in general it follows the combination order
-    of the universe's member list.
+    Masks come in lexicographic order of their member positions (the
+    sorted index tuples into ``bits_of(universe_mask)``), not in numeric
+    order: ``subsets_of_size(0b1111, 2)`` yields ``3, 5, 9, 6, 10, 12``.
+    A DP layer's rows, its chunk split and its checkpoint blob all follow
+    this order.
     """
     members = bits_of(universe_mask)
     n = len(members)
@@ -110,24 +112,6 @@ def iter_submasks(mask: int, size: int | None = None) -> Iterator[int]:
         yield from all_submasks(mask)
         return
     yield from subsets_of_size(mask, size)
-
-
-def popcount_buffer(data: bytes | bytearray | memoryview) -> int:
-    """Total number of set bits across a byte buffer.
-
-    The vectorizable sibling of :func:`popcount`: one call covers a whole
-    packed column (e.g. the mask column of a packed frontier layer, whose
-    population count doubles as a cheap checkpoint integrity figure).
-    Uses numpy's ``unpackbits`` reduction for large buffers and a single
-    big-int ``bit_count`` otherwise — both provably equal to summing
-    :func:`popcount` over the bytes.
-    """
-    view = memoryview(data)
-    if np is not None and view.nbytes >= 1 << 12:
-        return int(
-            np.unpackbits(np.frombuffer(view, dtype=np.uint8)).sum()
-        )
-    return int.from_bytes(view, "little").bit_count()
 
 
 def insert_bit_indices(size: int, position: int) -> Tuple[np.ndarray, np.ndarray]:

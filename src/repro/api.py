@@ -11,10 +11,9 @@ functions remain the full-fidelity interfaces (every method-specific
 field lives on ``OrderingSolution.result``); ``solve`` is sugar over
 them, never a fork of their logic.
 
-Engine knobs (``jobs=``, ``backend=``, ``frontier=``,
-``frontier_store=``,
-``profiler=``, ``checkpoint_dir=``, ``resume=``, ``cache=``,
-``budget=``, ``io_retry=``) pass through uniformly — including to
+Engine knobs (``jobs=``, ``backend=``, ``frontier=``, ``profiler=``,
+``checkpoint_dir=``, ``resume=``, ``cache=``, ``budget=``,
+``io_retry=``) pass through uniformly — including to
 ``window`` and ``fs_star``, which natively take an
 :class:`~repro.core.engine.EngineConfig` that :func:`solve` assembles
 for you.
@@ -23,8 +22,7 @@ Orthogonal to ``method=`` sits the **strategy axis**: ``strategy=``
 selects *how hard to try* rather than *what to compute*.
 ``"exact"`` (the default) runs the chosen method as-is;
 ``"fallback"`` runs the budget-degradation ladder
-(:func:`repro.core.budget.run_ladder`, the successor of the deprecated
-``optimize_with_fallback``); ``"portfolio"`` races every registered
+(:func:`repro.core.budget.run_ladder`); ``"portfolio"`` races every registered
 heuristic (:func:`repro.portfolio.run_portfolio`) and returns the
 deterministic winner; and any single registered strategy name (see
 :func:`repro.portfolio.available_strategies`) runs that heuristic
@@ -48,7 +46,7 @@ METHODS = ("fs", "shared", "constrained", "window", "fs_star")
 # The uniformly accepted engine kwargs: EngineConfig fields, and the
 # same-named parameters of the run_* entry points.
 _ENGINE_KWARGS = (
-    "jobs", "backend", "frontier", "frontier_store", "profiler",
+    "jobs", "backend", "frontier", "profiler",
     "checkpoint_dir", "resume", "fault_injector", "cache", "budget",
     "io_retry", "max_pool_rebuilds",
 )
@@ -161,7 +159,7 @@ def _engine_config(method: str, kwargs: Dict[str, Any]) -> EngineConfig:
 # frontier policy / fault injection / io_retry: strategies run many
 # small exact sweeps and never checkpoint mid-heuristic).
 _STRATEGY_ENGINE_KWARGS = (
-    "jobs", "backend", "frontier_store", "profiler", "cache",
+    "jobs", "backend", "profiler", "cache",
     "budget", "checkpoint_dir", "resume", "max_pool_rebuilds",
 )
 
@@ -232,9 +230,9 @@ def solve(
         returned on the solution otherwise).
     **engine_kwargs:
         Uniform execution knobs, identical across methods: ``jobs``,
-        ``backend``, ``frontier``, ``frontier_store``, ``profiler``,
-        ``checkpoint_dir``, ``resume``, ``fault_injector``, ``cache``,
-        ``budget``, ``io_retry``, ``max_pool_rebuilds``.
+        ``backend``, ``frontier``, ``profiler``, ``checkpoint_dir``,
+        ``resume``, ``fault_injector``, ``cache``, ``budget``,
+        ``io_retry``, ``max_pool_rebuilds``.
 
     Returns
     -------
@@ -416,7 +414,6 @@ def _solve_strategy(
             window_width=width,
             checkpoint_dir=kwargs.get("checkpoint_dir"),
             resume=kwargs.get("resume", False),
-            frontier_store=kwargs.get("frontier_store", "dict"),
             fallback_rungs=fallback_rungs,
         )
         return OrderingSolution(
@@ -430,7 +427,6 @@ def _solve_strategy(
     config = EngineConfig(
         jobs=kwargs.get("jobs", 1),
         backend=kwargs.get("backend", "thread"),
-        frontier_store=kwargs.get("frontier_store", "dict"),
         profiler=kwargs.get("profiler"),
         cache=kwargs.get("cache"),
         budget=kwargs.get("budget"),

@@ -14,8 +14,6 @@ from .reorder import (
     SearchResult,
     greedy_append,
     random_restart_search,
-    sift,
-    window_permute,
 )
 from .swap import ReorderingBDD
 from .symbolic import ReachabilityResult, TransitionSystem, rename
@@ -36,8 +34,6 @@ __all__ = [
     "FALSE",
     "TRUE",
     "SearchResult",
-    "sift",
-    "window_permute",
     "random_restart_search",
     "greedy_append",
     "to_dot",

@@ -2,31 +2,27 @@
 motivates ("numerous studies have sought heuristics ... but they do not
 guarantee a worst-case time complexity lower than brute force").
 
-All heuristics here work at the *ordering-evaluation* level: they search the
-space of orderings and score each candidate with an exact size oracle
-(:func:`repro.truth_table.obdd_size` by default).  This mirrors the search
-behaviour of the classic in-place implementations (Rudell sifting, window
-permutation) — the same sequence of orderings is examined and the same
-greedy choices are made — while staying independent of any one manager's
-level-swap machinery.  Benchmarks compare their results against the exact
-optimum from :mod:`repro.core`.
+Both heuristics here work at the *ordering-evaluation* level: they search
+the space of orderings and score each candidate with an exact size oracle
+(:func:`repro.truth_table.obdd_size` by default), independent of any one
+manager's level-swap machinery.  Rudell sifting and window permutation
+live in the strategy registry (:func:`repro.portfolio.sift_search`,
+:func:`repro.portfolio.window_permutation_search`).  Benchmarks compare
+their results against the exact optimum from :mod:`repro.core`.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Callable, List, Optional, Sequence
 
-from ..portfolio import SearchResult, sift_search, window_permutation_search
+from ..portfolio import SearchResult
 from ..truth_table import TruthTable, count_subfunctions, obdd_size
 
 SizeFn = Callable[[TruthTable, Sequence[int]], int]
 
 __all__ = [
     "SearchResult",
-    "sift",
-    "window_permute",
     "random_restart_search",
     "greedy_append",
 ]
@@ -34,63 +30,6 @@ __all__ = [
 
 def _evaluate(table: TruthTable, order: Sequence[int], size_fn: SizeFn) -> int:
     return size_fn(table, list(order))
-
-
-def sift(
-    table: TruthTable,
-    initial_order: Optional[Sequence[int]] = None,
-    size_fn: SizeFn = obdd_size,
-    max_rounds: int = 10,
-) -> SearchResult:
-    """Deprecated alias for :func:`repro.portfolio.sift_search`.
-
-    The canonical Rudell sifting implementation now lives in the strategy
-    registry.  This shim delegates (bit-identically: same orderings
-    examined, same greedy choices, same evaluation counts) and will be
-    removed in a future release.
-    """
-    warnings.warn(
-        "repro.bdd.reorder.sift is deprecated; call "
-        "repro.portfolio.sift_search directly, or use "
-        "repro.solve(problem, strategy='sift') for the full solve API",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return sift_search(
-        table,
-        initial_order=initial_order,
-        size_fn=size_fn,
-        max_rounds=max_rounds,
-    )
-
-
-def window_permute(
-    table: TruthTable,
-    initial_order: Optional[Sequence[int]] = None,
-    window: int = 3,
-    size_fn: SizeFn = obdd_size,
-    max_rounds: int = 10,
-) -> SearchResult:
-    """Deprecated alias for :func:`repro.portfolio.window_permutation_search`.
-
-    The window-permutation schedule now lives in the strategy registry
-    (registered as ``window3``/``window4``).  This shim delegates
-    bit-identically and will be removed in a future release.
-    """
-    warnings.warn(
-        "repro.bdd.reorder.window_permute is deprecated; call "
-        "repro.portfolio.window_permutation_search directly, or use "
-        "repro.solve(problem, strategy='window3') for the full solve API",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return window_permutation_search(
-        table,
-        initial_order=initial_order,
-        window=window,
-        size_fn=size_fn,
-        max_rounds=max_rounds,
-    )
 
 
 def random_restart_search(

@@ -30,7 +30,6 @@ from .core.astar import astar_optimal_ordering
 from .core.bruteforce import brute_force_optimal
 from .core.divide_conquer import opt_obdd
 from .core.executor import available_backends
-from .core.frontier import available_frontier_stores
 from .core.fs import run_fs
 from .observability import Profiler
 from .core.reconstruct import reconstruct_minimum_diagram
@@ -111,8 +110,7 @@ def _make_io_retry(args: argparse.Namespace):
 def _engine_kwargs(args: argparse.Namespace) -> dict:
     """Execution options shared by every DP-running subcommand."""
     kwargs = dict(jobs=args.jobs,
-                  backend=getattr(args, "backend", "thread"),
-                  frontier_store=getattr(args, "frontier_store", "dict"))
+                  backend=getattr(args, "backend", "thread"))
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     resume = bool(getattr(args, "resume", False))
     if resume and not checkpoint_dir:
@@ -206,7 +204,6 @@ def _run_optimize(args: argparse.Namespace) -> int:
             profiler=profiler,
             checkpoint_dir=engine_kwargs.get("checkpoint_dir"),
             resume=bool(engine_kwargs.get("resume", False)),
-            frontier_store=engine_kwargs.get("frontier_store", "dict"),
         )
     elif args.algorithm == "fs":
         result = run_fs(table, rule=rule, profiler=profiler,
@@ -283,7 +280,7 @@ def _solve_with_strategy(table, strategy, rule, args, profiler,
     engine options the inexact strategy paths accept."""
     from .api import solve
 
-    allowed = ("jobs", "backend", "frontier_store", "cache",
+    allowed = ("jobs", "backend", "cache",
                "budget", "checkpoint_dir", "resume", "max_pool_rebuilds")
     kwargs = {k: v for k, v in engine_kwargs.items() if k in allowed}
     if profiler is not None:
@@ -443,7 +440,6 @@ def _run_optimize_batch(args: argparse.Namespace) -> int:
         budget=batch_budget,
         io_retry=_make_io_retry(args),
         install_signal_handlers=True,
-        frontier_store=getattr(args, "frontier_store", "dict"),
     )
     name_width = max(len(label) for label in labels)
     counts = {"ok": 0, "fallback": 0, "error": 0}
@@ -605,7 +601,6 @@ def _governed_exact(table, args, profiler, rule=None):
         profiler=profiler,
         checkpoint_dir=engine_kwargs.get("checkpoint_dir"),
         resume=bool(engine_kwargs.get("resume", False)),
-        frontier_store=engine_kwargs.get("frontier_store", "dict"),
         **kwargs,
     )
     return result, result.exact, result.rung
@@ -676,7 +671,6 @@ def _run_portfolio_cmd(args: argparse.Namespace) -> int:
     config = EngineConfig(
         jobs=args.jobs,
         backend=getattr(args, "backend", "thread"),
-        frontier_store=getattr(args, "frontier_store", "dict"),
         cache=engine_kwargs.get("cache"),
         profiler=profiler,
         budget=engine_kwargs.get("budget"),
@@ -751,16 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'serial' (inline reference executor). "
                             "Results and counters are bit-identical "
                             "across backends")
-        p.add_argument("--frontier-store", choices=available_frontier_stores(),
-                       default="dict",
-                       help="in-memory representation of the retained DP "
-                            "frontier: 'dict' (default; one FSState per "
-                            "subset) or 'packed' (contiguous columnar "
-                            "arrays; several-fold smaller peak memory). "
-                            "Results and operation counters are "
-                            "bit-identical across stores; checkpoints "
-                            "written under either store resume under the "
-                            "other")
         p.add_argument("--checkpoint-dir",
                        help="snapshot every finished DP layer into this "
                             "directory so an interrupted run can be "
@@ -931,9 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="execution backend warmed once for the server's "
                           "lifetime (default 'process': the pool spin-up "
                           "the daemon exists to amortize)")
-    srv.add_argument("--frontier-store", choices=available_frontier_stores(),
-                     default="dict",
-                     help="frontier representation for every request")
     srv.add_argument("--cache-dir",
                      help="persist the shared result cache into this "
                           "directory (cross-process-safe; restarts and "
@@ -1000,7 +981,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         unix_socket=args.unix_socket,
         backend=getattr(args, "backend", "process"),
         jobs=args.jobs if args.jobs else (os.cpu_count() or 1),
-        frontier_store=getattr(args, "frontier_store", "dict"),
         cache_dir=getattr(args, "cache_dir", None),
         cache_size=args.cache_size,
         max_disk_entries=args.max_disk_entries,

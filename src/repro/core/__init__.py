@@ -23,7 +23,6 @@ from .budget import (
     FallbackResult,
     RungAttempt,
     handle_signals,
-    optimize_with_fallback,
     parse_ladder,
     run_ladder,
 )
@@ -95,16 +94,7 @@ from .divide_conquer import (
     opt_obdd,
     opt_obdd_extend,
 )
-from .frontier import (
-    DictFrontier,
-    FrontierStore,
-    PackedFrontier,
-    PackedSlice,
-    available_frontier_stores,
-    create_frontier_store,
-    get_frontier_store,
-    register_frontier_store,
-)
+from .frontier import Layer
 from .fs import FSResult, find_optimal_ordering, initial_state, run_fs, terminal_values
 from .fs_star import fs_star_levels, make_fs_star_solver, run_fs_star
 from .window import WindowResult, exact_window, window_sweep
@@ -129,7 +119,6 @@ __all__ = [
     "RetryPolicy",
     "RungAttempt",
     "handle_signals",
-    "optimize_with_fallback",
     "parse_ladder",
     "run_ladder",
     "BatchError",
@@ -176,14 +165,7 @@ __all__ = [
     "corrupt_checkpoint",
     "sweep_fingerprint",
     "run_layered_sweep",
-    "DictFrontier",
-    "FrontierStore",
-    "PackedFrontier",
-    "PackedSlice",
-    "available_frontier_stores",
-    "create_frontier_store",
-    "get_frontier_store",
-    "register_frontier_store",
+    "Layer",
     "ChunkResult",
     "ChunkTask",
     "ExecutorBackend",

@@ -26,8 +26,7 @@ larger (or no) budget continues **bit-identically** in results and
 counters, reusing the crash-safety machinery unchanged.
 
 On top of the budget sits a **degradation ladder**,
-:func:`run_ladder` (the deprecated :func:`optimize_with_fallback` shim
-delegates here): try the exact DP, and when its share of
+:func:`run_ladder`: try the exact DP, and when its share of
 the budget is exhausted step down to the Lemma-8 exact-window sweep,
 then to Rudell sifting — each rung cheaper and less exact than the one
 above, the last rung always completing (it honors cancellation but no
@@ -69,7 +68,6 @@ __all__ = [
     "RetryPolicy",
     "RungAttempt",
     "handle_signals",
-    "optimize_with_fallback",
     "parse_ladder",
     "run_ladder",
 ]
@@ -92,12 +90,9 @@ class Budget:
         Caps on the retained DP frontier, checked after each layer
         commits (so the offending layer is already checkpointed and a
         resume under a bigger budget loses nothing).  The byte figure is
-        whatever the configured frontier store reports
-        (:meth:`~repro.core.frontier.FrontierStore.nbytes`): exact
-        column-payload bytes under ``frontier_store="packed"``, the
-        documented flat-overhead estimate under ``"dict"`` — so the same
-        cap may abort at different layers under different stores, each
-        deterministically.
+        the layer's exact payload
+        (:attr:`~repro.core.frontier.Layer.nbytes`), so a cap aborts at
+        the same layer for every backend and job count.
     cancel:
         Cooperative cancellation event; shared between a parent budget
         and every :meth:`subbudget`, and with :func:`handle_signals`.
@@ -436,7 +431,6 @@ def run_ladder(
     window_width: int = 3,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    frontier_store: Any = "dict",
     fallback_rungs: Union[str, Sequence[str], None] = None,
 ) -> FallbackResult:
     """Optimize under a budget, degrading through ``ladder`` as needed.
@@ -461,7 +455,7 @@ def run_ladder(
         (:func:`repro.core.window.window_sweep`) at ``window_width``:
         locally optimal, globally heuristic.
     ``"sift"``
-        Rudell sifting (:func:`repro.bdd.reorder.sift`) scored by an
+        Rudell sifting (:func:`repro.portfolio.sift_search`) scored by an
         exact chain-cost oracle under ``rule``.  Seeds from the best
         ordering a deeper rung found before its budget ran out (carried
         on ``BudgetExceeded.best_order``), so partial work is not lost.
@@ -520,7 +514,6 @@ def run_ladder(
         "window_width": window_width,
         "checkpoint_dir": checkpoint_dir,
         "resume": resume,
-        "frontier_store": frontier_store,
     }
     try:
         for index, rung in enumerate(ladder):
@@ -592,7 +585,6 @@ def _run_rung_fs(
         cache=opts["cache"],
         checkpoint_dir=opts["checkpoint_dir"],
         resume=opts["resume"],
-        frontier_store=opts["frontier_store"],
         budget=sub,
     )
     return FallbackResult(
@@ -621,7 +613,6 @@ def _run_rung_window(
     config = EngineConfig(
         jobs=opts["jobs"],
         backend=opts["backend"],
-        frontier_store=opts["frontier_store"],
         profiler=opts["profiler"],
         cache=opts["cache"],
         budget=sub,
@@ -705,7 +696,6 @@ def _make_strategy_rung(name: str) -> Callable[..., FallbackResult]:
         config = EngineConfig(
             jobs=opts["jobs"],
             backend=opts["backend"],
-            frontier_store=opts["frontier_store"],
             profiler=opts["profiler"],
             cache=opts["cache"],
         )
@@ -763,50 +753,3 @@ def parse_ladder(spec: Union[str, Sequence[str], None]) -> Tuple[str, ...]:
             f"{', '.join(sorted(known))}"
         )
     return rungs
-
-
-def optimize_with_fallback(
-    table: Any,
-    budget: Optional[Budget] = None,
-    ladder: Sequence[str] = DEFAULT_LADDER,
-    rule: ReductionRule = ReductionRule.BDD,
-    counters: Optional[OperationCounters] = None,
-    jobs: int = 1,
-    backend: Any = "thread",
-    cache: Optional[Any] = None,
-    profiler: Optional[Profiler] = None,
-    window_width: int = 3,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    frontier_store: Any = "dict",
-    fallback_rungs: Union[str, Sequence[str], None] = None,
-) -> FallbackResult:
-    """Deprecated alias for :func:`run_ladder`.
-
-    Prefer ``repro.solve(problem, strategy="fallback", ...)`` for the
-    high-level API, or :func:`run_ladder` for direct ladder control.
-    Behavior is unchanged: this shim forwards every argument verbatim.
-    """
-    warnings.warn(
-        "optimize_with_fallback is deprecated; use "
-        "repro.solve(problem, strategy='fallback', ...) or "
-        "repro.core.budget.run_ladder",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_ladder(
-        table,
-        budget=budget,
-        ladder=ladder,
-        rule=rule,
-        counters=counters,
-        jobs=jobs,
-        backend=backend,
-        cache=cache,
-        profiler=profiler,
-        window_width=window_width,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        frontier_store=frontier_store,
-        fallback_rungs=fallback_rungs,
-    )

@@ -859,7 +859,6 @@ def optimize_many(
     budget: Optional["Budget"] = None,
     io_retry: Optional[RetryPolicy] = None,
     install_signal_handlers: bool = False,
-    frontier_store: str = "dict",
 ) -> BatchOutcome:
     """Optimize a batch of tables with canonical deduplication.
 
@@ -996,14 +995,12 @@ def optimize_many(
                     jobs=solve_jobs,
                     backend=solve_backend,
                     cache=cache,
-                    frontier_store=frontier_store,
                 )
                 status = "ok" if outcome.rung == ladder[0] else "fallback"
                 return BatchItem(index=index, status=status, result=outcome)
             result = run_fs(
                 tables[index], rule=rule, jobs=solve_jobs,
                 backend=solve_backend, cache=cache, budget=sub,
-                frontier_store=frontier_store,
             )
             return BatchItem(index=index, status="ok", result=result)
         except Exception as exc:

@@ -3,7 +3,7 @@
 The FS dynamic program is the most expensive thing this repository runs —
 ``O*(3^n)`` table cells (Theorem 5) — and, because Lemma 4's recurrence
 only ever reads the previous layer, a finished layer is a perfect cut
-point: the frontier entries plus the accumulated DP tables are everything
+point: the layer matrix plus the accumulated DP tables are everything
 the sweep needs to continue.  This module snapshots exactly that state so
 :func:`repro.core.engine.run_layered_sweep` can restart from the last
 finished layer instead of from scratch, which covers every DP entry point
@@ -14,9 +14,10 @@ Design points:
 
 * **Self-describing files.**  Each layer writes one JSON file carrying a
   *fingerprint* of the sweep (rule, ``n``, universe mask, frontier
-  policy, a content hash of the base state, ...) and a SHA-256 *checksum*
-  of the payload.  Loading validates both; a truncated file, a checksum
-  mismatch or a fingerprint mismatch raises
+  policy, layer format, a content hash of the base state, ...), the
+  finished :class:`~repro.core.frontier.Layer` as one base64 blob, and a
+  SHA-256 *checksum* of the payload.  Loading validates both; a
+  truncated file, a checksum mismatch or a fingerprint mismatch raises
   :class:`~repro.errors.CheckpointError` naming the offending file —
   a resume never silently continues from the wrong data.
 * **Fingerprint-scoped filenames.**  The fingerprint hash is part of the
@@ -50,15 +51,21 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.counters import OperationCounters
 from ..errors import CheckpointError
+from .frontier import Layer
 from .spec import FSState
 
 FORMAT_VERSION = 1
+
+# How a checkpoint holds its layer.  Format 2 is one dense blob per
+# layer; files of the earlier per-entry and packed-column formats carry
+# a different fingerprint, so they are never resumed.
+LAYER_FORMAT = 2
 
 _COUNTER_FIELDS = (
     "table_cells",
@@ -194,22 +201,6 @@ class RetryPolicy:
                 if on_retry is not None:
                     on_retry(attempt, exc)
                 self.sleep(delay)
-
-
-@dataclass
-class Skeleton:
-    """Mincost-only frontier entry: enough to rebuild the state on demand.
-
-    (Lives here — not in :mod:`repro.core.engine` — so the checkpoint
-    codec, the engine and the frontier stores share one definition
-    without import cycles.)
-    """
-
-    pi: Tuple[int, ...]
-    mincost: int
-
-
-Entry = Union[FSState, Skeleton]
 
 
 class InjectedFault(RuntimeError):
@@ -361,21 +352,18 @@ def sweep_fingerprint(
     placement bookkeeping; ``tag`` lets entry points with state the engine
     cannot see (the constrained DP's precedence closure — its
     ``subset_filter`` is an opaque callable) contribute to the identity.
-    ``"kernel"`` is a constant naming the one compaction kernel, kept so
-    checkpoints written while the kernel was selectable still resume.
     """
     base_hash = hashlib.sha256()
     base_hash.update(str(base.table.dtype).encode())
     base_hash.update(np.ascontiguousarray(base.table).tobytes())
     return {
         "format": FORMAT_VERSION,
-        "kernel": "numpy",
+        "layer_format": LAYER_FORMAT,
         "rule": rule,
         "frontier": frontier,
         "n": base.n,
         "num_roots": base.num_roots,
         "num_terminals": base.num_terminals,
-        "track_nodes": base.nodes is not None,
         "universe_mask": universe_mask,
         "upto": upto,
         "base_mask": base.mask,
@@ -393,54 +381,39 @@ def fingerprint_hash(fingerprint: Dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# entry / counter codecs
+# layer / counter codecs
 # ----------------------------------------------------------------------
 
-def _encode_entry(entry: Entry) -> Dict[str, Any]:
-    if isinstance(entry, FSState):
-        out: Dict[str, Any] = {
-            "kind": "state",
-            "mask": entry.mask,
-            "pi": list(entry.pi),
-            "mincost": entry.mincost,
-            "dtype": str(entry.table.dtype),
-            "table": base64.b64encode(
-                np.ascontiguousarray(entry.table).tobytes()
-            ).decode("ascii"),
-        }
-        if entry.nodes is not None:
-            out["nodes"] = [
-                [u, list(triple)] for u, triple in sorted(entry.nodes.items())
-            ]
-        return out
+def _encode_layer(layer: Layer) -> Dict[str, Any]:
+    """One base64 blob: masks, mincosts, then the table matrix (if any)."""
+    tables = layer.tables
+    blob = layer.masks.tobytes() + layer.mincost.tobytes()
+    if tables is not None:
+        blob += np.ascontiguousarray(tables).tobytes()
     return {
-        "kind": "skeleton",
-        "pi": list(entry.pi),
-        "mincost": entry.mincost,
+        "rows": len(layer),
+        "cells": 0 if tables is None else tables.shape[1],
+        "dtype": None if tables is None else str(tables.dtype),
+        "blob": base64.b64encode(blob).decode("ascii"),
     }
 
 
-def _decode_entry(
-    blob: Dict[str, Any], n: int, num_terminals: int, num_roots: int
-) -> Entry:
-    if blob["kind"] == "skeleton":
-        return Skeleton(pi=tuple(blob["pi"]), mincost=int(blob["mincost"]))
-    table = np.frombuffer(
-        base64.b64decode(blob["table"]), dtype=np.dtype(blob["dtype"])
-    ).copy()
-    nodes = None
-    if "nodes" in blob:
-        nodes = {int(u): tuple(triple) for u, triple in blob["nodes"]}
-    return FSState(
-        n=n,
-        mask=int(blob["mask"]),
-        pi=tuple(blob["pi"]),
-        mincost=int(blob["mincost"]),
-        table=table,
-        num_terminals=num_terminals,
-        nodes=nodes,
-        num_roots=num_roots,
-    )
+def _decode_layer(record: Dict[str, Any]) -> Layer:
+    rows, cells = int(record["rows"]), int(record["cells"])
+    raw = base64.b64decode(record["blob"], validate=True)
+    dtype = None if record["dtype"] is None else np.dtype(record["dtype"])
+    size = 16 * rows + (0 if dtype is None else rows * cells * dtype.itemsize)
+    if len(raw) != size:
+        raise ValueError(
+            f"layer blob holds {len(raw)} bytes, its header says {size}"
+        )
+    masks = np.frombuffer(raw, np.int64, rows)
+    mincost = np.frombuffer(raw, np.int64, rows, 8 * rows)
+    tables = None
+    if dtype is not None:
+        tables = np.frombuffer(raw, dtype, rows * cells, 16 * rows)
+        tables = tables.reshape(rows, cells)
+    return Layer(masks, mincost, tables)
 
 
 def counters_from_snapshot(snapshot: Dict[str, int]) -> OperationCounters:
@@ -464,7 +437,7 @@ class RestoredSweep:
     """Everything a resumed sweep needs to continue after ``layer``."""
 
     layer: int
-    entries: Dict[int, Entry]
+    frontier: Layer
     mincost_by_subset: Dict[int, int]
     best_last: Dict[int, int]
     level_cost_by_choice: Dict[Tuple[int, int], int]
@@ -516,32 +489,18 @@ class CheckpointStore:
     def save_layer(
         self,
         k: int,
-        entries: Any,
+        frontier: Layer,
         mincost_by_subset: Dict[int, int],
         best_last: Dict[int, int],
         level_cost_by_choice: Dict[Tuple[int, int], int],
         subsets_processed: int,
         counter_delta: Dict[str, int],
     ) -> str:
-        """Atomically persist layer ``k``; returns the file path.
-
-        ``entries`` is the finished layer: a plain ``mask -> entry`` dict
-        or a :class:`~repro.core.frontier.FrontierStore`.  A store that
-        offers a packed payload (``checkpoint_payload``) is written as
-        one ``entries_packed`` column blob; everything else uses the
-        historical per-entry ``entries`` list.  Both forms carry the same
-        fingerprint and are mutually resumable — the engine repacks
-        restored entries under whatever store the resuming config names.
-        """
-        packed_payload: Optional[Dict[str, Any]] = None
-        payload_hook = getattr(entries, "checkpoint_payload", None)
-        if callable(payload_hook):
-            packed_payload = payload_hook()
-            if packed_payload is None:
-                entries = entries.to_entry_dict()
+        """Atomically persist finished layer ``k``; returns the file path."""
         payload = {
             "fingerprint": self.fingerprint,
             "layer": k,
+            "frontier": _encode_layer(frontier),
             "mincost_by_subset": sorted(mincost_by_subset.items()),
             "best_last": sorted(best_last.items()),
             "level_cost_by_choice": [
@@ -551,13 +510,6 @@ class CheckpointStore:
             "subsets_processed": subsets_processed,
             "counter_delta": dict(sorted(counter_delta.items())),
         }
-        if packed_payload is not None:
-            payload["entries_packed"] = packed_payload
-        else:
-            payload["entries"] = [
-                [mask, _encode_entry(entry)]
-                for mask, entry in sorted(entries.items())
-            ]
         path = self.layer_path(k)
         if self.retry is not None:
             return self.retry.run(
@@ -595,27 +547,10 @@ class CheckpointStore:
                 f"{', '.join(differing) or 'entire fingerprint'}); "
                 "refusing to resume from it"
             )
-        n = self.fingerprint["n"]
-        num_terminals = self.fingerprint["num_terminals"]
-        num_roots = self.fingerprint["num_roots"]
         try:
-            if "entries_packed" in payload:
-                # Packed column payload (written by a packed frontier
-                # store).  Decoded into the historical entry dict so
-                # resume works regardless of the resuming store.
-                from .frontier import PackedFrontier  # deferred: no cycle
-
-                entries = PackedFrontier.decode_checkpoint_payload(
-                    payload["entries_packed"]
-                )
-            else:
-                entries = {
-                    int(mask): _decode_entry(blob, n, num_terminals, num_roots)
-                    for mask, blob in payload["entries"]
-                }
             restored = RestoredSweep(
                 layer=int(payload["layer"]),
-                entries=entries,
+                frontier=_decode_layer(payload["frontier"]),
                 mincost_by_subset={
                     int(mask): int(cost)
                     for mask, cost in payload["mincost_by_subset"]

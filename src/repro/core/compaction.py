@@ -16,9 +16,9 @@ own ``next_id``.  It has two callers:
   :class:`~repro.core.spec.FSState` (chain replays, window costing,
   sifting oracles);
 * :func:`repro.core.executor.sweep_chunk` — the DP's chunk loop, which
-  stacks every candidate of a batch of subsets that folds the same
-  cofactor position into one call, then builds a state only for each
-  subset's winning candidate.
+  stacks the predecessor rows of every candidate of a batch of subsets
+  that folds the same cofactor position into one call, then keeps each
+  subset's winning row in the next layer's matrix.
 
 The cell-at-a-time transcription of the paper's ``COMPACT`` pseudo code
 lives in the test suite as the executable oracle this kernel is checked

@@ -109,7 +109,6 @@ def run_fs_constrained(
     jobs: int = 1,
     backend: "str | ExecutorBackend" = "thread",
     frontier: str | FrontierPolicy = FrontierPolicy.FULL,
-    frontier_store: str = "dict",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
@@ -140,7 +139,6 @@ def run_fs_constrained(
     tag = "constrained:" + ",".join(f"{m:x}" for m in after)
     config = EngineConfig(
         jobs=jobs, backend=backend, frontier=frontier,
-        frontier_store=frontier_store,
         profiler=profiler, checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, checkpoint_tag=tag, cache=cache,
         budget=budget, io_retry=io_retry,

@@ -19,14 +19,16 @@ and interpret the outcome.  Centralizing it buys two things at once:
   merges them in deterministic chunk order, so results *and counters*
   are bit-identical across backends and job counts;
 * a **frontier policy** — the retained layer is the memory ceiling
-  (``C(n, n/2)`` states of ``2^{n/2}`` cells each at the waist).
-  :attr:`FrontierPolicy.MINCOST_ONLY` keeps only ``(pi, mincost)``
-  skeletons and rematerializes predecessor tables on demand by replaying
-  the recorded chain, trading ``O(k)`` extra compactions per candidate
-  for an ``O(2^n)`` peak frontier.  Lemma 3 guarantees the replayed
-  chain yields the same level costs as any other chain through the same
-  subsets, so every result — including the full ``MINCOST_I`` table and
-  the enumeration of all optimal orderings — is unchanged.
+  (``C(n, n/2)`` rows of ``2^{n/2}`` cells each at the waist; see
+  :class:`~repro.core.frontier.Layer`, the one representation of a
+  layer).  :attr:`FrontierPolicy.MINCOST_ONLY` keeps only each row's
+  ``mincost`` and rematerializes predecessor tables on demand by
+  replaying the chain recorded in ``best_last``, trading ``O(k)`` extra
+  compactions per candidate for an ``O(2^n)`` peak frontier.  Lemma 3
+  guarantees the replayed chain yields the same level costs as any other
+  chain through the same subsets, so every result — including the full
+  ``MINCOST_I`` table and the enumeration of all optimal orderings — is
+  unchanged.
 
 A :class:`~repro.observability.Profiler` attached to the
 :class:`EngineConfig` records per-layer wall-clock, subset throughput,
@@ -56,24 +58,25 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union,
 )
+
+import numpy as np
 
 from .._bitops import popcount, subsets_of_size
 from ..analysis.counters import OperationCounters
-from ..errors import BudgetExceeded, DimensionError, ExecutorBrokenError
+from ..errors import (
+    BudgetExceeded, DimensionError, ExecutorBrokenError, OrderingError,
+)
 from ..observability import Profiler
 from .checkpoint import (
-    CheckpointStore, FaultInjector, RetryPolicy, Skeleton, sweep_fingerprint,
+    CheckpointStore, FaultInjector, RetryPolicy, sweep_fingerprint,
 )
 from .executor import (
-    ExecutorBackend, SweepContext, available_backends, get_backend,
-    materialize_entry, resolve_backend, split_chunks,
+    ExecutorBackend, SweepContext, available_backends, chain_of,
+    get_backend, resolve_backend, split_chunks,
 )
-from .frontier import (
-    FrontierStore, available_frontier_stores, create_frontier_store,
-    get_frontier_store,
-)
+from .frontier import Layer
 from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports spec)
@@ -84,11 +87,11 @@ class FrontierPolicy(enum.Enum):
     """What each finished DP layer retains."""
 
     FULL = "full"
-    """Keep complete :class:`FSState` objects, tables included (the
-    fastest option and the historical behavior)."""
+    """Keep every row's table in the layer matrix (the fastest option
+    and the historical behavior)."""
 
     MINCOST_ONLY = "mincost"
-    """Keep only ``(pi, mincost)`` per subset; predecessor tables are
+    """Keep only each row's ``mincost``; predecessor tables are
     rematerialized on demand by replaying the recorded chain.  Peak
     frontier memory drops from ``C(n,k) * 2^{n-k}`` cells to ``O(2^n)``
     at the cost of ``O(k)`` extra compactions per candidate (tallied
@@ -130,18 +133,6 @@ class EngineConfig:
     differ."""
 
     frontier: FrontierPolicy = FrontierPolicy.FULL
-
-    frontier_store: Union[str, type] = "dict"
-    """How retained layers are *represented* (orthogonal to the
-    :class:`FrontierPolicy`, which decides *what* is retained): a name
-    from the frontier-store registry (see :mod:`repro.core.frontier`) —
-    ``"dict"`` for the historical ``mask -> FSState`` mapping, ``"packed"``
-    for contiguous narrow-width column storage — or a
-    :class:`~repro.core.frontier.FrontierStore` subclass.  Results and
-    operation counters are bit-identical across stores; only memory
-    footprint (and the process backend's ``bytes_shipped`` transport
-    extra) changes.  Checkpoints are store-agnostic: a sweep may resume
-    under a different store than the one that wrote the snapshot."""
 
     profiler: Optional[Profiler] = None
 
@@ -213,15 +204,6 @@ class EngineConfig:
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir")
         # Resolve eagerly so configuration errors surface at call sites.
-        if isinstance(self.frontier_store, str):
-            get_frontier_store(self.frontier_store)
-        elif not (isinstance(self.frontier_store, type)
-                  and issubclass(self.frontier_store, FrontierStore)):
-            raise ValueError(
-                f"frontier_store must be a registered name "
-                f"{available_frontier_stores()} or a FrontierStore "
-                f"subclass, got {self.frontier_store!r}"
-            )
         if isinstance(self.backend, str):
             get_backend(self.backend)
         elif not isinstance(self.backend, ExecutorBackend):
@@ -235,8 +217,6 @@ class EngineConfig:
 
             get_strategy(self.strategy)  # raises OrderingError if unknown
 
-
-_Entry = Union[FSState, Skeleton]
 
 
 @dataclass
@@ -291,7 +271,8 @@ def run_layered_sweep(
         subsets are never computed and never serve as predecessors (the
         precedence-constrained DP).  A feasible subset none of whose
         predecessors were feasible raises
-        :class:`~repro.errors.OrderingError`.
+        :class:`~repro.errors.OrderingError`, and so does a layer with
+        no feasible subset at all.
     """
     if config is None:
         config = EngineConfig()
@@ -314,13 +295,19 @@ def run_layered_sweep(
     if not 0 <= upto <= size_u:
         raise ValueError(f"upto={upto} out of range for |universe|={size_u}")
 
+    if base.nodes is not None:
+        raise ValueError(
+            "the layered sweep does not track node structure; sweep an "
+            "untracked base and replay the winning pi with compact() from "
+            "a tracking one (as build_diagram does)"
+        )
+    Layer.cell_dtype(base, rule)  # rejects a base that could outgrow it
+
     mincost_by_subset: Dict[int, int] = {0: base.mincost}
     best_last: Dict[int, int] = {}
     level_cost_by_choice: Dict[Tuple[int, int], int] = {}
     subsets_processed = 0
 
-    previous: FrontierStore = create_frontier_store(config.frontier_store)
-    previous.put(0, base)
     if upto == 0:
         return SweepOutcome(
             frontier={0: base},
@@ -328,6 +315,7 @@ def run_layered_sweep(
             best_last=best_last,
             level_cost_by_choice=level_cost_by_choice,
         )
+    previous = Layer.of_base(base)
 
     budget = config.budget
     last_checkpoint_path: Optional[str] = None
@@ -359,11 +347,7 @@ def run_layered_sweep(
                   else nullcontext()):
                 restored = store.load_latest(upto)
             if restored is not None:
-                # Checkpoints hold entry dicts regardless of the store
-                # that wrote them; repack under the configured store so a
-                # resume may switch representations freely.
-                previous = create_frontier_store(config.frontier_store)
-                previous.extend(restored.entries)
+                previous = restored.frontier
                 mincost_by_subset = restored.mincost_by_subset
                 mincost_by_subset.setdefault(0, base.mincost)
                 best_last = restored.best_last
@@ -385,6 +369,7 @@ def run_layered_sweep(
             budget=budget,
             profiler=profiler,
             fault_injector=config.fault_injector,
+            best_last=best_last,
         )
     )
     try:
@@ -398,17 +383,21 @@ def run_layered_sweep(
                     budget.check(
                         counters=counters,
                         layers_completed=k - 1,
-                        best_bound=previous.min_mincost(),
+                        best_bound=int(previous.mincost.min()),
                         checkpoint_path=last_checkpoint_path,
                         where=f"layer boundary (before k={k})",
                     )
-            layer_masks = [
-                mask
-                for mask in subsets_of_size(universe_mask, k)
-                if subset_filter is None or subset_filter(mask)
-            ]
+            layer_masks = np.fromiter(
+                (mask for mask in subsets_of_size(universe_mask, k)
+                 if subset_filter is None or subset_filter(mask)),
+                dtype=np.int64,
+            )
+            if not len(layer_masks):
+                raise OrderingError(
+                    f"no subset of size {k} passes the subset filter"
+                )
             # The last layer is the caller-visible frontier and must carry
-            # real tables; intermediate layers may keep skeletons.
+            # real tables; intermediate layers may keep mincosts only.
             retain_full = (
                 config.frontier is FrontierPolicy.FULL or k == upto
             )
@@ -431,7 +420,7 @@ def run_layered_sweep(
                 # describes the last *committed* boundary and a resume
                 # with a bigger budget replays layer k from scratch,
                 # bit-identically.
-                best = previous.min_mincost()
+                best = int(previous.mincost.min())
                 where = f"mid-layer cancellation (during k={k})"
                 if budget is not None:
                     with (profiler.phase("budget_check") if profiler is not None
@@ -452,17 +441,24 @@ def run_layered_sweep(
                     checkpoint_path=last_checkpoint_path,
                     where=where,
                 )
-            current = create_frontier_store(config.frontier_store)
-            # Merge strictly in chunk order: results are keyed by
-            # disjoint masks, and counter merge order is fixed, so the
-            # outcome is independent of where the chunks ran.
+            # Join strictly in chunk order: chunks are contiguous row
+            # ranges and counter merge order is fixed, so the outcome is
+            # independent of where the chunks ran.
+            current = Layer(
+                layer_masks,
+                _joined([part.mincost for part in parts]),
+                _joined([part.tables for part in parts])
+                if retain_full else None,
+            )
+            keys = layer_masks.tolist()
+            mincost_by_subset.update(zip(keys, current.mincost.tolist()))
+            best_last.update(zip(
+                keys, _joined([part.best_last for part in parts]).tolist()
+            ))
             for part in parts:
-                current.absorb(part.entries, part.packed)
-                mincost_by_subset.update(part.mincost)
-                best_last.update(part.best_last)
                 level_cost_by_choice.update(part.level_cost)
-                subsets_processed += part.processed
                 counters.merge(part.counters)
+            subsets_processed += len(current)
             previous = current
             if profiler is not None:
                 profiler.record_layer(
@@ -470,7 +466,7 @@ def run_layered_sweep(
                     subsets=len(current),
                     wall_seconds=time.perf_counter() - started,
                     frontier_states=len(current),
-                    frontier_bytes=current.nbytes(),
+                    frontier_bytes=current.nbytes,
                     counters=counters.snapshot(),
                 )
             checkpoint_path: Optional[str] = None
@@ -480,7 +476,7 @@ def run_layered_sweep(
                       if profiler is not None else nullcontext()):
                     checkpoint_path = store.save_layer(
                         k=k,
-                        entries=current,
+                        frontier=current,
                         mincost_by_subset=mincost_by_subset,
                         best_last=best_last,
                         level_cost_by_choice=level_cost_by_choice,
@@ -506,15 +502,12 @@ def run_layered_sweep(
                             else None
                         ),
                         frontier_bytes=(
-                            # The store's own accounting — exact column
-                            # payload bytes for packed stores, the
-                            # documented estimate for dict stores.
-                            current.nbytes()
+                            current.nbytes
                             if budget.max_frontier_bytes is not None
                             else None
                         ),
                         layers_completed=k,
-                        best_bound=current.min_mincost(),
+                        best_bound=int(current.mincost.min()),
                         checkpoint_path=last_checkpoint_path,
                         where=f"layer boundary (after k={k})",
                     )
@@ -523,9 +516,21 @@ def run_layered_sweep(
         if engine_owns_backend:
             backend.close()
 
+    # The final layer always keeps its tables (see retain_full).
+    assert previous.tables is not None
     frontier = {
-        mask: materialize_entry(base, entry, rule, counters)
-        for mask, entry in previous.items()
+        mask: FSState(
+            n=base.n,
+            mask=base.mask | mask,
+            pi=base.pi + tuple(chain_of(best_last, mask)),
+            mincost=mincost,
+            table=previous.tables[row].astype(np.int64),
+            num_terminals=base.num_terminals,
+            num_roots=base.num_roots,
+        )
+        for row, (mask, mincost) in enumerate(
+            zip(previous.masks.tolist(), previous.mincost.tolist())
+        )
     }
     return SweepOutcome(
         frontier=frontier,
@@ -534,3 +539,8 @@ def run_layered_sweep(
         level_cost_by_choice=level_cost_by_choice,
         subsets_processed=subsets_processed,
     )
+
+
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    """Chunk results concatenated in chunk order (a lone chunk as is)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)

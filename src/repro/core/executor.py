@@ -33,7 +33,7 @@ from the paper-facing totals.
 Budget propagation: the process backend mirrors the coordinator's
 :class:`~repro.core.budget.Budget` — its cooperative-cancellation event
 and its deadline — into a shared :class:`multiprocessing.Event` via a
-watcher thread; workers poll it between masks and stop early.  A chunk
+watcher thread; workers poll it between batches and stop early.  A chunk
 stopped that way comes back flagged ``cancelled`` and the engine
 discards the whole partial layer, so the
 :class:`~repro.errors.BudgetExceeded` it raises always describes the
@@ -84,10 +84,9 @@ import threading
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
-    Tuple, Type, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional,
+    Sequence, Tuple, Type, Union,
 )
 
 import numpy as np
@@ -95,32 +94,15 @@ import numpy as np
 from .._bitops import bits_of
 from ..analysis.counters import OperationCounters
 from ..errors import ExecutorBrokenError, OrderingError
-from .checkpoint import RetryPolicy, Skeleton
-from .compaction import cofactor_indices, compact, compact_table, extend_state
-from .frontier import BaseOverlay, PackedFrontier, PackedSlice
+from .checkpoint import RetryPolicy
+from .compaction import cofactor_indices, compact, compact_table
+from .frontier import Layer
 from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from ..observability import Profiler
     from .budget import Budget
     from .checkpoint import FaultInjector
-
-Entry = Union[FSState, Skeleton]
-"""A frontier entry: a full state, or a ``(pi, mincost)`` skeleton under
-the mincost-only frontier policy."""
-
-PreviousLayer = Any
-"""The finished previous layer a chunk reads: a
-:class:`~repro.core.frontier.FrontierStore` (what the engine hands the
-backends), a plain ``mask -> entry`` dict (direct callers, tests), or a
-worker-side :class:`~repro.core.frontier.BaseOverlay`.  Chunk code only
-relies on ``.get(mask)``."""
-
-# Flat per-entry overhead charged by the shipping-volume estimate (dict
-# slot + dataclass header); deliberately a round constant so the
-# ``bytes_shipped`` tally is deterministic across interpreter builds.
-_ENTRY_OVERHEAD_BYTES = 64
-_SKELETON_BYTES = 32
 
 _WATCHER_POLL_SECONDS = 0.05
 
@@ -142,29 +124,24 @@ def _phase(profiler: Optional["Profiler"], name: str):
 class ChunkResult:
     """What one executed chunk reports back to the coordinator.
 
-    The engine merges these strictly in chunk order — entries are keyed
-    by disjoint masks and counter merge order is fixed, so the outcome is
-    independent of scheduling (threads, processes, or inline).
+    Row ``r`` of the arrays is row ``r`` of the chunk's successor masks.
+    The engine concatenates these strictly in chunk order, and counter
+    merge order is fixed, so the outcome is independent of scheduling
+    (threads, processes, or inline).
     """
+
+    mincost: np.ndarray
+    best_last: np.ndarray
+    tables: Optional[np.ndarray]
+    """The winners' tables as a row block, or ``None`` when the layer
+    keeps mincosts only."""
+
+    counters: OperationCounters
 
     index: int = 0
     """Position of the chunk within its layer's chunk list."""
 
-    entries: Dict[int, Entry] = field(default_factory=dict)
-    """Finished entries keyed by mask.  Empty when a process worker
-    shipped them back packed — see :attr:`packed`."""
-
-    packed: Optional[PackedSlice] = None
-    """Finished entries as contiguous packed columns: how process workers
-    ship results of a packed-store sweep back without pickling per-entry
-    dataclasses.  ``entries`` and ``packed`` never overlap; the engine's
-    store absorbs whichever is present."""
-
-    mincost: Dict[int, int] = field(default_factory=dict)
-    best_last: Dict[int, int] = field(default_factory=dict)
     level_cost: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    processed: int = 0
-    counters: OperationCounters = field(default_factory=OperationCounters)
 
     cancelled: bool = False
     """True when the executing worker observed the mirrored cancellation
@@ -180,158 +157,201 @@ def split_chunks(items: Sequence[int], jobs: int) -> List[Sequence[int]]:
         stop = start + (len(items) - start) // (jobs - j)
         out.append(items[start:stop])
         start = stop
-    return [chunk for chunk in out if chunk]
+    return [chunk for chunk in out if len(chunk)]
+
+
+def chain_of(best_last: Mapping[int, int], mask: int) -> List[int]:
+    """The recorded optimal chain of ``mask``, bottom-first, read off
+    ``best_last`` (each subset's minimizing last variable)."""
+    chain = []
+    while mask:
+        var = best_last[mask]
+        chain.append(var)
+        mask &= ~(1 << var)
+    chain.reverse()
+    return chain
+
+
+def replay_state(
+    base: FSState,
+    mask: int,
+    best_last: Mapping[int, int],
+    rule: ReductionRule,
+    counters: OperationCounters,
+) -> FSState:
+    """Rebuild the state of ``mask`` by replaying its chain from ``base``.
+
+    By Lemma 3 the subfunction partition at every step depends only on
+    the subset, so the rebuilt state has the mincost and the level costs
+    the sweep measured.  The replay work is tallied under ``extra``
+    counters so the paper-facing totals (``table_cells`` ==
+    ``n * 3^{n-1}`` for a full FS run) stay exact.
+    """
+    scratch = OperationCounters()
+    state = base
+    for var in chain_of(best_last, mask):
+        state = compact(state, var, rule, scratch)
+    counters.add_extra("recompute_compactions", scratch.compactions)
+    counters.add_extra("recompute_cells", scratch.table_cells)
+    return state
 
 
 def sweep_chunk(
-    masks: Sequence[int],
-    previous: PreviousLayer,
+    masks: np.ndarray,
+    previous: Layer,
     base: FSState,
     rule: ReductionRule,
     retain_full: bool,
     counters: OperationCounters,
-    should_stop: Optional[Callable[[], bool]] = None,
+    best_last: Optional[Mapping[int, int]] = None,
+    should_stop: Optional[Callable[[int], bool]] = None,
 ) -> ChunkResult:
-    """Finalize a slice of one layer (runs wherever the backend says).
+    """Finalize a contiguous range of one layer's rows (runs wherever
+    the backend says).
 
     Reads ``previous`` without mutating it; writes only into its own
     result, which the coordinator merges in deterministic order.  This
     routine is the bit-identity anchor: every backend routes every chunk
     through it, so where a chunk ran can never change what it computed.
 
-    Masks are gathered one at a time — each candidate's predecessor read
-    through ``previous.get`` and materialized — into batches of
-    consecutive subsets holding about ``_BATCH_CELLS`` new table cells.
-    A batch is compacted with one
-    :func:`~repro.core.compaction.compact_table` call per cofactor
-    position (all predecessors of a layer share table geometry, so the
-    candidates folding the same position stack into one call), each
-    subset then takes its first cheapest candidate in ``bits_of`` order,
-    a full state is built only for that winner, and the batch is
-    dropped.
+    The successor ``masks`` are taken in batches of consecutive rows
+    holding about ``_BATCH_CELLS`` new table cells.  A batch's
+    candidates — one per member ``i`` of each successor whose
+    predecessor is in ``previous`` — stack their predecessor rows
+    straight out of the layer matrix (or, for a layer that kept mincosts
+    only, out of chain replays from ``base`` along ``best_last``) into
+    one :func:`~repro.core.compaction.compact_table` call per cofactor
+    position; each successor then takes its first cheapest candidate in
+    ``bits_of`` order.
 
     ``should_stop`` (the process workers' view of the mirrored
-    cancellation event) is polled before each mask; a stopped chunk
-    returns with ``cancelled=True``, the masks of its open batch and
-    every mask it had not reached simply absent.
+    cancellation event) is polled before each batch with the row count
+    the batch would finish the chunk at; a stopped chunk returns with
+    ``cancelled=True`` and partial rows the engine discards.
     """
-    out = ChunkResult(counters=counters)
+    k = int(masks[0]).bit_count()
+    cells = base.num_roots << (base.n - base.placed - k)
+    out = ChunkResult(
+        np.empty(len(masks), np.int64), np.empty(len(masks), np.int64),
+        np.empty((len(masks), cells), Layer.cell_dtype(base, rule))
+        if retain_full else None,
+        counters,
+    )
     indices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    # The open batch: each subset's candidates as (i, prev, position,
-    # row), and per cofactor position the stacked predecessors.
-    subsets: List[Tuple[int, List[Tuple[int, FSState, int, int]]]] = []
-    stacks: Dict[int, List[FSState]] = {}
-    cells = 0
-    for mask in masks:
-        if should_stop is not None and should_stop():
+    step = -(-_BATCH_CELLS // (k * cells))
+    for start in range(0, len(masks), step):
+        stop = min(start + step, len(masks))
+        if should_stop is not None and should_stop(stop):
             out.cancelled = True
             return out
-        candidates = []
-        for i in bits_of(mask):
-            entry = previous.get(mask & ~(1 << i))
-            if entry is None:
-                continue  # infeasible predecessor under a subset filter
-            prev = materialize_entry(base, entry, rule, counters)
-            # i's rank among prev's free variables: the cofactor position.
-            position = i - (prev.mask & ((1 << i) - 1)).bit_count()
-            stack = stacks.setdefault(position, [])
-            candidates.append((i, prev, position, len(stack)))
-            stack.append(prev)
-        if not candidates:
-            raise OrderingError(
-                f"no feasible chain reaches subset {mask:#x}"
-            )
-        subsets.append((mask, candidates))
-        cells += len(candidates) * (prev.table.shape[0] >> 1)
-        if cells >= _BATCH_CELLS:
-            _settle_batch(subsets, stacks, indices, rule, retain_full, out)
-            subsets, stacks, cells = [], {}, 0
-    if subsets:
-        _settle_batch(subsets, stacks, indices, rule, retain_full, out)
+        _settle_batch(masks, start, stop, previous, base, rule, best_last,
+                      indices, out)
+    counters.subsets_processed += len(masks)
     return out
 
 
 def _settle_batch(
-    subsets: List[Tuple[int, List[Tuple[int, FSState, int, int]]]],
-    stacks: Dict[int, List[FSState]],
-    indices: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    chunk: np.ndarray,
+    start: int,
+    stop: int,
+    previous: Layer,
+    base: FSState,
     rule: ReductionRule,
-    retain_full: bool,
+    best_last: Optional[Mapping[int, int]],
+    indices: Dict[int, Tuple[np.ndarray, np.ndarray]],
     out: ChunkResult,
 ) -> None:
-    """Compact one batch, a kernel call per stack, and record each
-    subset's winner."""
-    compacted = {}
-    for position, prevs in stacks.items():
-        cofactors = indices.get(position)
-        if cofactors is None:
-            first = prevs[0]
-            cofactors = indices[position] = cofactor_indices(
-                first.n, first.placed, first.num_roots, position
-            )
-        if len(prevs) == 1:
-            tables = prevs[0].table[None]
-        else:
-            tables = np.concatenate([prev.table for prev in prevs])
-            tables = tables.reshape(len(prevs), -1)
-        tables, unique_keys, counts = compact_table(
-            tables, *cofactors, [prev.next_id for prev in prevs], rule,
-            out.counters,
+    """Compact one batch of successors, a kernel call per cofactor
+    position, and record each successor's winner in rows
+    ``start:stop`` of ``out``."""
+    masks = chunk[start:stop]
+    k = int(masks[0]).bit_count()
+    members = bits_of(int(np.bitwise_or.reduce(masks)))
+    bits = np.array([1 << i for i in members])
+    member = (masks[:, None] & bits) != 0
+    # Candidates successor-major, members ascending (bits_of order): one
+    # per member i of each successor whose predecessor is in `previous`.
+    succ, slot = member.nonzero()
+    pred = masks[succ] ^ bits[slot]
+    row = previous.rows_of(pred)
+    var = np.array(members)[slot]
+    # i's rank among the predecessor's free variables: the base's free
+    # variables below i, less the successor's other members below i.
+    free_below = np.array(
+        [i - (base.mask & ((1 << i) - 1)).bit_count() for i in members]
+    )
+    position = free_below[slot] + 1 - member.cumsum(axis=1)[member]
+    starts = np.arange(0, len(succ), k)
+    if (row < 0).any():  # a subset filter dropped some predecessors
+        keep = row >= 0
+        succ, var, pred, row, position = (
+            succ[keep], var[keep], pred[keep], row[keep], position[keep]
         )
-        # Row r's keys are unique_keys[starts[r]:starts[r + 1]].
-        starts = list(accumulate(counts, initial=0))
-        compacted[position] = (tables, unique_keys, counts, starts)
-
-    for mask, candidates in subsets:
-        best = None
-        for i, prev, position, row in candidates:
-            created = compacted[position][2][row]
-            out.level_cost[(prev.mask, i)] = created
-            mincost = prev.mincost + created
-            if best is None or mincost < best[0]:
-                best = (mincost, i, prev, position, row)
-        mincost, i, prev, position, row = best
-        if retain_full:
-            tables, unique_keys, _, starts = compacted[position]
-            table = tables[row]
-            if tables.shape[0] > 1:
-                table = table.copy()  # let the rest of the stack go
-            out.entries[mask] = extend_state(
-                prev, i, table, unique_keys[starts[row]:starts[row + 1]],
+        per_successor = np.bincount(succ, minlength=len(masks))
+        if not per_successor.all():
+            raise OrderingError(
+                f"no feasible chain reaches subset "
+                f"{int(masks[np.argmin(per_successor)]):#x}"
             )
-        else:
-            out.entries[mask] = Skeleton(pi=prev.pi + (i,), mincost=mincost)
-        out.mincost[mask] = mincost
-        out.best_last[mask] = i
-        out.processed += 1
-        out.counters.subsets_processed += 1
+        starts = np.cumsum(per_successor) - per_successor
+
+    created = np.empty(len(succ), np.int64)
+    tables = None
+    if out.tables is not None:
+        tables = np.empty((len(succ), out.tables.shape[1]), np.int64)
+    prev_cost = previous.mincost[row]
+    next_ids = base.num_terminals + prev_cost
+    placed = base.placed + k - 1
+    for p in sorted(set(position.tolist())):
+        at = (position == p).nonzero()[0]
+        cofactors = indices.get(p)
+        if cofactors is None:
+            cofactors = indices[p] = cofactor_indices(
+                base.n, placed, base.num_roots, p
+            )
+        new, _, counts = compact_table(
+            _stack(previous, row[at], base, rule, best_last, out.counters),
+            *cofactors, next_ids[at].tolist(), rule, out.counters,
+        )
+        created[at] = counts
+        if tables is not None:
+            tables[at] = new
+
+    # A stable sort by (successor, cost) keeps bits_of order among equal
+    # costs, so each successor's first cheapest candidate wins.
+    cost = prev_cost + created
+    winners = np.lexsort((cost, succ))[starts]
+    out.mincost[start:stop] = cost[winners]
+    out.best_last[start:stop] = var[winners]
+    if tables is not None:
+        out.tables[start:stop] = tables[winners]
+    out.level_cost.update(zip(
+        zip((base.mask | pred).tolist(), var.tolist()), created.tolist(),
+    ))
 
 
-def materialize_entry(
+def _stack(
+    previous: Layer,
+    rows: np.ndarray,
     base: FSState,
-    entry: Entry,
     rule: ReductionRule,
+    best_last: Optional[Mapping[int, int]],
     counters: OperationCounters,
-) -> FSState:
-    """Turn a frontier entry back into a full state.
-
-    For a skeleton this replays its chain from ``base``.  By Lemma 3 the
-    subfunction partition at every step depends only on the subset, so
-    the rebuilt state has the same mincost (asserted) and the same level
-    costs as the one the sweep measured.  The replay work is tallied
-    under ``extra`` counters so the paper-facing totals (``table_cells``
-    == ``n * 3^{n-1}`` for a full FS run) stay exact.
-    """
-    if isinstance(entry, FSState):
-        return entry
-    scratch = OperationCounters()
-    state = base
-    for var in entry.pi[len(base.pi):]:
-        state = compact(state, var, rule, scratch)
-    assert state.mincost == entry.mincost, "replayed chain must reproduce mincost"
-    counters.add_extra("recompute_compactions", scratch.compactions)
-    counters.add_extra("recompute_cells", scratch.table_cells)
-    return state
+) -> np.ndarray:
+    """Predecessor tables of ``rows``: matrix rows, or chain replays of
+    a layer that kept mincosts only (one replay per candidate)."""
+    if previous.tables is not None:
+        return previous.tables[rows]
+    assert best_last is not None, "a mincost-only layer needs best_last"
+    states = [
+        replay_state(base, int(previous.masks[r]), best_last, rule, counters)
+        for r in rows.tolist()
+    ]
+    assert all(
+        state.mincost == previous.mincost[r]
+        for state, r in zip(states, rows.tolist())
+    ), "replayed chain must reproduce mincost"
+    return np.stack([state.table for state in states])
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +377,9 @@ class SweepContext:
     consults :meth:`~repro.core.checkpoint.FaultInjector.take_worker_kill`
     while building each chunk's task and flags the doomed envelope.
     In-process backends ignore it — they have no worker to lose."""
+    best_last: Optional[Mapping[int, int]] = None
+    """The engine's growing ``best_last`` map: the chains a layer that
+    kept mincosts only replays its predecessors along."""
 
 
 class ExecutorBackend(abc.ABC):
@@ -403,8 +426,8 @@ class ExecutorBackend(abc.ABC):
     def run_layer(
         self,
         layer: int,
-        chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        chunks: Sequence[np.ndarray],
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         """Execute one layer's chunks; return results in chunk order."""
@@ -441,8 +464,8 @@ class ExecutorBackend(abc.ABC):
     # paths, so where a chunk ran never shows in the numbers.
     def _run_inline(
         self,
-        chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        chunks: Sequence[np.ndarray],
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         context = self._context
@@ -453,7 +476,7 @@ class ExecutorBackend(abc.ABC):
         for index, chunk in enumerate(chunks):
             part = sweep_chunk(
                 chunk, previous, context.base, context.rule,
-                retain_full, OperationCounters(),
+                retain_full, OperationCounters(), context.best_last,
             )
             part.index = index
             results.append(part)
@@ -580,8 +603,8 @@ class SerialBackend(ExecutorBackend):
     def run_layer(
         self,
         layer: int,
-        chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        chunks: Sequence[np.ndarray],
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         return self._run_inline(chunks, previous, retain_full)
@@ -614,8 +637,8 @@ class ThreadBackend(ExecutorBackend):
     def run_layer(
         self,
         layer: int,
-        chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        chunks: Sequence[np.ndarray],
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         if len(chunks) <= 1:
@@ -627,6 +650,7 @@ class ThreadBackend(ExecutorBackend):
             pool.submit(
                 sweep_chunk, chunk, previous, context.base,
                 context.rule, retain_full, OperationCounters(),
+                context.best_last,
             )
             for chunk in chunks
         ]
@@ -663,17 +687,12 @@ class ChunkTask:
     The base table travels *once per sweep* through shared memory
     (``shm_name`` + ``base_spec`` let every worker rebuild the base
     state and cache it under ``token``); the task itself carries only
-    the chunk's masks and the predecessor entries those masks actually
-    read — full states under the FULL frontier policy, ``(pi, mincost)``
-    skeletons under MINCOST_ONLY (workers replay them from the shared
-    base exactly as the in-process backends do, so the ``recompute_*``
-    counters stay bit-identical).
-
-    With a packed frontier store the predecessors travel as one
-    :class:`~repro.core.frontier.PackedSlice` (:attr:`packed`) instead of
-    a pickled dict of dataclasses — flat byte columns at the layer's
-    narrow table width — which is what shrinks the ``bytes_shipped``
-    tally; :attr:`entries` is then empty.
+    the chunk's successor masks and :meth:`~repro.core.frontier.Layer.take`
+    of the predecessor rows those masks read, as numpy arrays.  A layer
+    that kept mincosts only ships no tables but the ``best_last`` links
+    of its rows' chains, which workers replay from the shared base
+    exactly as the in-process backends do, so the ``recompute_*``
+    counters stay bit-identical.
     """
 
     token: str
@@ -682,19 +701,23 @@ class ChunkTask:
     rule_value: str
     layer: int
     index: int
-    masks: Tuple[int, ...]
-    entries: Dict[int, Entry]
+    masks: np.ndarray
+    previous: Optional[Layer]
+    """``None`` for the first layer, whose one predecessor is the base
+    state the worker already holds in shared memory."""
+
+    links: Optional[Dict[int, int]]
     retain_full: bool
     payload_bytes: int = 0
-    packed: Optional[PackedSlice] = None
 
     kill_self: Optional[str] = None
     """Injected process-level fault (tests/CI only): ``"before"`` makes
     the executing worker SIGKILL itself as the task starts, ``"during"``
-    about halfway through the chunk's masks.  Set by the coordinator
-    from :class:`~repro.core.checkpoint.FaultInjector.take_worker_kill`,
-    which consumes the kill *before* shipping — the healed pool's
-    re-submission of the same chunk carries ``None``."""
+    in the batch that takes the chunk past its halfway row.  Set by the
+    coordinator from
+    :class:`~repro.core.checkpoint.FaultInjector.take_worker_kill`, which
+    consumes the kill *before* shipping — the healed pool's re-submission
+    of the same chunk carries ``None``."""
 
 
 # Worker-process globals (populated by the pool initializer and the
@@ -770,27 +793,22 @@ def _worker_bind_sweep(task: ChunkTask) -> Tuple[str, Any, FSState, ReductionRul
 
 
 def _suicide_midway(
-    total: int, inner: Optional[Callable[[], bool]]
-) -> Callable[[], bool]:
+    total: int, inner: Optional[Callable[[int], bool]]
+) -> Callable[[int], bool]:
     """``should_stop`` wrapper realizing the ``"during"`` kill phase.
 
-    The chunk loop polls ``should_stop`` once per mask, so counting polls
-    places the SIGKILL about halfway through the chunk's masks — after
-    real work (predecessor reads and replays, and any batch already
-    compacted) has been done and really lost, which is the point of the
-    phase.  A
-    single-mask chunk has no halfway; there the kill fires on the first
-    poll (degenerating to ``"before"``) rather than silently not at
-    all."""
-    seen = 0
-    trigger = total // 2
+    The chunk loop polls ``should_stop`` before each batch with the row
+    count the batch would finish at, so the SIGKILL lands in the batch
+    that crosses the chunk's halfway row — after the earlier batches'
+    work has been done and really lost, which is the point of the phase.
+    A chunk of a single batch has no halfway; there the kill fires on
+    the first poll (degenerating to ``"before"``) rather than silently
+    not at all."""
 
-    def poll() -> bool:
-        nonlocal seen
-        seen += 1
-        if seen > trigger:
+    def poll(stop: int) -> bool:
+        if stop > total // 2:
             os.kill(os.getpid(), signal.SIGKILL)
-        return inner() if inner is not None else False
+        return inner(stop) if inner is not None else False
 
     return poll
 
@@ -802,29 +820,20 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
         # what the OOM killer delivers.  The pool goes BrokenProcessPool.
         os.kill(os.getpid(), signal.SIGKILL)
     _, _, base, rule = _worker_bind_sweep(task)
-    previous: PreviousLayer
-    if task.packed is not None:
-        # The base entry never ships; it lives in shm.
-        previous = BaseOverlay(base, PackedFrontier.from_slice(task.packed))
-    else:
-        previous = dict(task.entries)
-        previous[0] = base
+    previous = task.previous
+    if previous is None:
+        previous = Layer.of_base(base)
     cancel = _WORKER_CANCEL
-    should_stop = cancel.is_set if cancel is not None else None
+    should_stop = None
+    if cancel is not None:
+        should_stop = lambda stop: cancel.is_set()  # noqa: E731
     if task.kill_self == "during":
         should_stop = _suicide_midway(len(task.masks), should_stop)
     out = sweep_chunk(
         task.masks, previous, base, rule, task.retain_full,
-        OperationCounters(),
-        should_stop=should_stop,
+        OperationCounters(), task.links, should_stop=should_stop,
     )
     out.index = task.index
-    if task.packed is not None and out.entries:
-        # A packed sweep's results ship back as columns, encoded here in
-        # the worker rather than on the coordinator.
-        store = PackedFrontier()
-        store.extend(out.entries)
-        out.packed, out.entries = store.to_slice(), {}
     return out
 
 
@@ -867,8 +876,8 @@ class ProcessBackend(ExecutorBackend):
 
     Per sweep, the base table is copied once into a
     :class:`multiprocessing.shared_memory.SharedMemory` segment; per
-    layer, each chunk ships only its masks plus the predecessor entries
-    it reads (see :class:`ChunkTask`).  Shipping volume is tallied in
+    layer, each chunk ships only its masks plus the predecessor rows it
+    reads (see :class:`ChunkTask`).  Shipping volume is tallied in
     the ``tasks_shipped`` / ``bytes_shipped`` extra counters and the
     submit/collect wall-clock under the ``ipc_submit`` / ``ipc_merge``
     profiler phases.
@@ -876,7 +885,7 @@ class ProcessBackend(ExecutorBackend):
     The coordinator's budget is mirrored into the workers by a watcher
     thread that sets a shared :class:`multiprocessing.Event` when the
     budget is cancelled or its deadline expires; workers poll it between
-    masks.  Single-chunk layers run inline — no pool, no shipping — so
+    batches.  Single-chunk layers run inline — no pool, no shipping — so
     ``jobs=1`` process runs are exactly serial runs.
     """
 
@@ -953,8 +962,8 @@ class ProcessBackend(ExecutorBackend):
     def run_layer(
         self,
         layer: int,
-        chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        chunks: Sequence[np.ndarray],
+        previous: Layer,
         retain_full: bool,
     ) -> List[ChunkResult]:
         if len(chunks) <= 1:
@@ -1007,8 +1016,8 @@ class ProcessBackend(ExecutorBackend):
     def _attempt_layer(
         self,
         layer: int,
-        chunks: Sequence[Sequence[int]],
-        previous: PreviousLayer,
+        chunks: Sequence[np.ndarray],
+        previous: Layer,
         retain_full: bool,
         results: List[Optional[ChunkResult]],
     ) -> None:
@@ -1057,42 +1066,33 @@ class ProcessBackend(ExecutorBackend):
         self,
         layer: int,
         index: int,
-        chunk: Sequence[int],
-        previous: PreviousLayer,
+        chunk: np.ndarray,
+        previous: Layer,
         retain_full: bool,
     ) -> ChunkTask:
         context = self._context
         assert context is not None and self._base_spec is not None
         assert self._sweep_token is not None and self._shm is not None
-        # Predecessor masks this chunk actually reads, in first-use order
-        # (mask 0 never ships; the base lives in shared memory).
-        order: List[int] = []
-        seen = set()
-        for mask in chunk:
-            for i in bits_of(mask):
-                pmask = mask & ~(1 << i)
-                if pmask == 0 or pmask in seen or pmask not in previous:
-                    continue
-                seen.add(pmask)
-                order.append(pmask)
-        packed: Optional[PackedSlice] = None
-        needed: Dict[int, Entry] = {}
-        payload = len(chunk) * 8
-        ship = getattr(previous, "ship_slice", None)
-        if ship is not None:
-            packed = ship(order)
-        if packed is not None:
-            # Packed shipping: the payload is the slice's exact byte
-            # size — this is the bytes_shipped reduction.
-            payload += packed.nbytes
-        else:
-            for pmask in order:
-                entry = previous.get(pmask)
-                needed[pmask] = entry
-                if isinstance(entry, FSState):
-                    payload += int(entry.table.nbytes) + _ENTRY_OVERHEAD_BYTES
-                else:
-                    payload += _SKELETON_BYTES
+        # Predecessor rows this chunk actually reads (the first layer's
+        # one predecessor, the base, never ships: it lives in shared
+        # memory).
+        shipped: Optional[Layer] = None
+        links: Optional[Dict[int, int]] = None
+        payload = chunk.nbytes
+        if layer > 1:
+            members = bits_of(int(np.bitwise_or.reduce(chunk)))
+            shipped = previous.take(np.unique(np.concatenate([
+                chunk[((chunk >> i) & 1) == 1] ^ (1 << i) for i in members
+            ])))
+            payload += shipped.nbytes
+            if previous.tables is None:
+                assert context.best_last is not None
+                links = {}
+                for mask in shipped.masks.tolist():
+                    while mask and mask not in links:
+                        links[mask] = context.best_last[mask]
+                        mask &= ~(1 << links[mask])
+                payload += 16 * len(links)
         kill_self: Optional[str] = None
         if context.fault_injector is not None:
             kill_self = context.fault_injector.take_worker_kill(layer, index)
@@ -1103,11 +1103,11 @@ class ProcessBackend(ExecutorBackend):
             rule_value=context.rule.value,
             layer=layer,
             index=index,
-            masks=tuple(chunk),
-            entries=needed,
+            masks=chunk,
+            previous=shipped,
+            links=links,
             retain_full=retain_full,
             payload_bytes=payload,
-            packed=packed,
             kill_self=kill_self,
         )
 

@@ -194,7 +194,6 @@ def run_fs(
     jobs: int = 1,
     backend: Union[str, "ExecutorBackend"] = "thread",
     frontier: Union[str, FrontierPolicy] = FrontierPolicy.FULL,
-    frontier_store: str = "dict",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
@@ -229,12 +228,6 @@ def run_fs(
         Layer-retention policy; ``"mincost"`` trades recompute time for
         an ``O(2^n)`` peak frontier (see
         :class:`repro.core.engine.FrontierPolicy`).
-    frontier_store:
-        Layer *representation* — ``"dict"`` (historical, default) or
-        ``"packed"`` for contiguous narrow-width column storage with a
-        several-fold smaller peak frontier and exact byte accounting
-        (see :mod:`repro.core.frontier`).  Results and counters are
-        bit-identical across stores.
     profiler:
         Optional :class:`repro.observability.Profiler` receiving the
         per-layer wall-clock/memory trajectory (including checkpoint
@@ -263,7 +256,7 @@ def run_fs(
         ``checkpoint_dir``) the last committed checkpoint, from which a
         later resume under a bigger budget continues bit-identically.
         For automatic degradation to cheaper heuristics instead of an
-        exception, see :func:`repro.core.budget.optimize_with_fallback`.
+        exception, see :func:`repro.core.budget.run_ladder`.
     io_retry:
         Optional :class:`repro.core.checkpoint.RetryPolicy` retrying
         transient checkpoint-write failures with exponential backoff.
@@ -286,8 +279,7 @@ def run_fs(
     if counters is None:
         counters = OperationCounters()
     config = EngineConfig(
-        jobs=jobs, backend=backend, frontier=frontier,
-        frontier_store=frontier_store, profiler=profiler,
+        jobs=jobs, backend=backend, frontier=frontier, profiler=profiler,
         checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,
         budget=budget, io_retry=io_retry,
@@ -327,11 +319,6 @@ def run_fs(
         )
         profiler.meta.setdefault(
             "frontier", config.frontier.value
-        )
-        profiler.meta.setdefault(
-            "frontier_store",
-            frontier_store if isinstance(frontier_store, str)
-            else getattr(frontier_store, "name", frontier_store.__name__),
         )
         if checkpoint_dir is not None:
             profiler.meta.setdefault("checkpoint_dir", checkpoint_dir)

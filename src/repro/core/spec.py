@@ -104,19 +104,3 @@ class FSState:
     def next_id(self) -> int:
         """Id the next created node will receive."""
         return self.num_terminals + self.mincost
-
-    def tracking_nodes(self) -> bool:
-        return self.nodes is not None
-
-    def copy_shallow(self) -> "FSState":
-        """Copy sharing the (read-only) table; node dict is copied."""
-        return FSState(
-            n=self.n,
-            mask=self.mask,
-            pi=self.pi,
-            mincost=self.mincost,
-            table=self.table,
-            num_terminals=self.num_terminals,
-            nodes=dict(self.nodes) if self.nodes is not None else None,
-            num_roots=self.num_roots,
-        )

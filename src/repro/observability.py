@@ -8,9 +8,9 @@ execution engine (:mod:`repro.core.engine`) emits into:
 * :class:`Profiler` — named phase timers plus a per-layer trajectory of
   the subset-cardinality sweep (wall-clock, frontier footprint, subset
   throughput, cumulative operation counters);
-* :class:`LayerProfile` — one record per DP layer ``k``;
-* :func:`frontier_nbytes` — bytes held by a frontier of
-  :class:`~repro.core.spec.FSState` objects (table payloads dominate).
+* :class:`LayerProfile` — one record per DP layer ``k``, its frontier
+  footprint the exact :attr:`~repro.core.frontier.Layer.nbytes` of the
+  retained layer.
 
 Everything serializes to plain JSON (``Profiler.to_dict`` /
 ``Profiler.write``) so CLI runs (``repro optimize --profile out.json``)
@@ -50,38 +50,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
-# Python-object overhead charged per retained frontier state beyond its
-# table payload (dataclass + dict entry + pi tuple; a deliberate round
-# figure, not a measurement of a specific interpreter build).
-STATE_OVERHEAD_BYTES = 200
-
-
-def frontier_nbytes(frontier: Any) -> int:
-    """Resident bytes of a frontier layer.
-
-    Given a :class:`~repro.core.frontier.FrontierStore` (anything with a
-    callable ``nbytes``), this delegates to the store's own accounting —
-    exact column-payload bytes for the packed store.  Given the
-    historical ``mask -> FSState`` mapping, it falls back to the
-    documented *estimate*: the numpy table payload counted exactly plus a
-    flat :data:`STATE_OVERHEAD_BYTES` per entry (skeleton entries cost
-    only the overhead).  The estimate is deliberately flat — the true
-    resident size of a graph of interpreter objects with shared/interned
-    tuples is not well-defined, and a ``sys.getsizeof`` walk would double
-    count exactly those shared structures.
-    """
-    nbytes = getattr(frontier, "nbytes", None)
-    if callable(nbytes):
-        return int(nbytes())
-    total = 0
-    for state in frontier.values():
-        table = getattr(state, "table", None)
-        if table is not None:
-            total += int(table.nbytes)
-        total += STATE_OVERHEAD_BYTES
-    return total
-
-
 @dataclass
 class LayerProfile:
     """One layer of the subset-cardinality sweep, as observed."""
@@ -99,7 +67,8 @@ class LayerProfile:
     """States retained after the layer completed."""
 
     frontier_bytes: int
-    """Approximate bytes those states hold (see :func:`frontier_nbytes`)."""
+    """Exact bytes the retained layer holds
+    (:attr:`repro.core.frontier.Layer.nbytes`)."""
 
     counters: Dict[str, int] = field(default_factory=dict)
     """Cumulative :meth:`OperationCounters.snapshot` after the layer."""

@@ -3,7 +3,7 @@
 The exact FS-family DP certifies optima but costs ``O*(3^n)``; the
 heuristics literature the paper's introduction surveys trades that
 certificate for speed.  This module makes the inexact side a first-class
-subsystem, mirroring the backend / frontier-store registries:
+subsystem, mirroring the backend registry:
 every heuristic registers under a name (:func:`register_strategy`), runs
 standalone (:func:`run_strategy`) under a :class:`~repro.core.budget.Budget`,
 or races against the whole field (:func:`run_portfolio`) with a
@@ -11,13 +11,13 @@ deterministic winner — best size, ties broken by the lexicographically
 lowest strategy name — independent of ``jobs`` and backend.
 
 It is also the canonical home of Rudell sifting.  The repo historically
-grew two independent implementations (the evaluation-level
-``repro.bdd.reorder.sift`` and the swap-level
-``ReorderingBDD.sift``); both now delegate to one schedule driver,
+grew two independent implementations (an evaluation-level sifter over a
+size oracle and the swap-level ``ReorderingBDD.sift``); both now
+delegate to one schedule driver,
 :func:`run_sift_schedule`, parameterized over a *substrate*:
 
 * :class:`TableSiftSubstrate` scores candidate orderings with an exact
-  size oracle (the historical ``reorder.sift`` behaviour, preserved
+  size oracle (the historical evaluation-level behaviour, preserved
   bit-identically: same schedule, same candidate sequence, same
   evaluation and trajectory accounting), and generalizes to *group*
   sifting — blocks of variables moved as one unit, which is how the
@@ -326,7 +326,7 @@ def window_permutation_search(
     permutations.  Rounds repeat until no window improves.  The
     registered ``window3``/``window4`` strategies use the strictly
     stronger exact-window sweep instead; this survives as the historical
-    baseline behind :func:`repro.bdd.reorder.window_permute`.
+    baseline.
     """
     n = table.n
     if window < 2:
@@ -432,7 +432,6 @@ class StrategyContext:
     counters: OperationCounters
     jobs: int = 1
     backend: Any = "serial"
-    frontier_store: Any = "dict"
     cache: Optional[Any] = None
     profiler: Optional[Any] = None
     seed: int = 0
@@ -635,7 +634,6 @@ def _window_strategy(width: int) -> Callable[[StrategyContext], _Outcome]:
         config = EngineConfig(
             jobs=ctx.jobs,
             backend=ctx.backend,
-            frontier_store=ctx.frontier_store,
             cache=ctx.cache,
             profiler=ctx.profiler,
             budget=ctx.budget,
@@ -781,7 +779,7 @@ def run_strategy(
 ) -> StrategyResult:
     """Run one registered strategy standalone under a budget.
 
-    Engine knobs (jobs, backend, frontier store, cache, profiler) come
+    Engine knobs (jobs, backend, cache, profiler) come
     from ``config`` (an
     :class:`~repro.core.engine.EngineConfig`); ``budget`` overrides
     ``config.budget``.  A deadline or frontier-cap abort returns the
@@ -804,7 +802,6 @@ def run_strategy(
         counters=counters,
         jobs=config.jobs,
         backend=config.backend,
-        frontier_store=config.frontier_store,
         cache=config.cache,
         profiler=config.profiler,
         seed=seed,
@@ -902,7 +899,6 @@ def run_portfolio(
     member_config = EngineConfig(
         jobs=config.jobs,
         backend=backend_obj,
-        frontier_store=config.frontier_store,
         cache=config.cache,
         profiler=config.profiler,
     )

@@ -181,8 +181,6 @@ class ServeConfig:
     jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
     """Worker width of the warm pool (layer parallelism per sweep)."""
 
-    frontier_store: str = "dict"
-
     cache_dir: Optional[str] = None
     """Optional on-disk store for the shared result cache
     (cross-process-safe; two daemons may share one directory)."""
@@ -619,7 +617,6 @@ class OrderingServer:
         cm = shared_backend(
             EngineConfig(jobs=config.jobs,
                          backend=config.backend,
-                         frontier_store=config.frontier_store,
                          max_pool_rebuilds=config.max_pool_rebuilds)
         )
         self._backend = cm.__enter__().backend
@@ -1303,7 +1300,6 @@ class OrderingServer:
                     rule=prepared.rule,
                     jobs=config.jobs,
                     backend=backend,
-                    frontier_store=config.frontier_store,
                     cache=self.cache,
                     budget=sub,
                 )
@@ -1315,7 +1311,6 @@ class OrderingServer:
                     rule=prepared.rule,
                     jobs=config.jobs,
                     backend=backend,
-                    frontier_store=config.frontier_store,
                     cache=self.cache,
                     budget=sub,
                     **prepared.solve_kwargs,
@@ -1427,7 +1422,6 @@ class OrderingServer:
             "config": {
                 "backend": self.config.backend,
                 "jobs": self.config.jobs,
-                "frontier_store": self.config.frontier_store,
                 "queue_limit": self.config.queue_limit,
                 "max_inflight": self.config.max_inflight,
                 "default_timeout": self.config.default_timeout,

@@ -121,6 +121,11 @@ class TestSolveEngineKwargs:
         with pytest.raises(TypeError, match="turbo"):
             solve(TABLE, turbo=True)
 
+    @pytest.mark.parametrize("strategy", ["exact", "fallback", "portfolio"])
+    def test_frontier_store_kwarg_is_gone(self, strategy):
+        with pytest.raises(TypeError, match="frontier_store"):
+            solve(TABLE, strategy=strategy, frontier_store="dict")
+
     def test_backend_and_jobs_pass_through(self):
         baseline = solve(TABLE)
         for method_kwargs in (

@@ -1,5 +1,6 @@
 """Unit tests for the bit-manipulation helpers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from repro._bitops import (
     iter_submasks,
     mask_of,
     popcount,
-    popcount_buffer,
     rank_in_mask,
     spread_assignment,
     subsets_of_size,
@@ -138,6 +138,18 @@ class TestSubsets:
     def test_zero_k(self):
         assert list(subsets_of_size(0b111, 0)) == [0]
 
+    def test_order_is_lexicographic_over_member_positions(self):
+        # Not numeric order: a DP layer's rows, chunk split and
+        # checkpoint blob all follow this order.
+        assert list(subsets_of_size(0b1111, 2)) == [3, 5, 9, 6, 10, 12]
+        universe = 0b1011010
+        members = bits_of(universe)
+        for k in range(len(members) + 1):
+            assert list(subsets_of_size(universe, k)) == [
+                mask_of(combo)
+                for combo in itertools.combinations(members, k)
+            ]
+
     def test_all_submasks_count(self):
         mask = 0b10110
         subs = list(all_submasks(mask))
@@ -222,24 +234,3 @@ class TestIterSubmasks:
             k = popcount(mask)
             preds = list(reversed(list(iter_submasks(mask, k - 1))))
             assert [mask ^ p for p in preds] == [1 << i for i in bits_of(mask)]
-
-
-class TestPopcountBuffer:
-    def reference(self, data):
-        return sum(popcount(b) for b in bytes(data))
-
-    def test_small_buffer_matches_scalar_sum(self):
-        for blob in (b"", b"\x00", b"\xff", b"\x01\x80\x7f",
-                     bytes(range(256))):
-            assert popcount_buffer(blob) == self.reference(blob)
-
-    def test_large_buffer_takes_numpy_path(self):
-        rng = np.random.default_rng(17)
-        blob = rng.integers(0, 256, size=5000, dtype=np.uint8).tobytes()
-        assert len(blob) >= 1 << 12  # the vectorized threshold
-        assert popcount_buffer(blob) == self.reference(blob)
-
-    def test_accepts_bytearray_and_memoryview(self):
-        blob = bytearray(b"\x0f\xf0\xaa")
-        assert popcount_buffer(blob) == 12
-        assert popcount_buffer(memoryview(blob)) == 12

@@ -50,6 +50,15 @@ class TestOptimize:
         with pytest.raises(SystemExit):
             run("optimize", "--expr", "x0", "--engine", "numpy")
 
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--expr", "x0", "--frontier-store", "packed"),
+        ("serve", "--frontier-store", "dict"),
+    ])
+    def test_frontier_store_flag_is_gone(self, run, argv):
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == 2  # an argparse usage error
+
     def test_backend_flags_agree(self, run):
         expr = "x0 & x1 | x2 & x3"
         _, reference, _ = run("optimize", "--expr", expr)

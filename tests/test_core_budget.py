@@ -27,16 +27,17 @@ from repro.core import (
     RetryPolicy,
     handle_signals,
     initial_state,
-    optimize_with_fallback,
     parse_ladder,
     run_fs,
     run_fs_constrained,
     run_fs_shared,
     run_fs_star,
+    run_ladder,
     window_sweep,
 )
 from repro.core.spec import ReductionRule
 from repro.errors import BudgetExceeded, OrderingError
+from repro.observability import Profiler
 from repro.truth_table import TruthTable, obdd_size
 
 
@@ -217,9 +218,17 @@ class TestEngineAborts:
 
     def test_frontier_bytes_cap(self, jobs):
         table = TruthTable.random(7, seed=3)
+        profiler = Profiler()
+        run_fs(table, profiler=profiler)
+        # A cap one byte below the largest exact layer (masks, mincosts
+        # and the uint8 table matrix) aborts after exactly that layer.
+        peak = max(profiler.layers, key=lambda layer: layer.frontier_bytes)
+        assert peak.frontier_bytes == peak.subsets * (16 + (1 << (7 - peak.k)))
         with pytest.raises(BudgetExceeded) as info:
-            run_fs(table, jobs=jobs, budget=Budget(max_frontier_bytes=2048))
+            run_fs(table, jobs=jobs, budget=Budget(
+                max_frontier_bytes=peak.frontier_bytes - 1))
         assert info.value.reason == "frontier_bytes"
+        assert info.value.layers_completed == peak.k
 
     def test_cancellation_abort(self, jobs):
         table = TruthTable.random(6, seed=4)
@@ -346,8 +355,6 @@ class TestEntryPointCoverage:
         assert exc.best_bound >= 1
 
     def test_budget_check_runs_under_profiler_phase(self):
-        from repro.observability import Profiler
-
         table = TruthTable.random(5, seed=6)
         profiler = Profiler()
         with pytest.raises(BudgetExceeded):
@@ -364,7 +371,7 @@ class TestFallbackLadder:
     def test_no_pressure_exact_rung_matches_run_fs(self):
         table = TruthTable.random(6, seed=10)
         clean = run_fs(table)
-        fb = optimize_with_fallback(table)
+        fb = run_ladder(table)
         assert isinstance(fb, FallbackResult)
         assert fb.exact and fb.rung == "fs"
         assert fb.order == clean.order
@@ -375,7 +382,7 @@ class TestFallbackLadder:
     def test_deadline_degrades_to_sift_and_tags_result(self):
         table = TruthTable.random(7, seed=11)
         budget = Budget(deadline=1.0, clock=fake_clock(0.6))
-        fb = optimize_with_fallback(table, budget=budget)
+        fb = run_ladder(table, budget=budget)
         assert not fb.exact
         assert fb.rung == "sift"
         assert [a.rung for a in fb.attempts] == ["fs", "window", "sift"]
@@ -390,8 +397,7 @@ class TestFallbackLadder:
     def test_last_rung_ignores_deadline_so_ladder_is_total(self):
         table = TruthTable.random(6, seed=12)
         budget = Budget(deadline=0.5, clock=fake_clock(0.6))  # instantly over
-        fb = optimize_with_fallback(table, budget=budget,
-                                    ladder=("fs", "window"))
+        fb = run_ladder(table, budget=budget, ladder=("fs", "window"))
         assert fb.rung == "window"
         assert not fb.exact
         assert fb.size == obdd_size(table, fb.order)
@@ -400,7 +406,7 @@ class TestFallbackLadder:
         table = TruthTable.random(6, seed=13)
         clean = run_fs(table)
         budget = Budget(deadline=0.5, clock=fake_clock(0.6))
-        fb = optimize_with_fallback(table, budget=budget)
+        fb = run_ladder(table, budget=budget)
         assert fb.mincost >= clean.mincost  # an upper bound, never below
 
     def test_cancellation_propagates_out_of_the_ladder(self):
@@ -408,14 +414,14 @@ class TestFallbackLadder:
         budget = Budget()
         budget.cancel.set()
         with pytest.raises(BudgetExceeded) as info:
-            optimize_with_fallback(table, budget=budget)
+            run_ladder(table, budget=budget)
         assert info.value.reason == "cancelled"
 
     def test_single_exact_rung_over_budget_raises(self):
         table = TruthTable.random(7, seed=15)
         budget = Budget(max_frontier_entries=5)
         with pytest.raises(BudgetExceeded) as info:
-            optimize_with_fallback(table, budget=budget, ladder=("fs",))
+            run_ladder(table, budget=budget, ladder=("fs",))
         assert info.value.reason == "frontier_entries"
 
     def test_parse_ladder(self):
@@ -429,8 +435,7 @@ class TestFallbackLadder:
 
     def test_unknown_rung_rejected_up_front(self):
         with pytest.raises(ValueError):
-            optimize_with_fallback(TruthTable.random(4, seed=1),
-                                   ladder=("fs", "nope"))
+            run_ladder(TruthTable.random(4, seed=1), ladder=("fs", "nope"))
 
 
 class TestSignalHandling:

@@ -8,6 +8,7 @@ and result invariance under the mincost-only frontier policy.
 
 import pytest
 
+from repro._bitops import popcount
 from repro.analysis.counters import OperationCounters
 from repro.core import (
     EngineConfig,
@@ -42,6 +43,8 @@ class TestEngineConfig:
     def test_config_rejects_bad_values(self):
         with pytest.raises(TypeError, match="kernel"):
             EngineConfig(kernel="numpy")
+        with pytest.raises(TypeError, match="frontier_store"):
+            EngineConfig(frontier_store="dict")
         with pytest.raises(ValueError):
             EngineConfig(jobs=0)
         with pytest.raises(ValueError):
@@ -198,6 +201,14 @@ class TestSweepContract:
         placed = compact(initial_state(tt), 1)
         with pytest.raises(DimensionError):
             run_layered_sweep(placed, 0b0010)
+
+    def test_filter_emptying_a_layer_is_an_ordering_error(self):
+        from repro.errors import OrderingError
+
+        state = initial_state(TruthTable.random(4, seed=1))
+        with pytest.raises(OrderingError, match="size 2"):
+            run_layered_sweep(state, 0b1111,
+                              subset_filter=lambda mask: popcount(mask) != 2)
 
     def test_upto_zero_returns_base(self):
         tt = TruthTable.random(4, seed=29)

@@ -181,6 +181,10 @@ class TestRules:
         with pytest.raises(TypeError):
             run_fs(TruthTable.random(2, seed=0), engine="numpy")
 
+    def test_frontier_store_kwarg_is_gone(self):
+        with pytest.raises(TypeError, match="frontier_store"):
+            run_fs(TruthTable.random(2, seed=0), frontier_store="packed")
+
 
 class TestFrontEnd:
     def test_find_from_callable(self):

@@ -20,7 +20,7 @@ from repro import (
     parse,
     reconstruct_minimum_diagram,
     run_fs,
-    sift,
+    sift_search,
     to_truth_table,
 )
 from repro.functions import (
@@ -67,7 +67,7 @@ class TestSynthesisWorkflow:
 
     def test_sift_then_certify(self):
         table = comparator(3)
-        heuristic = sift(table)
+        heuristic = sift_search(table)
         exact = run_fs(table)
         assert heuristic.size >= exact.size
         gap = heuristic.size - exact.size
@@ -157,5 +157,5 @@ class TestScaleSanity:
         # the heuristics rather than n! brute force.
         table = TruthTable.random(10, seed=4)
         result = run_fs(table)
-        assert sift(table).size >= result.size
+        assert sift_search(table).size >= result.size
         assert obdd_size(table, list(result.order)) == result.size

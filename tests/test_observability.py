@@ -5,32 +5,11 @@ import json
 import pytest
 
 from repro.analysis.counters import OperationCounters
-from repro.core import run_fs, run_fs_shared
-from repro.core.fs import initial_state
-from repro.observability import (
-    STATE_OVERHEAD_BYTES,
-    LayerProfile,
-    Profiler,
-    frontier_nbytes,
+from repro.core import (
+    FrontierPolicy, ReductionRule, run_fs, run_fs_shared,
 )
+from repro.observability import LayerProfile, Profiler
 from repro.truth_table import TruthTable
-
-
-class TestFrontierNbytes:
-    def test_counts_table_payload_plus_overhead(self):
-        tt = TruthTable.random(4, seed=1)
-        state = initial_state(tt)
-        frontier = {0: state}
-        expected = state.table.nbytes + STATE_OVERHEAD_BYTES
-        assert frontier_nbytes(frontier) == expected
-
-    def test_skeleton_entries_cost_overhead_only(self):
-        class Skeleton:
-            table = None
-
-        assert frontier_nbytes({0: Skeleton(), 1: Skeleton()}) == (
-            2 * STATE_OVERHEAD_BYTES
-        )
 
 
 class TestProfiler:
@@ -92,6 +71,24 @@ class TestEngineIntegration:
         assert profiler.meta["n"] == 6
         assert profiler.meta["kernel"] == "numpy"
         assert "prepare" in profiler.phases
+
+    @pytest.mark.parametrize("n, rule, itemsize", [
+        (7, ReductionRule.BDD, 1),
+        (7, ReductionRule.CBDD, 2),
+        (8, ReductionRule.BDD, 2),
+    ])
+    def test_layer_bytes_are_exact(self, n, rule, itemsize):
+        # int64 masks and mincosts per row, plus (under FULL, and always
+        # in the last layer) 2^(n-k) cells at the narrowest unsigned
+        # dtype holding num_terminals + 2^n, doubled for CBDD edges.
+        tt = TruthTable.random(n, seed=n)
+        for policy in FrontierPolicy:
+            profiler = Profiler()
+            run_fs(tt, rule=rule, frontier=policy, profiler=profiler)
+            for layer in profiler.layers:
+                full = policy is FrontierPolicy.FULL or layer.k == n
+                cells = (1 << (n - layer.k)) * itemsize if full else 0
+                assert layer.frontier_bytes == layer.subsets * (16 + cells)
 
     def test_layer_counters_are_cumulative_snapshots(self):
         from repro.analysis.complexity import fs_table_cells

@@ -5,12 +5,9 @@ The contract under test: every registered strategy runs standalone or
 raced; the portfolio winner (and the merged counters) is bit-identical
 across ``jobs`` counts and backends; a starved member degrades to its
 honestly-rescored best-so-far instead of failing the race; stochastic
-members reproduce exactly from a seed; and the deprecated
-``bdd.reorder`` / ``optimize_with_fallback`` spellings keep working —
-warning — through shims.
+members reproduce exactly from a seed; and the swap-level sifter runs
+on the shared schedule driver.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +18,6 @@ from repro.analysis.counters import OperationCounters
 from repro.core import run_fs
 from repro.core.budget import (
     Budget,
-    optimize_with_fallback,
     parse_ladder,
     run_ladder,
 )
@@ -36,8 +32,6 @@ from repro.portfolio import (
     register_strategy,
     run_portfolio,
     run_strategy,
-    sift_search,
-    window_permutation_search,
 )
 from repro.truth_table import TruthTable, obdd_size
 
@@ -117,18 +111,6 @@ class TestStrategyResults:
         table = TruthTable(n, values)
         result = run_strategy(name, table)
         assert result.size == obdd_size(table, list(result.order))
-
-    def test_sift_bit_identical_to_legacy_shim(self):
-        new = sift_search(TABLE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.bdd.reorder import sift as legacy_sift
-
-            old = legacy_sift(TABLE)
-        assert old.order == new.order
-        assert old.size == new.size
-        assert old.evaluations == new.evaluations
-        assert old.trajectory == new.trajectory
 
     def test_anneal_seed_reproducible(self):
         a = run_strategy("anneal", TABLE, seed=5)
@@ -303,30 +285,7 @@ class TestLadderRegistry:
         assert via_alias.rung == via_ladder.rung == "entropy"
 
 
-class TestDeprecationShims:
-    def test_reorder_sift_warns_and_delegates(self):
-        from repro.bdd import reorder
-
-        with pytest.warns(DeprecationWarning, match="sift_search"):
-            old = reorder.sift(TABLE)
-        assert old.order == sift_search(TABLE).order
-
-    def test_reorder_window_permute_warns_and_delegates(self):
-        from repro.bdd import reorder
-
-        with pytest.warns(DeprecationWarning,
-                          match="window_permutation_search"):
-            old = reorder.window_permute(TABLE, window=3)
-        assert old.order == window_permutation_search(TABLE, window=3).order
-
-    def test_optimize_with_fallback_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="run_ladder"):
-            shimmed = optimize_with_fallback(TABLE)
-        direct = run_ladder(TABLE)
-        assert shimmed.order == direct.order
-        assert shimmed.rung == direct.rung == "fs"
-        assert shimmed.exact is True
-
+class TestSharedSiftDriver:
     def test_swap_sift_matches_shared_driver(self):
         from repro.bdd.swap import ReorderingBDD
 

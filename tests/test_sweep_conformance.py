@@ -1,27 +1,34 @@
 """Generated conformance for the DP's one chunk loop.
 
-Every store, frontier policy, backend, job count and batch size runs the
-same chunk loop over the same compaction kernel, so one drawn
-configuration must reproduce the serial dict-store FULL run exactly:
-order, mincost and the paper-facing counters; the ``recompute_*`` replay
-tallies of its own policy's serial run; and the brute-force optimum.
-Swept from a node-tracking base, the winning state must carry the nodes
-its own chain builds.  Along a random chain, every ``compact()`` step
-must equal the cell-at-a-time ``COMPACT`` oracle up to node-id renaming.
-A stack of unrelated parent tables compacted in one kernel call must
-equal the same tables compacted one at a time, and the oracle.
+Every frontier policy, backend, job count and batch size runs the same
+chunk loop over the same compaction kernel, so one drawn configuration
+must reproduce the serial FULL run exactly: order, mincost and the
+paper-facing counters; the ``recompute_*`` replay tallies of its own
+policy's serial run; and the brute-force optimum.  A drawn crash after
+layer ``k`` must resume from its checkpoint to the uninterrupted run in
+every result map and every counter, and a checkpoint damaged as it was
+written must refuse to resume.  The sweep refuses a node-tracking base;
+replaying the winner's chain from one builds exactly ``mincost`` nodes.
+Along a random chain, every ``compact()`` step must equal the
+cell-at-a-time ``COMPACT`` oracle up to node-id renaming.  A stack of
+unrelated parent tables compacted in one kernel call must equal the same
+tables compacted one at a time, and the oracle.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro._bitops import bits_of
+from repro._bitops import bits_of, subsets_of_size
 from repro.analysis.counters import OperationCounters
 from repro.core import (
-    EngineConfig,
+    CheckpointStore,
+    FaultInjector,
     FrontierPolicy,
+    InjectedFault,
     ReductionRule,
     brute_force_optimal,
     brute_force_shared,
@@ -31,10 +38,13 @@ from repro.core import (
     run_fs,
     run_fs_shared,
     run_layered_sweep,
+    sweep_fingerprint,
 )
 from repro.core import executor
+from repro.core.checkpoint import fingerprint_hash, write_checked_json
 from repro.core.compaction import cofactor_indices, compact_table
 from repro.core.spec import FSState
+from repro.errors import CheckpointError
 from repro.truth_table import TruthTable
 from tests.compact_oracle import canonical_cells, compact_python
 
@@ -61,18 +71,22 @@ def problems(draw):
 
 configs = st.tuples(
     st.sampled_from(list(FrontierPolicy)),
-    st.sampled_from(["dict", "packed"]),
     st.sampled_from([("serial", 1), ("thread", 1), ("thread", 2)]),
     # The chunk loop's batch cap in table cells: one subset per batch, a
     # few subsets, or the default (every n <= 6 layer in one batch).
     st.one_of(st.just(1), st.integers(2, 64),
               st.just(executor._BATCH_CELLS)),
+    # A crash after layer k (clamped to n), optionally with the layer's
+    # checkpoint damaged as it is written.
+    st.one_of(st.none(), st.tuples(
+        st.integers(1, 6),
+        st.sampled_from([None, "truncate", "flip", "garbage"]),
+    )),
 )
 
 
-def solve(tables, rule, policy, store, backend, jobs):
-    kwargs = dict(rule=rule, frontier=policy, frontier_store=store,
-                  backend=backend, jobs=jobs)
+def solve(tables, rule, policy, backend, jobs, **kwargs):
+    kwargs.update(rule=rule, frontier=policy, backend=backend, jobs=jobs)
     if len(tables) == 1:
         return run_fs(tables[0], **kwargs)
     return run_fs_shared(tables, **kwargs)
@@ -83,23 +97,47 @@ def recompute(counters):
             if key.startswith("recompute_")}
 
 
+def outcome(result):
+    return (result.order, result.mincost, result.mincost_by_subset,
+            result.best_last, result.level_cost_by_choice, result.counters)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(problems(), configs)
 def test_chunk_loop_conforms(problem, config):
     tables, rule, chain = problem
-    policy, store, (backend, jobs), batch_cells = config
+    policy, (backend, jobs), batch_cells, crash = config
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executor, "_BATCH_CELLS", batch_cells)
-        got = solve(tables, rule, policy, store, backend, jobs)
+        got = solve(tables, rule, policy, backend, jobs)
+        if crash is not None:
+            layer, corruption = min(crash[0], tables[0].n), crash[1]
+            with tempfile.TemporaryDirectory() as directory:
+                injector = FaultInjector(
+                    kill_after_layer=layer,
+                    corrupt_layer=layer if corruption else None,
+                    corruption=corruption or "truncate",
+                )
+                with pytest.raises(InjectedFault):
+                    solve(tables, rule, policy, backend, jobs,
+                          checkpoint_dir=directory, fault_injector=injector)
+                if corruption:
+                    with pytest.raises(CheckpointError):
+                        solve(tables, rule, policy, backend, jobs,
+                              checkpoint_dir=directory, resume=True)
+                else:
+                    resumed = solve(tables, rule, policy, backend, jobs,
+                                    checkpoint_dir=directory, resume=True)
+                    assert outcome(resumed) == outcome(got)
 
-    reference = solve(tables, rule, FrontierPolicy.FULL, "dict", "serial", 1)
+    reference = solve(tables, rule, FrontierPolicy.FULL, "serial", 1)
     assert (got.order, got.mincost) == (reference.order, reference.mincost)
     paper = {key: getattr(got.counters, key) for key in PAPER_COUNTERS}
     assert paper == {
         key: getattr(reference.counters, key) for key in PAPER_COUNTERS
     }
-    same_policy = solve(tables, rule, policy, "dict", "serial", 1)
+    same_policy = solve(tables, rule, policy, "serial", 1)
     assert recompute(got.counters) == recompute(same_policy.counters)
 
     if len(tables) == 1:
@@ -113,15 +151,11 @@ def test_chunk_loop_conforms(problem, config):
     assert got.mincost == optimum
 
     full = (1 << tables[0].n) - 1
-    config = EngineConfig(frontier=policy, frontier_store=store,
-                          backend=backend, jobs=jobs)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(executor, "_BATCH_CELLS", batch_cells)
-        winner = run_layered_sweep(tracked, full, rule,
-                                   config=config).frontier[full]
-    for var in winner.pi:
+    with pytest.raises(ValueError, match="node structure"):
+        run_layered_sweep(tracked, full, rule)
+    for var in got.pi:
         tracked = compact(tracked, var, rule)
-    assert (winner.mincost, winner.nodes) == (got.mincost, tracked.nodes)
+    assert len(tracked.nodes) == got.mincost
 
     for var in chain:
         counted, oracle_counted = OperationCounters(), OperationCounters()
@@ -132,6 +166,43 @@ def test_chunk_loop_conforms(problem, config):
         )
         assert canonical_cells(state, rule) == canonical_cells(oracle, rule)
         assert counted == oracle_counted
+
+
+def test_earlier_checkpoint_formats_never_resume(tmp_path):
+    """A layer file in the per-entry format that preceded the dense layer
+    blob — its mincosts all wrong — ends in a cold start when it carries
+    that format's fingerprint, and in :class:`CheckpointError` when it
+    carries the current one; never in a wrong answer."""
+    table = TruthTable.random(5, seed=3)
+    clean = run_fs(table)
+    full = (1 << 5) - 1
+    current = sweep_fingerprint(initial_state(table), full, "bdd", 5, "full")
+    earlier = {key: value for key, value in current.items()
+               if key != "layer_format"}
+    earlier.update(kernel="numpy", track_nodes=False)
+    masks = list(subsets_of_size(full, 2))
+    payload = {
+        "layer": 2,
+        "entries": [
+            [mask, {"kind": "skeleton", "pi": bits_of(mask), "mincost": 0}]
+            for mask in sorted(masks)
+        ],
+        "mincost_by_subset": sorted({0: 0, **dict.fromkeys(masks, 0)}.items()),
+        "best_last": sorted((mask, bits_of(mask)[-1]) for mask in masks),
+        "level_cost_by_choice": [],
+        "subsets_processed": len(masks),
+        "counter_delta": {},
+    }
+    for fingerprint in (earlier, current):
+        directory = tmp_path / fingerprint_hash(fingerprint)
+        path = CheckpointStore(str(directory), fingerprint).layer_path(2)
+        write_checked_json(path, dict(payload, fingerprint=fingerprint))
+    resumed = run_fs(table, checkpoint_dir=str(tmp_path / fingerprint_hash(
+        earlier)), resume=True)
+    assert outcome(resumed) == outcome(clean)
+    with pytest.raises(CheckpointError):
+        run_fs(table, checkpoint_dir=str(tmp_path / fingerprint_hash(
+            current)), resume=True)
 
 
 @st.composite
