@@ -8,7 +8,7 @@ falls — rather than wall-clock numbers.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

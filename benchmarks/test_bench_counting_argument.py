@@ -10,7 +10,6 @@ concentrate against the per-level maximum profile (the empirical face of
 
 import statistics
 
-import pytest
 
 from conftest import print_table
 

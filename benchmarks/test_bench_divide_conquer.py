@@ -10,7 +10,6 @@ quantum, exact vs sampled) — same answers, different accounting; and
 
 import random
 
-import pytest
 
 from conftest import print_table
 

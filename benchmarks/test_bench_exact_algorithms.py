@@ -8,14 +8,12 @@ evaluation-level sifting — same search neighbourhood on a live node graph.
 """
 
 import itertools
-import math
 
-import pytest
 
 from conftest import print_table
 
 from repro.bdd import ReorderingBDD
-from repro.core import exact_window, run_fs, window_sweep
+from repro.core import run_fs, window_sweep
 from repro.core.astar import astar_optimal_ordering
 from repro.functions import (
     achilles_bad_order,

@@ -7,7 +7,6 @@ level profiles are [1,1,1,1,1,1] and [1,2,4,4,2,1] (the two diagrams
 drawn in the figure).  FS must recover the good ordering as optimal.
 """
 
-import pytest
 
 from conftest import print_table
 

@@ -14,7 +14,6 @@ import json
 import math
 import pathlib
 
-import pytest
 
 from conftest import print_table
 
@@ -23,7 +22,6 @@ from repro.analysis.complexity import (
     fit_growth_rate,
     fs_table_cells,
     theorem5_bound,
-    trivial_bound,
 )
 from repro.core import brute_force_optimal, compact, initial_state, run_fs
 from repro.observability import Profiler

@@ -8,7 +8,6 @@ certifies the optimum — shows up as quality gaps > 1.0 on adversarial
 inputs and as the cheap heuristics' tiny evaluation budgets.
 """
 
-import pytest
 
 from conftest import print_table
 

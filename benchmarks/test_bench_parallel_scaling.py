@@ -1,7 +1,7 @@
 """Parallel scaling of the layered sweep across execution backends.
 
 Measured: wall-clock of ``run_fs`` over a ``backend x jobs`` grid
-(serial/thread/process x 1/2/4) on an n=13 corpus table (n=14 joins the
+(serial/process x 1/2/4) on an n=13 corpus table (n=14 joins the
 grid on boxes with >= 4 cores), plus the process backend's transport
 tallies — recorded to ``BENCH_parallel_scaling.json`` next to this file
 (the CI uploads it as an artifact).
@@ -29,7 +29,7 @@ from repro.truth_table import TruthTable
 
 
 GRID_JOBS = (1, 2, 4)
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def paper_counters(counters):

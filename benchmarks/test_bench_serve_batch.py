@@ -48,7 +48,7 @@ def _bench_wire():
     distinct, batch = _corpus()
     items = [_values_payload(table) for table in batch]
     config = ServeConfig(
-        backend="thread", jobs=2, max_inflight=2, queue_limit=64
+        backend="serial", jobs=2, max_inflight=2, queue_limit=64
     )
 
     with running_server(config) as server:

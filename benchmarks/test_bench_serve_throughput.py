@@ -52,7 +52,7 @@ def test_serve_throughput_artifact():
     reference = [solve(table) for table in corpus]
 
     config = ServeConfig(
-        backend="thread", jobs=2, max_inflight=2, queue_limit=64
+        backend="serial", jobs=2, max_inflight=2, queue_limit=64
     )
     with running_server(config) as server:
         address = server.address

@@ -7,7 +7,6 @@ DP.  Measured: exact shared optima vs brute force; sharing factor
 circuits; and the cost of forcing one common order on unrelated outputs.
 """
 
-import pytest
 
 from conftest import print_table
 

@@ -8,7 +8,6 @@ current/next order, (b) a deliberately separated order, and (c) pairing
 guided by the exact optimizer on the final reachable set.
 """
 
-import pytest
 
 from conftest import print_table
 

@@ -7,7 +7,6 @@ Measured: (a) the two-line ZDD rule change yields exact minimum ZDDs
 functions (the MTBDD generalization of Remark 2).
 """
 
-import pytest
 
 from conftest import print_table
 

@@ -21,11 +21,11 @@ from repro.serve import ServeClient, ServeConfig, running_server
 
 
 def main() -> None:
-    # 1. Stand up a daemon: one warm pool, one shared cache.  The
+    # 1. Stand up a daemon: one warm backend, one shared cache.  The
     #    standalone equivalent:
-    #    python -m repro serve --backend thread --jobs 2 --timeout 60
+    #    python -m repro serve --backend serial --jobs 2 --timeout 60
     config = ServeConfig(
-        backend="thread", jobs=2, max_inflight=2,
+        backend="serial", jobs=2, max_inflight=2,
         queue_limit=16, default_timeout=60.0,
     )
     with running_server(config) as server:

@@ -14,7 +14,7 @@ Run:  python examples/synthesis_workflow.py
 import tempfile
 from pathlib import Path
 
-from repro import ReorderingBDD, exact_window, run_fs, window_sweep
+from repro import ReorderingBDD, run_fs, window_sweep
 from repro.core import reconstruct_minimum_diagram
 from repro.expr import compile_circuit
 from repro.bdd import BDD

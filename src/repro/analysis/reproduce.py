@@ -10,7 +10,7 @@ reproduction without the full benchmark suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List
 
 from ..truth_table import TruthTable, obdd_size
 from .complexity import fs_table_cells

@@ -15,7 +15,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import DimensionError
 from ..truth_table import TruthTable, count_subfunctions

@@ -11,7 +11,7 @@ functions remain the full-fidelity interfaces (every method-specific
 field lives on ``OrderingSolution.result``); ``solve`` is sugar over
 them, never a fork of their logic.
 
-Engine knobs (``jobs=``, ``backend=``, ``frontier=``, ``profiler=``,
+Engine knobs (``jobs=``, ``backend=``, ``profiler=``,
 ``checkpoint_dir=``, ``resume=``, ``cache=``, ``budget=``,
 ``io_retry=``) pass through uniformly — including to
 ``window`` and ``fs_star``, which natively take an
@@ -46,7 +46,7 @@ METHODS = ("fs", "shared", "constrained", "window", "fs_star")
 # The uniformly accepted engine kwargs: EngineConfig fields, and the
 # same-named parameters of the run_* entry points.
 _ENGINE_KWARGS = (
-    "jobs", "backend", "frontier", "profiler",
+    "jobs", "backend", "profiler",
     "checkpoint_dir", "resume", "fault_injector", "cache", "budget",
     "io_retry", "max_pool_rebuilds",
 )
@@ -156,8 +156,8 @@ def _engine_config(method: str, kwargs: Dict[str, Any]) -> EngineConfig:
 
 
 # The subset of engine kwargs the inexact strategy paths accept (no
-# frontier policy / fault injection / io_retry: strategies run many
-# small exact sweeps and never checkpoint mid-heuristic).
+# fault injection / io_retry: strategies run many small exact sweeps and
+# never checkpoint mid-heuristic).
 _STRATEGY_ENGINE_KWARGS = (
     "jobs", "backend", "profiler", "cache",
     "budget", "checkpoint_dir", "resume", "max_pool_rebuilds",
@@ -230,7 +230,7 @@ def solve(
         returned on the solution otherwise).
     **engine_kwargs:
         Uniform execution knobs, identical across methods: ``jobs``,
-        ``backend``, ``frontier``, ``profiler``, ``checkpoint_dir``,
+        ``backend``, ``profiler``, ``checkpoint_dir``,
         ``resume``, ``fault_injector``, ``cache``, ``budget``,
         ``io_retry``, ``max_pool_rebuilds``.
 
@@ -408,7 +408,7 @@ def _solve_strategy(
             rule=rule,
             counters=counters,
             jobs=kwargs.get("jobs", 1),
-            backend=kwargs.get("backend", "thread"),
+            backend=kwargs.get("backend", "serial"),
             cache=kwargs.get("cache"),
             profiler=kwargs.get("profiler"),
             window_width=width,
@@ -426,14 +426,13 @@ def _solve_strategy(
 
     config = EngineConfig(
         jobs=kwargs.get("jobs", 1),
-        backend=kwargs.get("backend", "thread"),
+        backend=kwargs.get("backend", "serial"),
         profiler=kwargs.get("profiler"),
         cache=kwargs.get("cache"),
         budget=kwargs.get("budget"),
         checkpoint_dir=kwargs.get("checkpoint_dir"),
         resume=kwargs.get("resume", False),
         max_pool_rebuilds=kwargs.get("max_pool_rebuilds"),
-        strategy=strategy,
     )
 
     if strategy == "portfolio":

@@ -18,7 +18,7 @@ and ``~f``, canonicity, and node counts never exceeding the plain BDD's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 

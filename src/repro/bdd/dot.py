@@ -7,7 +7,6 @@ and ``T`` (or the integer value for MTBDDs).
 
 from __future__ import annotations
 
-from typing import Sequence
 
 
 def _var_label(var: int, one_based: bool = True) -> str:

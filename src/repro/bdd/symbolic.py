@@ -16,7 +16,7 @@ Variable convention: a system with ``k`` state bits uses variables
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..errors import DimensionError
 from ..truth_table import TruthTable

@@ -29,7 +29,7 @@ from .portfolio import sift_search, window_permutation_search
 from .core.astar import astar_optimal_ordering
 from .core.bruteforce import brute_force_optimal
 from .core.divide_conquer import opt_obdd
-from .core.executor import available_backends
+from .core.executor import BACKENDS
 from .core.fs import run_fs
 from .observability import Profiler
 from .core.reconstruct import reconstruct_minimum_diagram
@@ -110,7 +110,7 @@ def _make_io_retry(args: argparse.Namespace):
 def _engine_kwargs(args: argparse.Namespace) -> dict:
     """Execution options shared by every DP-running subcommand."""
     kwargs = dict(jobs=args.jobs,
-                  backend=getattr(args, "backend", "thread"))
+                  backend=getattr(args, "backend", "serial"))
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     resume = bool(getattr(args, "resume", False))
     if resume and not checkpoint_dir:
@@ -199,7 +199,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
             ladder=parse_ladder(fallback_spec),
             rule=rule,
             jobs=args.jobs,
-            backend=getattr(args, "backend", "thread"),
+            backend=getattr(args, "backend", "serial"),
             cache=engine_kwargs.get("cache"),
             profiler=profiler,
             checkpoint_dir=engine_kwargs.get("checkpoint_dir"),
@@ -433,7 +433,7 @@ def _run_optimize_batch(args: argparse.Namespace) -> int:
         )
     outcome = optimize_many(
         tables, rule=rule, cache=cache, jobs=args.jobs,
-        backend=getattr(args, "backend", "thread"),
+        backend=getattr(args, "backend", "serial"),
         profiler=profiler,
         per_item_timeout=getattr(args, "timeout", None),
         fallback=getattr(args, "fallback", None),
@@ -596,7 +596,7 @@ def _governed_exact(table, args, profiler, rule=None):
         budget=engine_kwargs.get("budget"),
         ladder=parse_ladder(fallback_spec),
         jobs=args.jobs,
-        backend=getattr(args, "backend", "thread"),
+        backend=getattr(args, "backend", "serial"),
         cache=engine_kwargs.get("cache"),
         profiler=profiler,
         checkpoint_dir=engine_kwargs.get("checkpoint_dir"),
@@ -670,7 +670,7 @@ def _run_portfolio_cmd(args: argparse.Namespace) -> int:
 
     config = EngineConfig(
         jobs=args.jobs,
-        backend=getattr(args, "backend", "thread"),
+        backend=getattr(args, "backend", "serial"),
         cache=engine_kwargs.get("cache"),
         profiler=profiler,
         budget=engine_kwargs.get("budget"),
@@ -736,13 +736,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workers per DP layer (subsets of equal "
                             "size are independent); results and operation "
                             "counters are identical for every value")
-        p.add_argument("--backend", choices=available_backends(),
-                       default="thread",
-                       help="where --jobs workers run: 'thread' (default; "
-                            "cheap to start but GIL-bound), 'process' "
-                            "(real multicore throughput; the base table "
-                            "ships once per run via shared memory), or "
-                            "'serial' (inline reference executor). "
+        p.add_argument("--backend", choices=list(BACKENDS),
+                       default="serial",
+                       help="where --jobs workers run: 'serial' (default; "
+                            "inline) or 'process' (real multicore "
+                            "throughput; the base table ships once per "
+                            "run via shared memory).  A one-shot process "
+                            "run spawns its pool for that one solve, "
+                            "which can cost more than the solve itself; "
+                            "a warm pool (repro serve) is where it pays.  "
                             "Results and counters are bit-identical "
                             "across backends")
         p.add_argument("--checkpoint-dir",
@@ -910,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--jobs", type=positive_int, default=None,
                      help="worker width of the one warm pool (default: "
                           "CPU count)")
-    srv.add_argument("--backend", choices=available_backends(),
+    srv.add_argument("--backend", choices=list(BACKENDS),
                      default="process",
                      help="execution backend warmed once for the server's "
                           "lifetime (default 'process': the pool spin-up "

@@ -67,22 +67,18 @@ from .composed import (
 )
 from .engine import (
     EngineConfig,
-    FrontierPolicy,
     SweepOutcome,
     run_layered_sweep,
 )
 from .executor import (
+    BACKENDS,
     ChunkResult,
     ChunkTask,
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
     SweepContext,
-    ThreadBackend,
-    available_backends,
     create_backend,
-    get_backend,
-    register_backend,
     shared_backend,
 )
 from .divide_conquer import (
@@ -157,7 +153,6 @@ __all__ = [
     "terminal_values",
     "compact",
     "EngineConfig",
-    "FrontierPolicy",
     "SweepOutcome",
     "CheckpointStore",
     "FaultInjector",
@@ -166,17 +161,14 @@ __all__ = [
     "sweep_fingerprint",
     "run_layered_sweep",
     "Layer",
+    "BACKENDS",
     "ChunkResult",
     "ChunkTask",
     "ExecutorBackend",
     "ProcessBackend",
     "SerialBackend",
     "SweepContext",
-    "ThreadBackend",
-    "available_backends",
     "create_backend",
-    "get_backend",
-    "register_backend",
     "shared_backend",
     "run_fs_star",
     "fs_star_levels",

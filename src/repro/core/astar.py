@@ -20,7 +20,6 @@ optimality against FS and brute force.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 

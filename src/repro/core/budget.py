@@ -425,7 +425,7 @@ def run_ladder(
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
     jobs: int = 1,
-    backend: Any = "thread",
+    backend: Any = "serial",
     cache: Optional[Any] = None,
     profiler: Optional[Profiler] = None,
     window_width: int = 3,

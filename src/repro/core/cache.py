@@ -33,8 +33,8 @@ caches final answers behind that recognition step:
   .run_fs_star` and :func:`repro.core.window.window_sweep` read it off
   their :class:`~repro.core.engine.EngineConfig`.  FS* entries store the
   optimal placement chain and rematerialize the state by replaying it
-  (``O(|J|)`` compactions instead of an ``O*(3^{|J|})`` sweep — the same
-  Lemma 3 argument as the engine's mincost-only frontier).
+  (``O(|J|)`` compactions instead of an ``O*(3^{|J|})`` sweep,
+  bit-identical by Lemma 3).
 * **Batch front-end.**  :func:`optimize_many` (CLI:
   ``optimize --batch manifest.json``) fingerprints a list of tables,
   dedupes them *before* solving, fans the distinct misses over a worker
@@ -852,7 +852,7 @@ def optimize_many(
     rule: ReductionRule = ReductionRule.BDD,
     cache: Optional[ResultCache] = None,
     jobs: int = 1,
-    backend: "Union[str, ExecutorBackend]" = "thread",
+    backend: "Union[str, ExecutorBackend]" = "serial",
     profiler: Optional[Profiler] = None,
     per_item_timeout: Optional[float] = None,
     fallback: Union[None, str, Sequence[str]] = None,
@@ -869,7 +869,7 @@ def optimize_many(
     deterministic and independent of ``jobs`` and ``backend``.
 
     How ``jobs`` parallelizes depends on ``backend``: with the default
-    in-process backends, misses fan over a ``jobs``-wide thread pool,
+    ``"serial"`` backend, misses fan over a ``jobs``-wide thread pool,
     each item running the sequential engine.  With ``backend="process"``
     (or a live :class:`~repro.core.executor.ExecutorBackend` instance),
     items run one at a time but each item fans its DP layers over one
@@ -917,7 +917,7 @@ def optimize_many(
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    # In-process backends parallelize *across* items (thread fan-out of
+    # The serial backend parallelizes *across* items (thread fan-out of
     # sequential solves); a process backend parallelizes *within* each
     # item, sharing one pool across the batch so worker count stays
     # bounded at ``jobs`` and pool startup is paid once.

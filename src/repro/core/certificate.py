@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from .._bitops import bits_of, popcount
+from .._bitops import bits_of
 from ..errors import ParseError
 from ..truth_table import TruthTable, count_subfunctions
 from .fs import FSResult

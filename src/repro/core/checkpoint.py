@@ -13,8 +13,8 @@ and FS*) for free.
 Design points:
 
 * **Self-describing files.**  Each layer writes one JSON file carrying a
-  *fingerprint* of the sweep (rule, ``n``, universe mask, frontier
-  policy, layer format, a content hash of the base state, ...), the
+  *fingerprint* of the sweep (rule, ``n``, universe mask, layer
+  format, a content hash of the base state, ...), the
   finished :class:`~repro.core.frontier.Layer` as one base64 blob, and a
   SHA-256 *checksum* of the payload.  Loading validates both; a
   truncated file, a checksum mismatch or a fingerprint mismatch raises
@@ -269,7 +269,7 @@ class FaultInjector:
     the worker kills itself with ``SIGKILL`` (uncatchable, exactly what
     an OOM killer delivers), the pool reports
     :class:`concurrent.futures.process.BrokenProcessPool`, and the
-    backend's self-healing path takes over.  In-process backends ignore
+    backend's self-healing path takes over.  The serial backend ignores
     these fields: there is no worker to lose."""
 
     kill_worker_chunk: int = 0
@@ -342,7 +342,6 @@ def sweep_fingerprint(
     universe_mask: int,
     rule: str,
     upto: int,
-    frontier: str,
     tag: str = "",
 ) -> Dict[str, Any]:
     """Identity of a sweep: two sweeps with equal fingerprints compute
@@ -360,7 +359,10 @@ def sweep_fingerprint(
         "format": FORMAT_VERSION,
         "layer_format": LAYER_FORMAT,
         "rule": rule,
-        "frontier": frontier,
+        # Every sweep keeps full layers.  The key stays, constant, so
+        # full-layer checkpoints written by earlier versions keep their
+        # fingerprint and still resume.
+        "frontier": "full",
         "n": base.n,
         "num_roots": base.num_roots,
         "num_terminals": base.num_terminals,
@@ -385,15 +387,14 @@ def fingerprint_hash(fingerprint: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 
 def _encode_layer(layer: Layer) -> Dict[str, Any]:
-    """One base64 blob: masks, mincosts, then the table matrix (if any)."""
+    """One base64 blob: masks, mincosts, then the table matrix."""
     tables = layer.tables
-    blob = layer.masks.tobytes() + layer.mincost.tobytes()
-    if tables is not None:
-        blob += np.ascontiguousarray(tables).tobytes()
+    blob = (layer.masks.tobytes() + layer.mincost.tobytes()
+            + np.ascontiguousarray(tables).tobytes())
     return {
         "rows": len(layer),
-        "cells": 0 if tables is None else tables.shape[1],
-        "dtype": None if tables is None else str(tables.dtype),
+        "cells": tables.shape[1],
+        "dtype": str(tables.dtype),
         "blob": base64.b64encode(blob).decode("ascii"),
     }
 
@@ -401,19 +402,22 @@ def _encode_layer(layer: Layer) -> Dict[str, Any]:
 def _decode_layer(record: Dict[str, Any]) -> Layer:
     rows, cells = int(record["rows"]), int(record["cells"])
     raw = base64.b64decode(record["blob"], validate=True)
-    dtype = None if record["dtype"] is None else np.dtype(record["dtype"])
-    size = 16 * rows + (0 if dtype is None else rows * cells * dtype.itemsize)
+    if not isinstance(record["dtype"], str):
+        # np.dtype(None) is float64: a layer without tables must not
+        # decode into a matrix of zero-width float rows.
+        raise ValueError(
+            f"layer record names no table dtype ({record['dtype']!r})"
+        )
+    dtype = np.dtype(record["dtype"])
+    size = 16 * rows + rows * cells * dtype.itemsize
     if len(raw) != size:
         raise ValueError(
             f"layer blob holds {len(raw)} bytes, its header says {size}"
         )
     masks = np.frombuffer(raw, np.int64, rows)
     mincost = np.frombuffer(raw, np.int64, rows, 8 * rows)
-    tables = None
-    if dtype is not None:
-        tables = np.frombuffer(raw, dtype, rows * cells, 16 * rows)
-        tables = tables.reshape(rows, cells)
-    return Layer(masks, mincost, tables)
+    tables = np.frombuffer(raw, dtype, rows * cells, 16 * rows)
+    return Layer(masks, mincost, tables.reshape(rows, cells))
 
 
 def counters_from_snapshot(snapshot: Dict[str, int]) -> OperationCounters:

@@ -20,7 +20,7 @@ optimal orderings on real inputs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..analysis.counters import OperationCounters
 from ..quantum.minimum_finding import ClassicalMinimumFinder, MinimumFinder

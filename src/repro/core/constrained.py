@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .._bitops import bits_of
 from ..analysis.counters import OperationCounters
@@ -27,7 +27,7 @@ from ..observability import Profiler
 from ..truth_table import TruthTable
 from .cache import ResultCache, chain_widths, raw_table_key
 from .checkpoint import FaultInjector, RetryPolicy
-from .engine import EngineConfig, FrontierPolicy, run_layered_sweep
+from .engine import EngineConfig, run_layered_sweep
 from .fs import initial_state
 from .spec import ReductionRule
 
@@ -107,8 +107,7 @@ def run_fs_constrained(
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
     jobs: int = 1,
-    backend: "str | ExecutorBackend" = "thread",
-    frontier: str | FrontierPolicy = FrontierPolicy.FULL,
+    backend: "str | ExecutorBackend" = "serial",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
@@ -138,7 +137,7 @@ def run_fs_constrained(
     # with different constraints must never resume from each other.
     tag = "constrained:" + ",".join(f"{m:x}" for m in after)
     config = EngineConfig(
-        jobs=jobs, backend=backend, frontier=frontier,
+        jobs=jobs, backend=backend,
         profiler=profiler, checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, checkpoint_tag=tag, cache=cache,
         budget=budget, io_retry=io_retry,

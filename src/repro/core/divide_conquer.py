@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._bitops import bits_of, popcount, subsets_of_size
+from .._bitops import popcount, subsets_of_size
 from ..analysis.counters import OperationCounters
 from ..errors import DimensionError
 from ..quantum.minimum_finding import ClassicalMinimumFinder, MinimumFinder

@@ -11,24 +11,17 @@ and interpret the outcome.  Centralizing it buys two things at once:
 
 * **layer parallelism** — masks of equal cardinality are independent
   (Lemma 4's recurrence only reads the previous layer), so ``jobs=N``
-  fans each layer over a pluggable
-  :class:`~repro.core.executor.ExecutorBackend` (``serial``, ``thread``
-  or ``process``, selected via ``EngineConfig(backend=...)``; see
+  splits each layer into chunks for an
+  :class:`~repro.core.executor.ExecutorBackend` (``serial`` or
+  ``process``, selected via ``EngineConfig(backend=...)``; see
   :mod:`repro.core.executor`).  Each chunk tallies into its own
   :class:`~repro.analysis.counters.OperationCounters` and the engine
   merges them in deterministic chunk order, so results *and counters*
   are bit-identical across backends and job counts;
-* a **frontier policy** — the retained layer is the memory ceiling
-  (``C(n, n/2)`` rows of ``2^{n/2}`` cells each at the waist; see
-  :class:`~repro.core.frontier.Layer`, the one representation of a
-  layer).  :attr:`FrontierPolicy.MINCOST_ONLY` keeps only each row's
-  ``mincost`` and rematerializes predecessor tables on demand by
-  replaying the chain recorded in ``best_last``, trading ``O(k)`` extra
-  compactions per candidate for an ``O(2^n)`` peak frontier.  Lemma 3
-  guarantees the replayed chain yields the same level costs as any other
-  chain through the same subsets, so every result — including the full
-  ``MINCOST_I`` table and the enumeration of all optimal orderings — is
-  unchanged.
+* **one retained layer** — only the previous layer is kept (Remark 1),
+  as one dense :class:`~repro.core.frontier.Layer` holding every row's
+  table; it is the memory ceiling (``C(n, n/2)`` rows of ``2^{n/2}``
+  cells each at the waist).
 
 A :class:`~repro.observability.Profiler` attached to the
 :class:`EngineConfig` records per-layer wall-clock, subset throughput,
@@ -53,13 +46,10 @@ entry points inherit this the same way they inherit crash safety.
 
 from __future__ import annotations
 
-import enum
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,8 +63,7 @@ from .checkpoint import (
     CheckpointStore, FaultInjector, RetryPolicy, sweep_fingerprint,
 )
 from .executor import (
-    ExecutorBackend, SweepContext, available_backends, chain_of,
-    get_backend, resolve_backend, split_chunks,
+    BACKENDS, ExecutorBackend, SweepContext, resolve_backend, split_chunks,
 )
 from .frontier import Layer
 from .spec import FSState, ReductionRule
@@ -82,33 +71,6 @@ from .spec import FSState, ReductionRule
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports spec)
     from .budget import Budget
     from .cache import ResultCache
-
-class FrontierPolicy(enum.Enum):
-    """What each finished DP layer retains."""
-
-    FULL = "full"
-    """Keep every row's table in the layer matrix (the fastest option
-    and the historical behavior)."""
-
-    MINCOST_ONLY = "mincost"
-    """Keep only each row's ``mincost``; predecessor tables are
-    rematerialized on demand by replaying the recorded chain.  Peak
-    frontier memory drops from ``C(n,k) * 2^{n-k}`` cells to ``O(2^n)``
-    at the cost of ``O(k)`` extra compactions per candidate (tallied
-    under the ``recompute_compactions`` / ``recompute_cells`` extra
-    counters, never in the paper-facing totals)."""
-
-
-def coerce_policy(policy: Union[str, "FrontierPolicy"]) -> "FrontierPolicy":
-    if isinstance(policy, FrontierPolicy):
-        return policy
-    try:
-        return FrontierPolicy(policy)
-    except ValueError:
-        raise ValueError(
-            f"unknown frontier policy {policy!r}; expected one of "
-            f"{[p.value for p in FrontierPolicy]}"
-        ) from None
 
 
 @dataclass(kw_only=True)
@@ -122,17 +84,14 @@ class EngineConfig:
 
     jobs: int = 1
 
-    backend: Union[str, ExecutorBackend] = "thread"
+    backend: Union[str, ExecutorBackend] = "serial"
     """Where layer chunks execute (see :mod:`repro.core.executor`):
-    ``"serial"``, ``"thread"`` (the historical default), ``"process"``
-    for real multicore throughput, or a live
-    :class:`~repro.core.executor.ExecutorBackend` instance whose pool the
-    caller owns and wants shared across several sweeps.  Results and
-    counters are bit-identical across backends; only the process
-    backend's ``tasks_shipped`` / ``bytes_shipped`` transport extras
-    differ."""
-
-    frontier: FrontierPolicy = FrontierPolicy.FULL
+    ``"serial"`` (inline on the caller), ``"process"`` for real multicore
+    throughput, or a live :class:`~repro.core.executor.ExecutorBackend`
+    instance whose pool the caller owns and wants shared across several
+    sweeps.  Results and counters are bit-identical across backends;
+    only the process backend's ``tasks_shipped`` / ``bytes_shipped``
+    transport extras differ."""
 
     profiler: Optional[Profiler] = None
 
@@ -186,37 +145,19 @@ class EngineConfig:
     ``OSError`` only — validation failures never retry); retries tally
     the ``retries`` extra counter."""
 
-    strategy: str = "exact"
-    """Which solve strategy this config selects (the ``repro.solve``
-    ``strategy=`` axis): ``"exact"`` for the FS dynamic program,
-    ``"fallback"`` for the degradation ladder
-    (:func:`repro.core.budget.run_ladder`), ``"portfolio"`` to race every
-    registered heuristic (:func:`repro.portfolio.run_portfolio`), or any
-    single registered strategy name (:func:`repro.portfolio
-    .available_strategies`).  The engine itself only ever executes exact
-    sweeps; this field is carried so config-driven entry points dispatch
-    consistently."""
-
     def __post_init__(self) -> None:
-        self.frontier = coerce_policy(self.frontier)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir")
-        # Resolve eagerly so configuration errors surface at call sites.
-        if isinstance(self.backend, str):
-            get_backend(self.backend)
-        elif not isinstance(self.backend, ExecutorBackend):
+        # Checked eagerly so configuration errors surface at call sites.
+        if not isinstance(self.backend, ExecutorBackend) and (
+            not isinstance(self.backend, str) or self.backend not in BACKENDS
+        ):
             raise ValueError(
-                f"backend must be a registered name {available_backends()} "
-                f"or an ExecutorBackend instance, got {self.backend!r}"
+                f"backend must be one of {sorted(BACKENDS)} or an "
+                f"ExecutorBackend instance, got {self.backend!r}"
             )
-        if self.strategy not in ("exact", "fallback", "portfolio"):
-            # Deferred: repro.portfolio imports this module at top level.
-            from ..portfolio import get_strategy
-
-            get_strategy(self.strategy)  # raises OrderingError if unknown
-
 
 
 @dataclass
@@ -333,7 +274,6 @@ def run_layered_sweep(
                 universe_mask=universe_mask,
                 rule=rule.value,
                 upto=upto,
-                frontier=config.frontier.value,
                 tag=config.checkpoint_tag,
             ),
             retry=config.io_retry,
@@ -369,7 +309,6 @@ def run_layered_sweep(
             budget=budget,
             profiler=profiler,
             fault_injector=config.fault_injector,
-            best_last=best_last,
         )
     )
     try:
@@ -396,15 +335,10 @@ def run_layered_sweep(
                 raise OrderingError(
                     f"no subset of size {k} passes the subset filter"
                 )
-            # The last layer is the caller-visible frontier and must carry
-            # real tables; intermediate layers may keep mincosts only.
-            retain_full = (
-                config.frontier is FrontierPolicy.FULL or k == upto
-            )
             started = time.perf_counter()
             chunks = split_chunks(layer_masks, config.jobs)
             try:
-                parts = backend.run_layer(k, chunks, previous, retain_full)
+                parts = backend.run_layer(k, chunks, previous)
             except ExecutorBrokenError as exc:
                 # The backend knows its pool died; only the engine knows
                 # where the run can restart.  Layers below k are durably
@@ -447,8 +381,7 @@ def run_layered_sweep(
             current = Layer(
                 layer_masks,
                 _joined([part.mincost for part in parts]),
-                _joined([part.tables for part in parts])
-                if retain_full else None,
+                _joined([part.tables for part in parts]),
             )
             keys = layer_masks.tolist()
             mincost_by_subset.update(zip(keys, current.mincost.tolist()))
@@ -516,8 +449,6 @@ def run_layered_sweep(
         if engine_owns_backend:
             backend.close()
 
-    # The final layer always keeps its tables (see retain_full).
-    assert previous.tables is not None
     frontier = {
         mask: FSState(
             n=base.n,
@@ -539,6 +470,18 @@ def run_layered_sweep(
         level_cost_by_choice=level_cost_by_choice,
         subsets_processed=subsets_processed,
     )
+
+
+def chain_of(best_last: Dict[int, int], mask: int) -> List[int]:
+    """The recorded optimal chain of ``mask``, bottom-first, read off
+    ``best_last`` (each subset's minimizing last variable)."""
+    chain = []
+    while mask:
+        var = best_last[mask]
+        chain.append(var)
+        mask &= ~(1 << var)
+    chain.reverse()
+    return chain
 
 
 def _joined(arrays: List[np.ndarray]) -> np.ndarray:

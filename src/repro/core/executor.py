@@ -1,34 +1,31 @@
-"""Pluggable execution backends for the layered sweep.
+"""Execution backends for the layered sweep.
 
 The engine (:func:`repro.core.engine.run_layered_sweep`) splits every DP
 layer into contiguous chunks of disjoint masks and hands them to an
 :class:`ExecutorBackend`; the backend decides *where* the chunks run.
-Three implementations ship:
+Two implementations ship, named in :data:`BACKENDS`:
 
-* ``serial`` — chunks run inline on the coordinator, one after another.
-* ``thread`` — chunks fan out over a lazily created
-  :class:`~concurrent.futures.ThreadPoolExecutor` (the historical
-  ``jobs>1`` behavior).  Cheap to start, but the chunk loop gains little
-  under the GIL.
+* ``serial`` (the default) — chunks run inline on the coordinator, one
+  after another.
 * ``process`` — chunks fan out over a spawn-context
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Read-only base data
   (the root table's bytes) is shipped once per sweep through
   :mod:`multiprocessing.shared_memory`; per-layer work travels as a
   picklable :class:`ChunkTask` / :class:`ChunkResult` envelope.  This is
-  the backend where ``jobs=4`` means four cores.
+  the backend where ``jobs=4`` means four cores.  A pool spawned for
+  one solve costs more than it saves on small sweeps; a warm pool (the
+  serve daemon, :func:`shared_backend`) is where it pays.
 
 Determinism contract: every backend executes the *same* chunks (the
 split depends only on ``jobs``), runs each chunk through the same
 :func:`sweep_chunk` routine with a fresh
 :class:`~repro.analysis.counters.OperationCounters`, and the engine
 merges chunk results in fixed chunk order — so results *and counters*
-are bit-identical across ``serial``/``thread``/``process`` and any
-``jobs`` value.  The only exception is transport accounting: the process
-backend tallies ``tasks_shipped`` / ``bytes_shipped`` extra counters
-(deterministic for a given run shape, but zero on the in-process
-backends), which are excluded from the cross-backend parity guarantee
-exactly like the frontier policy's ``recompute_*`` counters are excluded
-from the paper-facing totals.
+are bit-identical across ``serial``/``process`` and any ``jobs`` value.
+The only exception is transport accounting: the process backend tallies
+``tasks_shipped`` / ``bytes_shipped`` extra counters (deterministic for
+a given run shape, but zero inline), which are excluded from the
+cross-backend parity guarantee.
 
 Budget propagation: the process backend mirrors the coordinator's
 :class:`~repro.core.budget.Budget` — its cooperative-cancellation event
@@ -85,7 +82,7 @@ from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping, Optional,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
     Sequence, Tuple, Type, Union,
 )
 
@@ -95,7 +92,7 @@ from .._bitops import bits_of
 from ..analysis.counters import OperationCounters
 from ..errors import ExecutorBrokenError, OrderingError
 from .checkpoint import RetryPolicy
-from .compaction import cofactor_indices, compact, compact_table
+from .compaction import cofactor_indices, compact_table
 from .frontier import Layer
 from .spec import FSState, ReductionRule
 
@@ -127,14 +124,13 @@ class ChunkResult:
     Row ``r`` of the arrays is row ``r`` of the chunk's successor masks.
     The engine concatenates these strictly in chunk order, and counter
     merge order is fixed, so the outcome is independent of scheduling
-    (threads, processes, or inline).
+    (worker processes or inline).
     """
 
     mincost: np.ndarray
     best_last: np.ndarray
-    tables: Optional[np.ndarray]
-    """The winners' tables as a row block, or ``None`` when the layer
-    keeps mincosts only."""
+    tables: np.ndarray
+    """The winners' tables as a row block."""
 
     counters: OperationCounters
 
@@ -160,50 +156,12 @@ def split_chunks(items: Sequence[int], jobs: int) -> List[Sequence[int]]:
     return [chunk for chunk in out if len(chunk)]
 
 
-def chain_of(best_last: Mapping[int, int], mask: int) -> List[int]:
-    """The recorded optimal chain of ``mask``, bottom-first, read off
-    ``best_last`` (each subset's minimizing last variable)."""
-    chain = []
-    while mask:
-        var = best_last[mask]
-        chain.append(var)
-        mask &= ~(1 << var)
-    chain.reverse()
-    return chain
-
-
-def replay_state(
-    base: FSState,
-    mask: int,
-    best_last: Mapping[int, int],
-    rule: ReductionRule,
-    counters: OperationCounters,
-) -> FSState:
-    """Rebuild the state of ``mask`` by replaying its chain from ``base``.
-
-    By Lemma 3 the subfunction partition at every step depends only on
-    the subset, so the rebuilt state has the mincost and the level costs
-    the sweep measured.  The replay work is tallied under ``extra``
-    counters so the paper-facing totals (``table_cells`` ==
-    ``n * 3^{n-1}`` for a full FS run) stay exact.
-    """
-    scratch = OperationCounters()
-    state = base
-    for var in chain_of(best_last, mask):
-        state = compact(state, var, rule, scratch)
-    counters.add_extra("recompute_compactions", scratch.compactions)
-    counters.add_extra("recompute_cells", scratch.table_cells)
-    return state
-
-
 def sweep_chunk(
     masks: np.ndarray,
     previous: Layer,
     base: FSState,
     rule: ReductionRule,
-    retain_full: bool,
     counters: OperationCounters,
-    best_last: Optional[Mapping[int, int]] = None,
     should_stop: Optional[Callable[[int], bool]] = None,
 ) -> ChunkResult:
     """Finalize a contiguous range of one layer's rows (runs wherever
@@ -218,9 +176,8 @@ def sweep_chunk(
     holding about ``_BATCH_CELLS`` new table cells.  A batch's
     candidates — one per member ``i`` of each successor whose
     predecessor is in ``previous`` — stack their predecessor rows
-    straight out of the layer matrix (or, for a layer that kept mincosts
-    only, out of chain replays from ``base`` along ``best_last``) into
-    one :func:`~repro.core.compaction.compact_table` call per cofactor
+    straight out of the layer matrix into one
+    :func:`~repro.core.compaction.compact_table` call per cofactor
     position; each successor then takes its first cheapest candidate in
     ``bits_of`` order.
 
@@ -233,8 +190,7 @@ def sweep_chunk(
     cells = base.num_roots << (base.n - base.placed - k)
     out = ChunkResult(
         np.empty(len(masks), np.int64), np.empty(len(masks), np.int64),
-        np.empty((len(masks), cells), Layer.cell_dtype(base, rule))
-        if retain_full else None,
+        np.empty((len(masks), cells), Layer.cell_dtype(base, rule)),
         counters,
     )
     indices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -244,8 +200,7 @@ def sweep_chunk(
         if should_stop is not None and should_stop(stop):
             out.cancelled = True
             return out
-        _settle_batch(masks, start, stop, previous, base, rule, best_last,
-                      indices, out)
+        _settle_batch(masks, start, stop, previous, base, rule, indices, out)
     counters.subsets_processed += len(masks)
     return out
 
@@ -257,7 +212,6 @@ def _settle_batch(
     previous: Layer,
     base: FSState,
     rule: ReductionRule,
-    best_last: Optional[Mapping[int, int]],
     indices: Dict[int, Tuple[np.ndarray, np.ndarray]],
     out: ChunkResult,
 ) -> None:
@@ -296,9 +250,7 @@ def _settle_batch(
         starts = np.cumsum(per_successor) - per_successor
 
     created = np.empty(len(succ), np.int64)
-    tables = None
-    if out.tables is not None:
-        tables = np.empty((len(succ), out.tables.shape[1]), np.int64)
+    tables = np.empty((len(succ), out.tables.shape[1]), np.int64)
     prev_cost = previous.mincost[row]
     next_ids = base.num_terminals + prev_cost
     placed = base.placed + k - 1
@@ -310,12 +262,11 @@ def _settle_batch(
                 base.n, placed, base.num_roots, p
             )
         new, _, counts = compact_table(
-            _stack(previous, row[at], base, rule, best_last, out.counters),
+            previous.tables[row[at]],
             *cofactors, next_ids[at].tolist(), rule, out.counters,
         )
         created[at] = counts
-        if tables is not None:
-            tables[at] = new
+        tables[at] = new
 
     # A stable sort by (successor, cost) keeps bits_of order among equal
     # costs, so each successor's first cheapest candidate wins.
@@ -323,39 +274,14 @@ def _settle_batch(
     winners = np.lexsort((cost, succ))[starts]
     out.mincost[start:stop] = cost[winners]
     out.best_last[start:stop] = var[winners]
-    if tables is not None:
-        out.tables[start:stop] = tables[winners]
+    out.tables[start:stop] = tables[winners]
     out.level_cost.update(zip(
         zip((base.mask | pred).tolist(), var.tolist()), created.tolist(),
     ))
 
 
-def _stack(
-    previous: Layer,
-    rows: np.ndarray,
-    base: FSState,
-    rule: ReductionRule,
-    best_last: Optional[Mapping[int, int]],
-    counters: OperationCounters,
-) -> np.ndarray:
-    """Predecessor tables of ``rows``: matrix rows, or chain replays of
-    a layer that kept mincosts only (one replay per candidate)."""
-    if previous.tables is not None:
-        return previous.tables[rows]
-    assert best_last is not None, "a mincost-only layer needs best_last"
-    states = [
-        replay_state(base, int(previous.masks[r]), best_last, rule, counters)
-        for r in rows.tolist()
-    ]
-    assert all(
-        state.mincost == previous.mincost[r]
-        for state, r in zip(states, rows.tolist())
-    ), "replayed chain must reproduce mincost"
-    return np.stack([state.table for state in states])
-
-
 # ----------------------------------------------------------------------
-# backend protocol + registry
+# backend protocol
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -376,18 +302,15 @@ class SweepContext:
     """Deterministic fault injection (tests/CI): the process backend
     consults :meth:`~repro.core.checkpoint.FaultInjector.take_worker_kill`
     while building each chunk's task and flags the doomed envelope.
-    In-process backends ignore it — they have no worker to lose."""
-    best_last: Optional[Mapping[int, int]] = None
-    """The engine's growing ``best_last`` map: the chains a layer that
-    kept mincosts only replays its predecessors along."""
+    The serial backend ignores it — it has no worker to lose."""
 
 
 class ExecutorBackend(abc.ABC):
     """Where the engine's layer chunks execute.
 
-    Subclass and :func:`register_backend` to plug in new substrates (a
-    cluster scheduler, a GPU queue, ...); the engine only ever calls the
-    four lifecycle methods below.  A backend instance serves one sweep
+    The engine only ever calls the four lifecycle methods below, so an
+    instance of any subclass may be passed as
+    ``EngineConfig(backend=...)``.  A backend instance serves one sweep
     at a time (``begin_sweep``/``end_sweep`` bracket each sweep) but may
     serve many sweeps over its life; :meth:`close` releases long-lived
     resources such as worker pools.
@@ -428,7 +351,6 @@ class ExecutorBackend(abc.ABC):
         layer: int,
         chunks: Sequence[np.ndarray],
         previous: Layer,
-        retain_full: bool,
     ) -> List[ChunkResult]:
         """Execute one layer's chunks; return results in chunk order."""
 
@@ -449,7 +371,7 @@ class ExecutorBackend(abc.ABC):
         """Liveness probe for supervisors (the serve daemon's ``health``
         op): ``False`` when the backend's execution substrate is known
         broken — a dead process pool — and the next sweep would have to
-        heal or fail.  In-process backends are always healthy, and so is
+        heal or fail.  The serial backend is always healthy, and so is
         a backend whose pool has not been created yet."""
         return True
 
@@ -466,7 +388,6 @@ class ExecutorBackend(abc.ABC):
         self,
         chunks: Sequence[np.ndarray],
         previous: Layer,
-        retain_full: bool,
     ) -> List[ChunkResult]:
         context = self._context
         assert context is not None, (
@@ -476,42 +397,11 @@ class ExecutorBackend(abc.ABC):
         for index, chunk in enumerate(chunks):
             part = sweep_chunk(
                 chunk, previous, context.base, context.rule,
-                retain_full, OperationCounters(), context.best_last,
+                OperationCounters(),
             )
             part.index = index
             results.append(part)
         return results
-
-
-_BACKENDS: Dict[str, Type[ExecutorBackend]] = {}
-
-
-def register_backend(name: str) -> Callable[[Type[ExecutorBackend]], Type[ExecutorBackend]]:
-    """Class decorator registering a backend under ``name``.
-
-    Registered names become valid for ``EngineConfig(backend=...)`` and
-    the CLI ``--backend`` flag."""
-
-    def decorate(cls: Type[ExecutorBackend]) -> Type[ExecutorBackend]:
-        _BACKENDS[name] = cls
-        return cls
-
-    return decorate
-
-
-def get_backend(name: str) -> Type[ExecutorBackend]:
-    """Resolve a registered backend class; ``ValueError`` on unknown names."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {available_backends()}"
-        ) from None
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted (for CLI choices and errors)."""
-    return sorted(_BACKENDS)
 
 
 def create_backend(
@@ -519,15 +409,15 @@ def create_backend(
     jobs: Optional[int] = None,
     max_pool_rebuilds: Optional[int] = None,
 ) -> ExecutorBackend:
-    """Instantiate a registered backend (``jobs`` caps its pool width;
-    defaults to each sweep's ``EngineConfig.jobs``).  ``max_pool_rebuilds``
-    caps the process backend's self-healing budget; it is forwarded only
-    when set, so registered backends that predate the knob keep working.
-    """
-    kwargs: Dict[str, Any] = {"jobs": jobs}
-    if max_pool_rebuilds is not None:
-        kwargs["max_pool_rebuilds"] = max_pool_rebuilds
-    return get_backend(name)(**kwargs)
+    """Instantiate the backend :data:`BACKENDS` names ``name`` (``jobs``
+    caps its pool width; defaults to each sweep's ``EngineConfig.jobs``).
+    ``max_pool_rebuilds`` caps the process backend's self-healing budget
+    (``None`` keeps its default); ``ValueError`` on unknown names."""
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {name!r}; expected one of {sorted(BACKENDS)}"
+        )
+    return BACKENDS[name](jobs=jobs, max_pool_rebuilds=max_pool_rebuilds)
 
 
 def resolve_backend(
@@ -581,10 +471,9 @@ def shared_backend(config: Any) -> Iterator[Any]:
 
 
 # ----------------------------------------------------------------------
-# serial + thread backends
+# serial backend
 # ----------------------------------------------------------------------
 
-@register_backend("serial")
 class SerialBackend(ExecutorBackend):
     """Chunks run inline on the coordinator — the reference executor."""
 
@@ -605,75 +494,8 @@ class SerialBackend(ExecutorBackend):
         layer: int,
         chunks: Sequence[np.ndarray],
         previous: Layer,
-        retain_full: bool,
     ) -> List[ChunkResult]:
-        return self._run_inline(chunks, previous, retain_full)
-
-
-@register_backend("thread")
-class ThreadBackend(ExecutorBackend):
-    """Chunks fan out over a lazily created thread pool.
-
-    The pool is created on the first layer that has more than one chunk
-    (``jobs=1`` sweeps never pay pool startup) and persists across
-    sweeps until :meth:`close`.  Workers share the coordinator's memory,
-    so nothing is shipped and no transport counters are tallied.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        max_pool_rebuilds: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        self._jobs = jobs
-        # Threads cannot be SIGKILLed out from under the pool; accepted
-        # for interface symmetry only.
-        self._max_pool_rebuilds = max_pool_rebuilds
-        self._pool: Optional[Any] = None
-
-    def run_layer(
-        self,
-        layer: int,
-        chunks: Sequence[np.ndarray],
-        previous: Layer,
-        retain_full: bool,
-    ) -> List[ChunkResult]:
-        if len(chunks) <= 1:
-            return self._run_inline(chunks, previous, retain_full)
-        context = self._context
-        assert context is not None
-        pool = self._ensure_pool(context)
-        futures = [
-            pool.submit(
-                sweep_chunk, chunk, previous, context.base,
-                context.rule, retain_full, OperationCounters(),
-                context.best_last,
-            )
-            for chunk in chunks
-        ]
-        results: List[ChunkResult] = []
-        for index, future in enumerate(futures):
-            part = future.result()
-            part.index = index
-            results.append(part)
-        return results
-
-    def _ensure_pool(self, context: SweepContext) -> Any:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._jobs or context.jobs
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        return self._run_inline(chunks, previous)
 
 
 # ----------------------------------------------------------------------
@@ -688,11 +510,7 @@ class ChunkTask:
     (``shm_name`` + ``base_spec`` let every worker rebuild the base
     state and cache it under ``token``); the task itself carries only
     the chunk's successor masks and :meth:`~repro.core.frontier.Layer.take`
-    of the predecessor rows those masks read, as numpy arrays.  A layer
-    that kept mincosts only ships no tables but the ``best_last`` links
-    of its rows' chains, which workers replay from the shared base
-    exactly as the in-process backends do, so the ``recompute_*``
-    counters stay bit-identical.
+    of the predecessor rows those masks read, as numpy arrays.
     """
 
     token: str
@@ -706,8 +524,6 @@ class ChunkTask:
     """``None`` for the first layer, whose one predecessor is the base
     state the worker already holds in shared memory."""
 
-    links: Optional[Dict[int, int]]
-    retain_full: bool
     payload_bytes: int = 0
 
     kill_self: Optional[str] = None
@@ -830,8 +646,8 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
     if task.kill_self == "during":
         should_stop = _suicide_midway(len(task.masks), should_stop)
     out = sweep_chunk(
-        task.masks, previous, base, rule, task.retain_full,
-        OperationCounters(), task.links, should_stop=should_stop,
+        task.masks, previous, base, rule, OperationCounters(),
+        should_stop=should_stop,
     )
     out.index = task.index
     return out
@@ -870,7 +686,6 @@ def _unlink_leaked_segments() -> None:
             pass
 
 
-@register_backend("process")
 class ProcessBackend(ExecutorBackend):
     """Chunks fan out over a spawn-context process pool.
 
@@ -964,10 +779,9 @@ class ProcessBackend(ExecutorBackend):
         layer: int,
         chunks: Sequence[np.ndarray],
         previous: Layer,
-        retain_full: bool,
     ) -> List[ChunkResult]:
         if len(chunks) <= 1:
-            return self._run_inline(chunks, previous, retain_full)
+            return self._run_inline(chunks, previous)
         context = self._context
         assert context is not None
         # Results slot in by chunk index; a pool death between attempts
@@ -990,9 +804,7 @@ class ProcessBackend(ExecutorBackend):
 
         try:
             policy.run(
-                lambda: self._attempt_layer(
-                    layer, chunks, previous, retain_full, results
-                ),
+                lambda: self._attempt_layer(layer, chunks, previous, results),
                 describe=f"layer {layer} chunk fan-out",
                 on_retry=heal,
             )
@@ -1018,7 +830,6 @@ class ProcessBackend(ExecutorBackend):
         layer: int,
         chunks: Sequence[np.ndarray],
         previous: Layer,
-        retain_full: bool,
         results: List[Optional[ChunkResult]],
     ) -> None:
         """One submit/collect pass over the chunks still missing results.
@@ -1038,9 +849,7 @@ class ProcessBackend(ExecutorBackend):
         try:
             with _phase(profiler, "ipc_submit"):
                 tasks = [
-                    self._make_task(
-                        layer, index, chunks[index], previous, retain_full
-                    )
+                    self._make_task(layer, index, chunks[index], previous)
                     for index in pending
                 ]
                 for index, task in zip(pending, tasks):
@@ -1068,7 +877,6 @@ class ProcessBackend(ExecutorBackend):
         index: int,
         chunk: np.ndarray,
         previous: Layer,
-        retain_full: bool,
     ) -> ChunkTask:
         context = self._context
         assert context is not None and self._base_spec is not None
@@ -1077,7 +885,6 @@ class ProcessBackend(ExecutorBackend):
         # one predecessor, the base, never ships: it lives in shared
         # memory).
         shipped: Optional[Layer] = None
-        links: Optional[Dict[int, int]] = None
         payload = chunk.nbytes
         if layer > 1:
             members = bits_of(int(np.bitwise_or.reduce(chunk)))
@@ -1085,14 +892,6 @@ class ProcessBackend(ExecutorBackend):
                 chunk[((chunk >> i) & 1) == 1] ^ (1 << i) for i in members
             ])))
             payload += shipped.nbytes
-            if previous.tables is None:
-                assert context.best_last is not None
-                links = {}
-                for mask in shipped.masks.tolist():
-                    while mask and mask not in links:
-                        links[mask] = context.best_last[mask]
-                        mask &= ~(1 << links[mask])
-                payload += 16 * len(links)
         kill_self: Optional[str] = None
         if context.fault_injector is not None:
             kill_self = context.fault_injector.take_worker_kill(layer, index)
@@ -1105,8 +904,6 @@ class ProcessBackend(ExecutorBackend):
             index=index,
             masks=chunk,
             previous=shipped,
-            links=links,
-            retain_full=retain_full,
             payload_bytes=payload,
             kill_self=kill_self,
         )
@@ -1220,3 +1017,11 @@ class ProcessBackend(ExecutorBackend):
         stop.set()
         thread.join(timeout=1.0)
         self._watcher = None
+
+
+#: The backends ``EngineConfig(backend=...)``, :func:`create_backend`
+#: and the CLI ``--backend`` flag accept, by name.
+BACKENDS: Dict[str, Type[ExecutorBackend]] = {
+    "serial": SerialBackend,
+    "process": ProcessBackend,
+}

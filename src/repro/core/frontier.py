@@ -10,10 +10,9 @@ that name and price its rows:
   universe) in :func:`~repro._bitops.subsets_of_size` order, with a
   vectorized mask -> row lookup (:meth:`Layer.rows_of`);
 * ``mincost`` — ``MINCOST`` of each row, ``int64``;
-* ``tables`` — under :attr:`~repro.core.engine.FrontierPolicy.FULL`,
-  one ``(rows, cells)`` matrix stored at the narrowest unsigned dtype
-  holding the sweep's node-id bound (:meth:`Layer.cell_dtype`); ``None``
-  when the layer keeps mincosts only and predecessor tables are replayed.
+* ``tables`` — one ``(rows, cells)`` matrix stored at the narrowest
+  unsigned dtype holding the sweep's node-id bound
+  (:meth:`Layer.cell_dtype`).
 
 The engine builds and commits layers, the chunk loop stacks predecessor
 rows straight out of the matrix, the process backend ships
@@ -22,8 +21,6 @@ layer and the budget meters :attr:`Layer.nbytes`, which is exact.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -39,18 +36,17 @@ class Layer:
         self,
         masks: np.ndarray,
         mincost: np.ndarray,
-        tables: Optional[np.ndarray] = None,
+        tables: np.ndarray,
     ) -> None:
         self.masks = np.asarray(masks, dtype=np.int64)
         self.mincost = np.asarray(mincost, dtype=np.int64)
         self.tables = tables
-        if self.mincost.shape != self.masks.shape or (
-            tables is not None and tables.shape[0] != self.masks.shape[0]
-        ):
+        if (self.mincost.shape != self.masks.shape
+                or tables.shape[0] != self.masks.shape[0]):
             raise ValueError(
                 f"layer columns disagree: {self.masks.shape[0]} masks, "
                 f"{self.mincost.shape[0]} mincosts, "
-                f"{None if tables is None else tables.shape[0]} table rows"
+                f"{tables.shape[0]} table rows"
             )
         self._order = np.argsort(self.masks, kind="stable")
         self._sorted = self.masks[self._order]
@@ -93,8 +89,7 @@ class Layer:
     @property
     def nbytes(self) -> int:
         """Exact resident payload bytes of the three columns."""
-        tables = 0 if self.tables is None else self.tables.nbytes
-        return self.masks.nbytes + self.mincost.nbytes + tables
+        return self.masks.nbytes + self.mincost.nbytes + self.tables.nbytes
 
     def rows_of(self, masks: np.ndarray) -> np.ndarray:
         """Row of each of ``masks`` in this layer, ``-1`` where absent."""
@@ -106,5 +101,4 @@ class Layer:
         """The sub-layer of those of ``masks`` this layer holds."""
         rows = self.rows_of(masks)
         rows = rows[rows >= 0]
-        tables = None if self.tables is None else self.tables[rows]
-        return Layer(self.masks[rows], self.mincost[rows], tables)
+        return Layer(self.masks[rows], self.mincost[rows], self.tables[rows])

@@ -35,7 +35,7 @@ from .cache import (
     table_key,
 )
 from .checkpoint import FaultInjector, RetryPolicy
-from .engine import EngineConfig, FrontierPolicy, run_layered_sweep
+from .engine import EngineConfig, run_layered_sweep
 from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - budget imports fs lazily
@@ -192,8 +192,7 @@ def run_fs(
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
     jobs: int = 1,
-    backend: Union[str, "ExecutorBackend"] = "thread",
-    frontier: Union[str, FrontierPolicy] = FrontierPolicy.FULL,
+    backend: Union[str, "ExecutorBackend"] = "serial",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
@@ -219,15 +218,11 @@ def run_fs(
         cardinality are independent).  Results and counters are
         bit-identical for every value.
     backend:
-        Where those workers run — ``"serial"``, ``"thread"`` (default)
-        or ``"process"`` for real multicore throughput, or a live
+        Where those workers run — ``"serial"`` (default, inline) or
+        ``"process"`` for real multicore throughput, or a live
         :class:`repro.core.executor.ExecutorBackend` instance to share
         one pool across several runs.  Results and counters are
         bit-identical across backends (see :mod:`repro.core.executor`).
-    frontier:
-        Layer-retention policy; ``"mincost"`` trades recompute time for
-        an ``O(2^n)`` peak frontier (see
-        :class:`repro.core.engine.FrontierPolicy`).
     profiler:
         Optional :class:`repro.observability.Profiler` receiving the
         per-layer wall-clock/memory trajectory (including checkpoint
@@ -266,7 +261,7 @@ def run_fs(
         chunks whose results were not yet merged) before the sweep gives
         up with :class:`~repro.errors.ExecutorBrokenError` carrying the
         last committed checkpoint.  ``None`` keeps the backend default
-        (2); ignored by the in-process backends.
+        (2); ignored by the serial backend.
 
     Returns
     -------
@@ -279,7 +274,7 @@ def run_fs(
     if counters is None:
         counters = OperationCounters()
     config = EngineConfig(
-        jobs=jobs, backend=backend, frontier=frontier, profiler=profiler,
+        jobs=jobs, backend=backend, profiler=profiler,
         checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,
         budget=budget, io_retry=io_retry,
@@ -316,9 +311,6 @@ def run_fs(
             "backend",
             backend if isinstance(backend, str)
             else getattr(backend, "name", type(backend).__name__),
-        )
-        profiler.meta.setdefault(
-            "frontier", config.frontier.value
         )
         if checkpoint_dir is not None:
             profiler.meta.setdefault("checkpoint_dir", checkpoint_dir)
@@ -360,7 +352,7 @@ def find_optimal_ordering(
     n: Optional[int] = None,
     rule: ReductionRule = ReductionRule.BDD,
     jobs: int = 1,
-    backend: Union[str, "ExecutorBackend"] = "thread",
+    backend: Union[str, "ExecutorBackend"] = "serial",
 ) -> FSResult:
     """Convenience front end accepting any evaluable representation.
 

@@ -45,7 +45,7 @@ def fs_star_levels(
         Stop after prefix size ``upto`` (defaults to ``|J|``).
     config:
         Optional :class:`~repro.core.engine.EngineConfig` selecting the
-        layer parallelism, frontier policy and profiler; the sweep itself runs on the shared execution engine.
+        layer parallelism and profiler; the sweep itself runs on the shared execution engine.
 
     Returns
     -------
@@ -94,8 +94,8 @@ def run_fs_star(
     With a :class:`~repro.core.cache.ResultCache` on ``config``, solved
     ``(base table, J)`` pairs store their optimal placement chain; a hit
     rematerializes the state by replaying that chain — ``O(|J|)``
-    compactions instead of an ``O*(3^{|J|})`` sweep, bit-identical by the
-    same Lemma 3 argument as the engine's mincost-only frontier.  Replay
+    compactions instead of an ``O*(3^{|J|})`` sweep, bit-identical by
+    Lemma 3: the subfunction partition depends only on the subset.  Replay
     work is tallied under the ``cache_replay_*`` extra counters so the
     paper-facing totals stay exact.
     """

@@ -35,7 +35,7 @@ from .cache import (
 )
 from .checkpoint import FaultInjector, RetryPolicy
 from .compaction import compact
-from .engine import EngineConfig, FrontierPolicy, run_layered_sweep
+from .engine import EngineConfig, run_layered_sweep
 from .fs import FSResult
 from .spec import FSState, ReductionRule
 
@@ -104,8 +104,7 @@ def run_fs_shared(
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
     jobs: int = 1,
-    backend: "str | ExecutorBackend" = "thread",
-    frontier: str | FrontierPolicy = FrontierPolicy.FULL,
+    backend: "str | ExecutorBackend" = "serial",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
@@ -120,7 +119,7 @@ def run_fs_shared(
     Same complexity as single-output FS up to the factor ``m`` in table
     sizes; returns an :class:`~repro.core.fs.FSResult` whose ``mincost``
     counts the *shared* internal nodes of the whole forest.  Execution
-    options (``jobs``/``backend``/``frontier``/``profiler``/
+    options (``jobs``/``backend``/``profiler``/
     ``checkpoint_dir``/``resume``/``cache``/``budget``/``io_retry``/
     ``max_pool_rebuilds``) match
     :func:`repro.core.fs.run_fs` — the same engine runs both DPs, and a
@@ -133,7 +132,7 @@ def run_fs_shared(
     if counters is None:
         counters = OperationCounters()
     config = EngineConfig(
-        jobs=jobs, backend=backend, frontier=frontier,
+        jobs=jobs, backend=backend,
         profiler=profiler, checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,
         budget=budget, io_retry=io_retry,

@@ -19,7 +19,7 @@ large windows).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .._bitops import mask_of
 from ..analysis.counters import OperationCounters

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from ..bdd.manager import BDD
 from ..errors import EvaluationError
 from .ast import And, Const, Expr, Not, Or, Var, Xor
-from .circuit import Circuit, _GATES
+from .circuit import Circuit
 from .normal_forms import CNF, DNF
 
 

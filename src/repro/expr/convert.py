@@ -9,13 +9,10 @@ plain callables and existing decision diagrams.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import DimensionError
 from ..truth_table import TruthTable
-from .ast import Expr
-from .circuit import Circuit
-from .normal_forms import CNF, DNF
 
 
 def to_truth_table(source, n: Optional[int] = None) -> TruthTable:

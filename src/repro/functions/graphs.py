@@ -13,7 +13,7 @@ order unless an explicit ``labels`` mapping is given.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
 import networkx as nx
 

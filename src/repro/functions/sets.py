@@ -7,7 +7,7 @@ examples and benches minimize orderings for.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from typing import List, Optional, Set
 
 import numpy as np
 

@@ -15,7 +15,7 @@ and the symbolic compiler; a writer round-trips circuits back out.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import ParseError
 from ..expr.circuit import Circuit

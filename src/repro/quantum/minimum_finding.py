@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Optional, Protocol, Sequence
 
 from ..analysis.counters import OperationCounters
 from .grover import success_probability

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grover import optimal_iterations, success_probability
+from .grover import optimal_iterations
 
 
 def uniform_state(num_items: int) -> np.ndarray:

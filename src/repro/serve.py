@@ -131,7 +131,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .analysis.counters import OperationCounters
-from .api import OrderingSolution, solve
+from .api import solve
 from .core.budget import Budget
 from .core.cache import ResultCache, table_key
 from .core.engine import EngineConfig

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bitops import insert_bit_indices, popcount
+from ._bitops import insert_bit_indices
 from .errors import DimensionError
 
 

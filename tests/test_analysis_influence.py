@@ -14,7 +14,7 @@ from repro.analysis import (
 from repro.bdd import BDD
 from repro.core import run_fs
 from repro.errors import DimensionError
-from repro.functions import achilles_heel, multiplexer, parity, threshold
+from repro.functions import multiplexer, parity, threshold
 from repro.truth_table import TruthTable, count_subfunctions
 
 

@@ -1,11 +1,9 @@
 """Tests reproducing the paper's Appendix C numbers (Tables 1 and 2)."""
 
-import math
 
 import pytest
 
 from repro.analysis.parameters import (
-    ParameterSolution,
     f_exponent,
     g_exponent,
     gamma0,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.sensitivity import (
-    SensitivityReport,
     heuristic_percentile,
     ordering_sensitivity,
 )

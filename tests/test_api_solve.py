@@ -123,14 +123,17 @@ class TestSolveEngineKwargs:
 
     @pytest.mark.parametrize("strategy", ["exact", "fallback", "portfolio"])
     def test_frontier_store_kwarg_is_gone(self, strategy):
-        with pytest.raises(TypeError, match="frontier_store"):
-            solve(TABLE, strategy=strategy, frontier_store="dict")
+        for kwarg, value in (("frontier_store", "dict"), ("frontier", "full")):
+            with pytest.raises(TypeError, match=kwarg):
+                solve(TABLE, strategy=strategy, **{kwarg: value})
+        with pytest.raises(ValueError, match="process.*serial"):
+            solve(TABLE, strategy=strategy, backend="thread")
 
     def test_backend_and_jobs_pass_through(self):
         baseline = solve(TABLE)
         for method_kwargs in (
             {"backend": "serial"},
-            {"backend": "thread", "jobs": 4},
+            {"backend": "serial", "jobs": 4},
             {"backend": "process", "jobs": 2},
         ):
             sol = solve(TABLE, **method_kwargs)

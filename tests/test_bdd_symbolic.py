@@ -6,10 +6,9 @@ import pytest
 
 from repro.bdd import BDD
 from repro.bdd.node import FALSE
-from repro.bdd.symbolic import ReachabilityResult, TransitionSystem, rename
+from repro.bdd.symbolic import TransitionSystem, rename
 from repro.core import run_fs
 from repro.errors import DimensionError
-from repro.truth_table import TruthTable
 
 
 def explicit_bfs(successors, initial, num_states):

@@ -1,6 +1,5 @@
 """Unit tests for the named benchmark circuits."""
 
-import pytest
 
 from repro.bdd import BDD
 from repro.core import run_fs

@@ -53,6 +53,8 @@ class TestOptimize:
     @pytest.mark.parametrize("argv", [
         ("optimize", "--expr", "x0", "--frontier-store", "packed"),
         ("serve", "--frontier-store", "dict"),
+        ("optimize", "--expr", "x0", "--backend", "thread"),
+        ("serve", "--backend", "thread"),
     ])
     def test_frontier_store_flag_is_gone(self, run, argv):
         with pytest.raises(SystemExit) as info:
@@ -63,7 +65,7 @@ class TestOptimize:
         expr = "x0 & x1 | x2 & x3"
         _, reference, _ = run("optimize", "--expr", expr)
         for extra in (["--backend", "serial"],
-                      ["--backend", "thread", "--jobs", "2"],
+                      ["--backend", "serial", "--jobs", "2"],
                       ["--backend", "process", "--jobs", "2"]):
             code, out, _ = run("optimize", "--expr", expr, *extra)
             assert code == 0

@@ -26,7 +26,6 @@ from repro.core import (
     optimize_many,
     run_fs,
 )
-from repro.core.spec import ReductionRule
 from repro.truth_table import TruthTable
 
 

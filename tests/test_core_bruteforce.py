@@ -2,7 +2,6 @@
 
 import math
 
-import pytest
 
 from repro.core import ReductionRule, brute_force_operation_bound, brute_force_optimal
 from repro.functions import achilles_good_size, achilles_heel, parity

@@ -496,8 +496,6 @@ class TestStaleRearm:
     """A Budget's clock arms once; re-arming an exhausted one is loud."""
 
     def test_rearm_exhausted_budget_warns(self):
-        import warnings
-
         clock = iter([0.0, 10.0, 10.0, 10.0, 10.0]).__next__
         budget = Budget(deadline=1.0, clock=clock)
         budget.arm()

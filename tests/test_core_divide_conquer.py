@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.errors import DimensionError
 from repro.functions import achilles_heel
-from repro.quantum import ClassicalMinimumFinder, QuantumMinimumFinder, QueryLedger
+from repro.quantum import QuantumMinimumFinder, QueryLedger
 from repro.truth_table import TruthTable, count_subfunctions
 
 

@@ -3,16 +3,16 @@
 The engine owns the subset-cardinality sweep for every FS-family DP, so
 these tests pin the properties the refactor promises: configuration
 validation, bit-identical results and counters under layer parallelism,
-and result invariance under the mincost-only frontier policy.
+and the sweep's contract with its callers.
 """
 
+import numpy as np
 import pytest
 
 from repro._bitops import popcount
 from repro.analysis.counters import OperationCounters
 from repro.core import (
     EngineConfig,
-    FrontierPolicy,
     compact,
     run_fs,
     run_fs_constrained,
@@ -24,7 +24,6 @@ from repro.core import engine as engine_module
 from repro.core.fs import initial_state
 from repro.core.fs_star import fs_star_levels
 from repro.functions import achilles_heel, hidden_weighted_bit, majority
-from repro.observability import Profiler
 from repro.truth_table import TruthTable
 
 
@@ -45,15 +44,14 @@ class TestEngineConfig:
             EngineConfig(kernel="numpy")
         with pytest.raises(TypeError, match="frontier_store"):
             EngineConfig(frontier_store="dict")
+        with pytest.raises(TypeError, match="frontier"):
+            EngineConfig(frontier="full")
+        with pytest.raises(TypeError, match="strategy"):
+            EngineConfig(strategy="exact")
+        with pytest.raises(ValueError, match="process.*serial"):
+            EngineConfig(backend="thread")
         with pytest.raises(ValueError):
             EngineConfig(jobs=0)
-        with pytest.raises(ValueError):
-            EngineConfig(frontier="sometimes")
-
-    def test_config_coerces_policy_string(self):
-        assert EngineConfig(frontier="mincost").frontier is (
-            FrontierPolicy.MINCOST_ONLY
-        )
 
 
 class TestLayerParallelism:
@@ -115,52 +113,19 @@ class TestLayerParallelism:
 
 
 class TestFrontierPolicy:
-    def test_optimal_orderings_unchanged_under_mincost_only(self):
-        for table in families_n_le_8():
-            full = run_fs(table)
-            lean = run_fs(table, frontier="mincost")
-            assert lean.order == full.order
-            assert lean.mincost == full.mincost
-            assert lean.mincost_by_subset == full.mincost_by_subset
-            assert lean.level_cost_by_choice == full.level_cost_by_choice
-            assert lean.optimal_orderings() == full.optimal_orderings()
-
-    def test_paper_counter_law_intact_under_recompute(self):
-        # Replay work must live in extra counters only: table_cells keeps
-        # the exact n * 3^(n-1) law of Theorem 5.
-        from repro.analysis.complexity import fs_table_cells
-
-        tt = TruthTable.random(6, seed=6)
-        lean = run_fs(tt, frontier="mincost")
-        assert lean.counters.table_cells == fs_table_cells(6)
-        assert lean.counters.extra["recompute_compactions"] > 0
-
-    def test_mincost_only_shrinks_peak_frontier(self):
-        tt = TruthTable.random(8, seed=8)
-        full_profile, lean_profile = Profiler(), Profiler()
-        run_fs(tt, profiler=full_profile)
-        run_fs(tt, frontier="mincost", profiler=lean_profile)
-        assert lean_profile.peak_frontier_bytes < full_profile.peak_frontier_bytes
-
-    def test_mincost_only_with_jobs_still_deterministic(self):
-        tt = TruthTable.random(7, seed=7)
-        seq = run_fs(tt, frontier="mincost")
-        par = run_fs(tt, frontier="mincost", jobs=4)
-        assert par.mincost_by_subset == seq.mincost_by_subset
-        assert par.counters == seq.counters
+    """The one retention policy: every layer keeps its tables, and the
+    layer at a sweep's cut comes back as states."""
 
     def test_final_layer_materialized_for_fs_star(self):
         # Partial sweeps hand their frontier to further compaction
-        # (divide & conquer preprocessing), so even the lean policy must
-        # return real tables at the cut.
+        # (divide & conquer preprocessing), so the layer at the cut comes
+        # back as states with real int64 tables.
         tt = TruthTable.random(6, seed=13)
         base = initial_state(tt)
-        levels = fs_star_levels(
-            base, 0b111111, upto=2,
-            config=EngineConfig(frontier="mincost"),
-        )
+        levels = fs_star_levels(base, 0b111111, upto=2)
+        assert len(levels) == 15
         for state in levels.values():
-            assert state.table is not None
+            assert state.table.dtype == np.int64
             assert state.table.shape == (1 << 4,)
 
     def test_window_sweep_with_engine_config(self):

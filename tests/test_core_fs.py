@@ -1,6 +1,5 @@
 """Unit tests for algorithm FS (the exact O*(3^n) DP, Theorem 5)."""
 
-import math
 
 import pytest
 
@@ -19,7 +18,7 @@ from repro.functions import (
     multiplexer,
     parity,
 )
-from repro.truth_table import TruthTable, count_subfunctions, obdd_size
+from repro.truth_table import TruthTable, count_subfunctions
 
 
 class TestOptimality:
@@ -182,8 +181,13 @@ class TestRules:
             run_fs(TruthTable.random(2, seed=0), engine="numpy")
 
     def test_frontier_store_kwarg_is_gone(self):
+        table = TruthTable.random(2, seed=0)
         with pytest.raises(TypeError, match="frontier_store"):
-            run_fs(TruthTable.random(2, seed=0), frontier_store="packed")
+            run_fs(table, frontier_store="packed")
+        with pytest.raises(TypeError, match="frontier"):
+            run_fs(table, frontier="full")
+        with pytest.raises(ValueError, match="process.*serial"):
+            run_fs(table, backend="thread")
 
 
 class TestFrontEnd:

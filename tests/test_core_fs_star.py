@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._bitops import bits_of, mask_of, popcount, subsets_of_size
+from repro._bitops import bits_of, popcount
 from repro.analysis.complexity import fs_star_table_cells
 from repro.analysis.counters import OperationCounters
 from repro.core import (

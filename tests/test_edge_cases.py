@@ -1,9 +1,7 @@
 """Edge cases and failure-path tests across the library."""
 
 import math
-import random
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -18,7 +16,6 @@ from repro import (
 from repro.analysis.reproduce import Check, render_report, run_reproduction
 from repro.core import run_fs_star, initial_state
 from repro.core.divide_conquer import effective_levels, opt_obdd_extend
-from repro.errors import DimensionError
 from repro.truth_table import count_subfunctions, obdd_size
 
 

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 
 from repro import (
     BDD,
@@ -13,7 +12,6 @@ from repro import (
     ReductionRule,
     TruthTable,
     brute_force_optimal,
-    build_diagram,
     find_optimal_ordering,
     obdd_size,
     opt_obdd,

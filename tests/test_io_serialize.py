@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.core import ReductionRule, build_diagram, reconstruct_minimum_diagram, run_fs
+from repro.core import ReductionRule, reconstruct_minimum_diagram, run_fs
 from repro.errors import ParseError
 from repro.io import diagram_from_json, diagram_to_json, load_diagram, save_diagram
 from repro.truth_table import TruthTable

@@ -5,9 +5,7 @@ import json
 import pytest
 
 from repro.analysis.counters import OperationCounters
-from repro.core import (
-    FrontierPolicy, ReductionRule, run_fs, run_fs_shared,
-)
+from repro.core import ReductionRule, run_fs, run_fs_shared
 from repro.observability import LayerProfile, Profiler
 from repro.truth_table import TruthTable
 
@@ -78,17 +76,15 @@ class TestEngineIntegration:
         (8, ReductionRule.BDD, 2),
     ])
     def test_layer_bytes_are_exact(self, n, rule, itemsize):
-        # int64 masks and mincosts per row, plus (under FULL, and always
-        # in the last layer) 2^(n-k) cells at the narrowest unsigned
-        # dtype holding num_terminals + 2^n, doubled for CBDD edges.
+        # int64 masks and mincosts per row, plus 2^(n-k) cells at the
+        # narrowest unsigned dtype holding num_terminals + 2^n, doubled
+        # for CBDD edges.
         tt = TruthTable.random(n, seed=n)
-        for policy in FrontierPolicy:
-            profiler = Profiler()
-            run_fs(tt, rule=rule, frontier=policy, profiler=profiler)
-            for layer in profiler.layers:
-                full = policy is FrontierPolicy.FULL or layer.k == n
-                cells = (1 << (n - layer.k)) * itemsize if full else 0
-                assert layer.frontier_bytes == layer.subsets * (16 + cells)
+        profiler = Profiler()
+        run_fs(tt, rule=rule, profiler=profiler)
+        for layer in profiler.layers:
+            cells = (1 << (n - layer.k)) * itemsize
+            assert layer.frontier_bytes == layer.subsets * (16 + cells)
 
     def test_layer_counters_are_cumulative_snapshots(self):
         from repro.analysis.complexity import fs_table_cells
@@ -112,10 +108,10 @@ class TestEngineIntegration:
         after = OperationCounters()
         after.table_cells = 10
         after.compactions = 2
-        after.add_extra("recompute_cells", 7)
+        after.add_extra("retries", 7)
         assert after.diff(before) == {
             "table_cells": 10,
             "compactions": 2,
-            "recompute_cells": 7,
+            "retries": 7,
         }
         assert before.copy() == before

@@ -4,7 +4,6 @@ Each test cites the claim it verifies.  These are the reproduction's
 ground truth; EXPERIMENTS.md summarizes their outcomes.
 """
 
-import math
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.analysis import (
     gamma1,
     gamma2_appendix_b,
     solve_table1,
-    solve_table2,
     theorem13_constant,
 )
 from repro.core import (
@@ -22,14 +20,12 @@ from repro.core import (
     build_diagram,
     mincost_by_split,
     opt_obdd,
-    reconstruct_minimum_diagram,
     run_fs,
     run_fs_star,
     initial_state,
 )
 from repro.functions import (
     achilles_bad_order,
-    achilles_bad_size,
     achilles_good_order,
     achilles_good_size,
     achilles_heel,

@@ -1,8 +1,6 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
-import math
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +21,7 @@ from repro.core import (
     opt_obdd,
     run_fs,
 )
-from repro.truth_table import TruthTable, count_subfunctions, obdd_size
+from repro.truth_table import TruthTable, count_subfunctions
 
 # ----------------------------------------------------------------------
 # strategies

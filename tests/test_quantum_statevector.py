@@ -179,7 +179,6 @@ class TestBBHTSearch:
         assert run.oracle_calls <= int(45 * 32 ** 0.5) + 10
 
     def test_query_scaling_sqrt(self):
-        import math
         import random as rnd_mod
         import statistics
 

@@ -32,9 +32,9 @@ from repro.truth_table import TruthTable
 
 
 def _config(**overrides):
-    """A fast test-sized server: thread backend, small pool."""
+    """A fast test-sized server: serial backend, small pool."""
     defaults = dict(
-        backend="thread", jobs=2, max_inflight=2, queue_limit=16
+        backend="serial", jobs=2, max_inflight=2, queue_limit=16
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)
@@ -308,7 +308,7 @@ class TestConcurrencyAcceptance:
             "retries", "hit_rate",
         }
         assert metrics["server"]["draining"] is False
-        assert metrics["config"]["backend"] == "thread"
+        assert metrics["config"]["backend"] == "serial"
 
     def test_shared_disk_cache_across_server_restarts(self, tmp_path):
         table = TruthTable.random(6, seed=70)
@@ -338,7 +338,7 @@ class TestSigtermDrain:
         env["PYTHONPATH"] = os.path.abspath(src)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--backend", "thread", "--jobs", "2",
+             "--backend", "serial", "--jobs", "2",
              "--max-inflight", "2", *extra],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,

@@ -16,18 +16,17 @@ import socket
 import threading
 import time
 
-import pytest
 
 from repro import parse, solve
-from repro.errors import BudgetExceeded, ServeError
+from repro.errors import BudgetExceeded
 from repro.serve import ServeClient, ServeConfig, running_server
 from repro.truth_table import TruthTable
 
 
 def _config(**overrides):
-    """A fast test-sized server: thread backend, small pool."""
+    """A fast test-sized server: serial backend, small pool."""
     defaults = dict(
-        backend="thread", jobs=2, max_inflight=2, queue_limit=16
+        backend="serial", jobs=2, max_inflight=2, queue_limit=16
     )
     defaults.update(overrides)
     return ServeConfig(**defaults)

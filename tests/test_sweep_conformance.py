@@ -1,12 +1,11 @@
 """Generated conformance for the DP's one chunk loop.
 
-Every frontier policy, backend, job count and batch size runs the same
-chunk loop over the same compaction kernel, so one drawn configuration
-must reproduce the serial FULL run exactly: order, mincost and the
-paper-facing counters; the ``recompute_*`` replay tallies of its own
-policy's serial run; and the brute-force optimum.  A drawn crash after
-layer ``k`` must resume from its checkpoint to the uninterrupted run in
-every result map and every counter, and a checkpoint damaged as it was
+Every job count and batch size runs the same chunk loop over the same
+compaction kernel, so one drawn configuration must reproduce the serial
+``jobs=1`` run exactly: order, mincost and every counter; and the
+brute-force optimum.  A drawn crash after layer ``k`` must resume from
+its checkpoint to the uninterrupted run in every result map and every
+counter, and a checkpoint damaged as it was
 written must refuse to resume.  The sweep refuses a node-tracking base;
 replaying the winner's chain from one builds exactly ``mincost`` nodes.
 Along a random chain, every ``compact()`` step must equal the
@@ -15,6 +14,8 @@ unrelated parent tables compacted in one kernel call must equal the same
 tables compacted one at a time, and the oracle.
 """
 
+import base64
+import shutil
 import tempfile
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.analysis.counters import OperationCounters
 from repro.core import (
     CheckpointStore,
     FaultInjector,
-    FrontierPolicy,
     InjectedFault,
     ReductionRule,
     brute_force_optimal,
@@ -48,12 +48,6 @@ from repro.errors import CheckpointError
 from repro.truth_table import TruthTable
 from tests.compact_oracle import canonical_cells, compact_python
 
-PAPER_COUNTERS = (
-    "table_cells", "compactions", "nodes_created", "subsets_processed",
-    "oracle_queries", "classical_evaluations",
-)
-
-
 @st.composite
 def problems(draw):
     n = draw(st.integers(1, 6))
@@ -70,8 +64,7 @@ def problems(draw):
 
 
 configs = st.tuples(
-    st.sampled_from(list(FrontierPolicy)),
-    st.sampled_from([("serial", 1), ("thread", 1), ("thread", 2)]),
+    st.sampled_from([1, 2]),
     # The chunk loop's batch cap in table cells: one subset per batch, a
     # few subsets, or the default (every n <= 6 layer in one batch).
     st.one_of(st.just(1), st.integers(2, 64),
@@ -85,16 +78,11 @@ configs = st.tuples(
 )
 
 
-def solve(tables, rule, policy, backend, jobs, **kwargs):
-    kwargs.update(rule=rule, frontier=policy, backend=backend, jobs=jobs)
+def solve(tables, rule, jobs, **kwargs):
+    kwargs.update(rule=rule, backend="serial", jobs=jobs)
     if len(tables) == 1:
         return run_fs(tables[0], **kwargs)
     return run_fs_shared(tables, **kwargs)
-
-
-def recompute(counters):
-    return {key: value for key, value in counters.extra.items()
-            if key.startswith("recompute_")}
 
 
 def outcome(result):
@@ -107,10 +95,10 @@ def outcome(result):
 @given(problems(), configs)
 def test_chunk_loop_conforms(problem, config):
     tables, rule, chain = problem
-    policy, (backend, jobs), batch_cells, crash = config
+    jobs, batch_cells, crash = config
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executor, "_BATCH_CELLS", batch_cells)
-        got = solve(tables, rule, policy, backend, jobs)
+        got = solve(tables, rule, jobs)
         if crash is not None:
             layer, corruption = min(crash[0], tables[0].n), crash[1]
             with tempfile.TemporaryDirectory() as directory:
@@ -120,25 +108,20 @@ def test_chunk_loop_conforms(problem, config):
                     corruption=corruption or "truncate",
                 )
                 with pytest.raises(InjectedFault):
-                    solve(tables, rule, policy, backend, jobs,
-                          checkpoint_dir=directory, fault_injector=injector)
+                    solve(tables, rule, jobs, checkpoint_dir=directory,
+                          fault_injector=injector)
                 if corruption:
                     with pytest.raises(CheckpointError):
-                        solve(tables, rule, policy, backend, jobs,
-                              checkpoint_dir=directory, resume=True)
+                        solve(tables, rule, jobs, checkpoint_dir=directory,
+                              resume=True)
                 else:
-                    resumed = solve(tables, rule, policy, backend, jobs,
+                    resumed = solve(tables, rule, jobs,
                                     checkpoint_dir=directory, resume=True)
                     assert outcome(resumed) == outcome(got)
 
-    reference = solve(tables, rule, FrontierPolicy.FULL, "serial", 1)
+    reference = solve(tables, rule, 1)
     assert (got.order, got.mincost) == (reference.order, reference.mincost)
-    paper = {key: getattr(got.counters, key) for key in PAPER_COUNTERS}
-    assert paper == {
-        key: getattr(reference.counters, key) for key in PAPER_COUNTERS
-    }
-    same_policy = solve(tables, rule, policy, "serial", 1)
-    assert recompute(got.counters) == recompute(same_policy.counters)
+    assert got.counters.snapshot() == reference.counters.snapshot()
 
     if len(tables) == 1:
         optimum = brute_force_optimal(tables[0], rule).mincost
@@ -169,40 +152,53 @@ def test_chunk_loop_conforms(problem, config):
 
 
 def test_earlier_checkpoint_formats_never_resume(tmp_path):
-    """A layer file in the per-entry format that preceded the dense layer
-    blob — its mincosts all wrong — ends in a cold start when it carries
-    that format's fingerprint, and in :class:`CheckpointError` when it
-    carries the current one; never in a wrong answer."""
+    """Layer files in formats the sweep no longer writes — their
+    mincosts all wrong — end in a cold start when they carry their own
+    fingerprint, and in :class:`CheckpointError` when they carry the
+    current one; never in a wrong answer.  The formats: the per-entry
+    one that preceded the dense layer blob, and a dense layer without
+    tables (``"dtype": null``) as a mincost-only layer wrote it.  Full
+    dense layers keep the fingerprint they had when both kinds could be
+    written, so those still resume."""
     table = TruthTable.random(5, seed=3)
     clean = run_fs(table)
     full = (1 << 5) - 1
-    current = sweep_fingerprint(initial_state(table), full, "bdd", 5, "full")
-    earlier = {key: value for key, value in current.items()
-               if key != "layer_format"}
-    earlier.update(kernel="numpy", track_nodes=False)
+    current = sweep_fingerprint(initial_state(table), full, "bdd", 5)
+    assert fingerprint_hash(current) == "a8b37b56febe"
+    per_entry = {key: value for key, value in current.items()
+                 if key != "layer_format"}
+    per_entry.update(kernel="numpy", track_nodes=False)
     masks = list(subsets_of_size(full, 2))
-    payload = {
+    common = {
         "layer": 2,
-        "entries": [
-            [mask, {"kind": "skeleton", "pi": bits_of(mask), "mincost": 0}]
-            for mask in sorted(masks)
-        ],
         "mincost_by_subset": sorted({0: 0, **dict.fromkeys(masks, 0)}.items()),
         "best_last": sorted((mask, bits_of(mask)[-1]) for mask in masks),
         "level_cost_by_choice": [],
         "subsets_processed": len(masks),
         "counter_delta": {},
     }
-    for fingerprint in (earlier, current):
-        directory = tmp_path / fingerprint_hash(fingerprint)
-        path = CheckpointStore(str(directory), fingerprint).layer_path(2)
-        write_checked_json(path, dict(payload, fingerprint=fingerprint))
-    resumed = run_fs(table, checkpoint_dir=str(tmp_path / fingerprint_hash(
-        earlier)), resume=True)
-    assert outcome(resumed) == outcome(clean)
-    with pytest.raises(CheckpointError):
-        run_fs(table, checkpoint_dir=str(tmp_path / fingerprint_hash(
-            current)), resume=True)
+    entries = dict(common, entries=[
+        [mask, {"kind": "skeleton", "pi": bits_of(mask), "mincost": 0}]
+        for mask in sorted(masks)
+    ])
+    blob = np.array(masks, np.int64).tobytes() + bytes(8 * len(masks))
+    no_tables = dict(common, frontier={
+        "rows": len(masks), "cells": 0, "dtype": None,
+        "blob": base64.b64encode(blob).decode("ascii"),
+    })
+    for earlier, payload in ((per_entry, entries),
+                             (dict(current, frontier="mincost"), no_tables)):
+        for fingerprint in (earlier, current):
+            directory = tmp_path / fingerprint_hash(fingerprint)
+            shutil.rmtree(directory, ignore_errors=True)
+            path = CheckpointStore(str(directory), fingerprint).layer_path(2)
+            write_checked_json(path, dict(payload, fingerprint=fingerprint))
+        resumed = run_fs(table, checkpoint_dir=str(
+            tmp_path / fingerprint_hash(earlier)), resume=True)
+        assert outcome(resumed) == outcome(clean)
+        with pytest.raises(CheckpointError):
+            run_fs(table, checkpoint_dir=str(tmp_path / fingerprint_hash(
+                current)), resume=True)
 
 
 @st.composite
