@@ -12,6 +12,7 @@ These conventions are used consistently by :mod:`repro.truth_table`,
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -56,7 +57,8 @@ def rank_in_mask(mask: int, var: int) -> int:
 
 
 def subsets_of_size(universe_mask: int, k: int) -> Iterator[int]:
-    """Yield all sub-masks of ``universe_mask`` with exactly ``k`` bits set.
+    """All sub-masks of ``universe_mask`` with exactly ``k`` bits set,
+    as an iterator.
 
     Masks come in lexicographic order of their member positions (the
     sorted index tuples into ``bits_of(universe_mask)``), not in numeric
@@ -64,26 +66,11 @@ def subsets_of_size(universe_mask: int, k: int) -> Iterator[int]:
     A DP layer's rows, its chunk split and its checkpoint blob all follow
     this order.
     """
-    members = bits_of(universe_mask)
-    n = len(members)
-    if k < 0 or k > n:
-        return
-    if k == 0:
-        yield 0
-        return
-    # Gosper-style enumeration over positions, mapped through `members`.
-    idx = list(range(k))
-    while True:
-        yield mask_of(members[i] for i in idx)
-        # advance the combination
-        for j in reversed(range(k)):
-            if idx[j] != j + n - k:
-                break
-        else:
-            return
-        idx[j] += 1
-        for t in range(j + 1, k):
-            idx[t] = idx[t - 1] + 1
+    if k < 0:
+        return iter(())
+    # itertools.combinations emits index tuples in exactly that order; a
+    # sum of distinct member bits is their mask.
+    return map(sum, combinations([1 << i for i in bits_of(universe_mask)], k))
 
 
 def all_submasks(mask: int) -> Iterator[int]:

@@ -14,11 +14,19 @@ own ``next_id``.  It has two callers:
 
 * :func:`compact` — its one-row call, one step on one
   :class:`~repro.core.spec.FSState` (chain replays, window costing,
-  sifting oracles);
+  sifting oracles); a one-row call also returns the new nodes' packed
+  keys, which node tracking reads;
 * :func:`repro.core.executor.sweep_chunk` — the DP's chunk loop, which
   stacks the predecessor rows of every candidate of a batch of subsets
   that folds the same cofactor position into one call, then keeps each
-  subset's winning row in the next layer's matrix.
+  subset's winning row in the next layer's matrix.  A stacked call
+  returns only tables and node counts.
+
+Every pass runs at the width of the input cells, and ``(u0, u1)`` packs
+into a key twice that wide: ``uint32`` keys for the ``uint16`` layers
+of one function at n = 8..15.  ``FSState``'s ``int64`` tables pack with
+a 32-bit shift.  Both packings sort a row alike, so node ids do not
+depend on the width.
 
 The cell-at-a-time transcription of the paper's ``COMPACT`` pseudo code
 lives in the test suite as the executable oracle this kernel is checked
@@ -48,12 +56,25 @@ from .._bitops import insert_bit_indices, rank_in_mask
 from ..analysis.counters import OperationCounters
 from .spec import FSState, ReductionRule
 
-_KEY_SHIFT = 32
-# Node ids stay below 2^31, so no packed (u0, u1) key reaches _MERGED,
-# the key a merged cell gets in a stack of rows: it sorts last, and each
-# row's merged cells gather at its end.
+# Node ids stay below 2^31, the bound the kernel enforces.
 _NODE_LIMIT = 1 << 31
-_MERGED = np.iinfo(np.int64).max
+
+# Per cell dtype: the key dtype ``(u0, u1)`` packs into, the shift of
+# ``u0``, and the key of a merged cell in a stack of rows, the key
+# dtype's maximum.  A cell stays below its own dtype's maximum
+# (:meth:`~repro.core.frontier.Layer.cell_dtype` picks a dtype holding
+# the node-id bound; ``int64`` ids stay below ``_NODE_LIMIT``), so no
+# live key reaches that merged key: it sorts last, and each row's
+# merged cells gather at its end.  Other dtypes are widened to int64.
+_LAYOUTS = {
+    np.dtype(cells): (np.dtype(keys), shift, keys(np.iinfo(keys).max))
+    for cells, keys, shift in (
+        (np.uint8, np.uint16, 8),
+        (np.uint16, np.uint32, 16),
+        (np.uint32, np.uint64, 32),
+        (np.int64, np.int64, 32),
+    )
+}
 
 
 def cofactor_indices(
@@ -86,30 +107,33 @@ def compact_table(
     next_ids: Sequence[int],
     rule: ReductionRule,
     counters: Optional[OperationCounters] = None,
-) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+) -> Tuple[np.ndarray, Optional[np.ndarray], List[int]]:
     """One ``COMPACT`` step on every row of a stack of parent tables.
 
     The rows share cofactor geometry (``idx0``/``idx1``) and row ``r``
     numbers the nodes it creates from ``next_ids[r]``; rows never share
-    nodes.  Returns the new tables (one row per parent), the sorted
-    packed ``(u0, u1)`` keys of each row's nodes concatenated in row
-    order, and each row's node count: node ``next_ids[r] + j`` of row
-    ``r`` is the ``j``-th of its keys.
+    nodes.  Returns the new tables (one row per parent, at the parents'
+    cell dtype), the keys and each row's node count.  A one-row call
+    returns its sorted packed ``(u0, u1)`` keys (node ``next_ids[0] + j``
+    is the ``j``-th); a stacked call returns ``None`` there.
 
-    A one-row call sorts only its live cells, in 1-D; a taller stack
-    sorts all its rows in one call, merged cells keyed past every live
-    key so they open no node.
+    Keys are twice as wide as the cells (``uint32`` for ``uint16``);
+    ``int64`` cells pack with a 32-bit shift.  A one-row call sorts only
+    its live cells, in 1-D; a taller stack sorts all its rows in one
+    call, merged cells keyed past every live key so they open no node.
     """
     if max(next_ids) >= _NODE_LIMIT:  # pragma: no cover - needs >2^31 nodes
         raise OverflowError("node id space exhausted")
-    tables = tables.astype(np.int64, copy=False)
+    if tables.dtype not in _LAYOUTS:
+        tables = tables.astype(np.int64)
+    key_dtype, shift, merged_key = _LAYOUTS[tables.dtype]
     if tables.shape[0] == 1:
         # A single step: 1-D indexing throughout is cheapest.
         u0 = tables[0][idx0]
         u1 = tables[0][idx1]
     else:
-        u0 = tables[:, idx0]
-        u1 = tables[:, idx1]
+        u0 = tables.take(idx0, axis=1)
+        u1 = tables.take(idx1, axis=1)
     if rule is ReductionRule.ZDD:
         merged = u1 == 0
     else:  # BDD / MTBDD / CBDD all merge equal cofactors
@@ -120,13 +144,16 @@ def compact_table(
         # subfunctions are complements of each other normalize to the
         # same node — that is exactly the complement-class sharing.
         out_complement = u1 & 1
-        keys = ((u0 ^ out_complement) << _KEY_SHIFT) | (u1 ^ out_complement)
+        keys = np.left_shift(u0 ^ out_complement, shift, dtype=key_dtype)
+        keys |= u1 ^ out_complement
     else:
-        keys = (u0 << _KEY_SHIFT) | u1
+        keys = np.left_shift(u0, shift, dtype=key_dtype)
+        keys |= u1
 
     # Dedup by sorting: a live cell's node is the number of distinct keys
     # sorted before its own in its row.
-    new_tables = np.empty(keys.shape, dtype=np.int64)
+    new_tables = np.empty(keys.shape, dtype=tables.dtype)
+    unique_keys = None
     if keys.ndim == 1:
         live = ~merged
         live_keys = keys[live]
@@ -135,31 +162,28 @@ def compact_table(
         opens = np.empty(ordered.shape, dtype=bool)
         opens[:1] = False
         np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
-        ranks = np.empty(order.shape, dtype=np.int64)
+        ranks = np.empty(order.shape, dtype=tables.dtype)
         ranks[order] = opens.cumsum() + next_ids[0]
         new_tables[live] = ranks
         opens[:1] = True
         unique_keys = ordered[opens]
         counts = [unique_keys.shape[0]]
     else:
-        keys[merged] = _MERGED
+        np.copyto(keys, merged_key, where=merged)
         order = keys.argsort(axis=1)
         order += np.arange(0, keys.size, keys.shape[1])[:, None]
-        ordered = keys.ravel()[order]
+        ordered = keys.ravel().take(order)
         opens = np.empty(ordered.shape, dtype=bool)
         opens[:, 0] = False
         np.not_equal(ordered[:, 1:], ordered[:, :-1], out=opens[:, 1:])
-        ranks = opens.cumsum(axis=1)
-        counts = (ranks[:, -1] + (ordered[:, -1] != _MERGED)).tolist()
-        ranks += np.asarray(next_ids, dtype=np.int64)[:, None]
+        ranks = opens.cumsum(axis=1, dtype=tables.dtype)
+        counts = (ranks[:, -1] + (ordered[:, -1] != merged_key)).tolist()
+        ranks += np.asarray(next_ids, dtype=tables.dtype)[:, None]
         new_tables.ravel()[order] = ranks
-        opens[:, 0] = True
-        opens &= ordered != _MERGED
-        unique_keys = ordered[opens]
     if rule is ReductionRule.CBDD:
         new_tables <<= 1
         new_tables |= out_complement
-    new_tables[merged] = u0[merged]
+    np.copyto(new_tables, u0, where=merged)
 
     if counters is not None:
         counters.compactions += tables.shape[0]
@@ -171,16 +195,16 @@ def compact_table(
 def extend_state(
     state: FSState, var: int, table: np.ndarray, unique_keys: np.ndarray
 ) -> FSState:
-    """The state one :func:`compact_table` row produced by folding ``var``
-    into ``state``.  Node structure is tracked iff ``state`` tracks it."""
+    """The state one one-row :func:`compact_table` call produced by
+    folding ``var`` into ``state``.  Node structure is tracked iff
+    ``state`` tracks it."""
     nodes = None
     if state.nodes is not None:
         nodes = dict(state.nodes)
         next_id = state.next_id
+        shift = _LAYOUTS[table.dtype][1]
         for j, key in enumerate(unique_keys.tolist()):
-            nodes[next_id + j] = (
-                var, key >> _KEY_SHIFT, key & ((1 << _KEY_SHIFT) - 1)
-            )
+            nodes[next_id + j] = (var, key >> shift, key & ((1 << shift) - 1))
     return FSState(
         n=state.n,
         mask=state.mask | (1 << var),

@@ -256,7 +256,7 @@ def run_layered_sweep(
             best_last=best_last,
             level_cost_by_choice=level_cost_by_choice,
         )
-    previous = Layer.of_base(base)
+    previous = Layer.of_base(base, rule)
 
     budget = config.budget
     last_checkpoint_path: Optional[str] = None
@@ -326,11 +326,10 @@ def run_layered_sweep(
                         checkpoint_path=last_checkpoint_path,
                         where=f"layer boundary (before k={k})",
                     )
-            layer_masks = np.fromiter(
-                (mask for mask in subsets_of_size(universe_mask, k)
-                 if subset_filter is None or subset_filter(mask)),
-                dtype=np.int64,
-            )
+            layer_masks = subsets_of_size(universe_mask, k)
+            if subset_filter is not None:
+                layer_masks = filter(subset_filter, layer_masks)
+            layer_masks = np.fromiter(layer_masks, np.int64)
             if not len(layer_masks):
                 raise OrderingError(
                     f"no subset of size {k} passes the subset filter"
@@ -389,7 +388,10 @@ def run_layered_sweep(
                 keys, _joined([part.best_last for part in parts]).tolist()
             ))
             for part in parts:
-                level_cost_by_choice.update(part.level_cost)
+                pred, var, cost = part.level_cost
+                level_cost_by_choice.update(zip(
+                    zip(pred.tolist(), var.tolist()), cost.tolist()
+                ))
                 counters.merge(part.counters)
             subsets_processed += len(current)
             previous = current

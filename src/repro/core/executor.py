@@ -80,7 +80,7 @@ import signal
 import threading
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
     Sequence, Tuple, Type, Union,
@@ -137,7 +137,11 @@ class ChunkResult:
     index: int = 0
     """Position of the chunk within its layer's chunk list."""
 
-    level_cost: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    level_cost: Tuple[np.ndarray, ...] = ()
+    """``Cost_i`` of every candidate the chunk evaluated, as three
+    aligned arrays: the predecessor's absolute mask, the placed variable
+    and the nodes its compaction created.  The engine turns them into
+    ``level_cost_by_choice`` entries."""
 
     cancelled: bool = False
     """True when the executing worker observed the mirrored cancellation
@@ -190,17 +194,20 @@ def sweep_chunk(
     cells = base.num_roots << (base.n - base.placed - k)
     out = ChunkResult(
         np.empty(len(masks), np.int64), np.empty(len(masks), np.int64),
-        np.empty((len(masks), cells), Layer.cell_dtype(base, rule)),
-        counters,
+        np.empty((len(masks), cells), previous.tables.dtype), counters,
     )
     indices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    level_costs = []
     step = -(-_BATCH_CELLS // (k * cells))
     for start in range(0, len(masks), step):
         stop = min(start + step, len(masks))
         if should_stop is not None and should_stop(stop):
             out.cancelled = True
             return out
-        _settle_batch(masks, start, stop, previous, base, rule, indices, out)
+        level_costs.append(_settle_batch(
+            masks, start, stop, previous, base, rule, indices, out
+        ))
+    out.level_cost = tuple(map(np.concatenate, zip(*level_costs)))
     counters.subsets_processed += len(masks)
     return out
 
@@ -214,10 +221,11 @@ def _settle_batch(
     rule: ReductionRule,
     indices: Dict[int, Tuple[np.ndarray, np.ndarray]],
     out: ChunkResult,
-) -> None:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact one batch of successors, a kernel call per cofactor
     position, and record each successor's winner in rows
-    ``start:stop`` of ``out``."""
+    ``start:stop`` of ``out``.  Returns the batch's candidates'
+    ``(absolute predecessor mask, variable, nodes created)``."""
     masks = chunk[start:stop]
     k = int(masks[0]).bit_count()
     members = bits_of(int(np.bitwise_or.reduce(masks)))
@@ -250,7 +258,7 @@ def _settle_batch(
         starts = np.cumsum(per_successor) - per_successor
 
     created = np.empty(len(succ), np.int64)
-    tables = np.empty((len(succ), out.tables.shape[1]), np.int64)
+    tables = np.empty((len(succ), out.tables.shape[1]), out.tables.dtype)
     prev_cost = previous.mincost[row]
     next_ids = base.num_terminals + prev_cost
     placed = base.placed + k - 1
@@ -262,7 +270,7 @@ def _settle_batch(
                 base.n, placed, base.num_roots, p
             )
         new, _, counts = compact_table(
-            previous.tables[row[at]],
+            previous.tables.take(row[at], axis=0),
             *cofactors, next_ids[at].tolist(), rule, out.counters,
         )
         created[at] = counts
@@ -275,9 +283,7 @@ def _settle_batch(
     out.mincost[start:stop] = cost[winners]
     out.best_last[start:stop] = var[winners]
     out.tables[start:stop] = tables[winners]
-    out.level_cost.update(zip(
-        zip((base.mask | pred).tolist(), var.tolist()), created.tolist(),
-    ))
+    return base.mask | pred, var, created
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +644,7 @@ def _run_chunk_task(task: ChunkTask) -> ChunkResult:
     _, _, base, rule = _worker_bind_sweep(task)
     previous = task.previous
     if previous is None:
-        previous = Layer.of_base(base)
+        previous = Layer.of_base(base, rule)
     cancel = _WORKER_CANCEL
     should_stop = None
     if cancel is not None:

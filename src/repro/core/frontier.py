@@ -52,10 +52,11 @@ class Layer:
         self._sorted = self.masks[self._order]
 
     @classmethod
-    def of_base(cls, base: FSState) -> "Layer":
-        """Layer 0: the base state alone, its table as the one row."""
+    def of_base(cls, base: FSState, rule: ReductionRule) -> "Layer":
+        """Layer 0: the base state alone, its table as the one row at
+        the sweep's cell dtype, like every later layer."""
         return cls(np.zeros(1, np.int64), np.array([base.mincost]),
-                   base.table[None])
+                   base.table.astype(cls.cell_dtype(base, rule))[None])
 
     @staticmethod
     def cell_dtype(base: FSState, rule: ReductionRule) -> np.dtype:
@@ -93,6 +94,8 @@ class Layer:
 
     def rows_of(self, masks: np.ndarray) -> np.ndarray:
         """Row of each of ``masks`` in this layer, ``-1`` where absent."""
+        if not len(self._sorted):
+            return np.full(np.shape(masks), -1, np.int64)
         at = np.searchsorted(self._sorted, masks)
         found = self._sorted.take(at, mode="clip") == masks
         return np.where(found, self._order.take(at, mode="clip"), -1)

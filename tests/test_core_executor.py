@@ -35,10 +35,11 @@ from repro.core import (
     run_fs_constrained,
     run_fs_shared,
     run_fs_star,
+    run_layered_sweep,
     window_sweep,
 )
 from repro.core.executor import resolve_backend, shared_backend, split_chunks
-from repro.errors import BudgetExceeded
+from repro.errors import BudgetExceeded, OrderingError
 from repro.truth_table import TruthTable
 from tests.test_core_budget import fake_clock
 
@@ -257,6 +258,20 @@ class TestProcessBackendAcrossEntryPoints:
         assert par.mincost == serial.mincost
         assert par.pi == serial.pi
         assert paper_counters(par_counters) == paper_counters(serial_counters)
+
+    def test_filter_orphaned_subset_is_an_ordering_error(self, process_pool):
+        """A feasible subset the filter left without a feasible
+        predecessor is an OrderingError on both backends, also where a
+        worker receives its chunk with no predecessor rows at all."""
+        state = initial_state(TruthTable.random(3, seed=1))
+        for backend in ("serial", process_pool):
+            with pytest.raises(OrderingError,
+                               match="no feasible chain reaches subset 0x6"):
+                run_layered_sweep(
+                    state, 0b111, upto=2,
+                    subset_filter=lambda mask: mask in (1, 3, 6),
+                    config=EngineConfig(backend=backend, jobs=2),
+                )
 
 
 # ----------------------------------------------------------------------

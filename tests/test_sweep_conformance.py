@@ -10,8 +10,9 @@ written must refuse to resume.  The sweep refuses a node-tracking base;
 replaying the winner's chain from one builds exactly ``mincost`` nodes.
 Along a random chain, every ``compact()`` step must equal the
 cell-at-a-time ``COMPACT`` oracle up to node-id renaming.  A stack of
-unrelated parent tables compacted in one kernel call must equal the same
-tables compacted one at a time, and the oracle.
+unrelated parent tables compacted in one kernel call at the sweep's cell
+dtype, its node ids on either side of a key-width boundary, must equal
+the same tables compacted one at a time at ``int64``, and the oracle.
 """
 
 import base64
@@ -20,7 +21,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro._bitops import bits_of, subsets_of_size
@@ -43,6 +44,7 @@ from repro.core import (
 from repro.core import executor
 from repro.core.checkpoint import fingerprint_hash, write_checked_json
 from repro.core.compaction import cofactor_indices, compact_table
+from repro.core.frontier import Layer
 from repro.core.spec import FSState
 from repro.errors import CheckpointError
 from repro.truth_table import TruthTable
@@ -201,17 +203,40 @@ def test_earlier_checkpoint_formats_never_resume(tmp_path):
                 current)), resume=True)
 
 
+def renamed(state, rule, offset):
+    """``state`` with every internal node id, and so its ``next_id``,
+    raised by ``offset``: the same state over ``offset`` more terminals."""
+    table = state.table.copy()
+    if rule is ReductionRule.CBDD:  # cells are edges ``id << 1 | bit``
+        table[table >> 1 >= state.num_terminals] += offset << 1
+    else:
+        table[table >= state.num_terminals] += offset
+    return FSState(
+        n=state.n, mask=state.mask, pi=state.pi, mincost=state.mincost,
+        table=table, num_terminals=state.num_terminals + offset,
+        num_roots=state.num_roots,
+    )
+
+
 @st.composite
-def stacks(draw):
-    """Unrelated parent states that fold the same cofactor position.
+def stacks(draw, rule, boundary, shifts):
+    """Unrelated parent states that fold the same cofactor position,
+    stored as the sweep stores them.
 
     Every row is a random function (1-2 roots) compacted along its own
     random chain of ``placed`` variables, so rows differ in placed set,
     table values and ``next_id``; each folds its ``position``-th free
-    variable next.
+    variable next.  With a ``boundary``, one offset renames every row's
+    internal node ids so the node-id bound :meth:`Layer.cell_dtype` uses
+    ends up ``shifts(span)`` past it, ``span`` being how many ids a row
+    can hold.  At a cell width (``2^8``, ``2^16``) that puts the stack's
+    ids just below or just above it, so its keys on either side of a
+    key-width boundary; at half a cell width (``2^7``, ``2^15``) a row's
+    ids straddle the top bit of its cells.  The stack is stored at the
+    dtype :meth:`Layer.cell_dtype` picks for its rows, or at ``int64``
+    when no boundary is asked for.
     """
     n = draw(st.integers(1, 6))
-    rule = draw(st.sampled_from(list(ReductionRule)))
     roots = draw(st.integers(1, 2))
     placed = draw(st.integers(0, n - 1))
     position = draw(st.integers(0, n - placed - 1))
@@ -230,34 +255,72 @@ def stacks(draw):
         for var in draw(st.permutations(range(n)))[:placed]:
             state = compact(state, var, rule)
         rows.append((state, bits_of(state.free_mask)[position]))
-    return rule, placed, position, rows
+    dtype = np.dtype(np.int64)
+    if boundary:
+        if rule is ReductionRule.CBDD:  # edges double the bound
+            boundary >>= 1
+        terminals = max(state.num_terminals for state, _ in rows)
+        offset = boundary - terminals - (roots << n) + draw(shifts(roots << n))
+        assume(offset >= 0)  # else the rows' ids cannot reach that side
+        rows = [(renamed(state, rule, offset), var) for state, var in rows]
+    if boundary or draw(st.booleans()):
+        dtype = np.result_type(
+            *(Layer.cell_dtype(state, rule) for state, _ in rows))
+    return rule, placed, position, rows, dtype
 
 
-@settings(max_examples=100, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(stacks())
-def test_stacked_kernel_matches_single_rows(stack):
-    rule, placed, position, rows = stack
+def below(span):
+    return st.integers(-3, -1)
+
+
+def above(span):
+    return st.integers(0, 3)
+
+
+def across(span):
+    return st.integers(1, span - 1)
+
+
+def test_stacked_kernel_matches_single_rows():
+    """Under every rule, unshifted, on each side of both cell-width
+    boundaries and across half of each, a stack at its cell dtype
+    compacts like its rows one at a time at ``int64``: same tables, node
+    counts and counters; a one-row call at the cell dtype too; and each
+    row matches the oracle."""
+    for rule in ReductionRule:
+        for boundary, shifts in ((0, None), (1 << 8, below), (1 << 8, above),
+                                 (1 << 16, below), (1 << 16, above),
+                                 (1 << 7, across), (1 << 15, across)):
+            settings(max_examples=25, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])(
+                given(stacks(rule, boundary, shifts))(check_stack))()
+
+
+def check_stack(stack):
+    rule, placed, position, rows, dtype = stack
     first = rows[0][0]
     idx0, idx1 = cofactor_indices(first.n, placed, first.num_roots,
                                   position)
     next_ids = [state.next_id for state, _ in rows]
+    stacked = np.stack([state.table for state, _ in rows]).astype(dtype)
     counted = OperationCounters()
     tables, unique_keys, counts = compact_table(
-        np.stack([state.table for state, _ in rows]), idx0, idx1,
-        next_ids, rule, counted,
+        stacked, idx0, idx1, next_ids, rule, counted,
     )
-    start = 0
+    assert tables.dtype == dtype and unique_keys is None
     single_counted = OperationCounters()
     for r, (state, var) in enumerate(rows):
-        table, keys, count = compact_table(
+        table, _, count = compact_table(
             state.table[None], idx0, idx1, [next_ids[r]], rule,
             single_counted,
         )
         assert np.array_equal(tables[r], table[0])
         assert [counts[r]] == count
-        assert np.array_equal(unique_keys[start:start + counts[r]], keys)
-        start += counts[r]
+        narrow, _, narrow_count = compact_table(
+            stacked[r:r + 1], idx0, idx1, [next_ids[r]], rule,
+        )
+        assert narrow.dtype == dtype and np.array_equal(narrow[0], table[0])
+        assert narrow_count == count
 
         oracle = compact_python(state, var, rule)
         row_state = FSState(
@@ -268,5 +331,4 @@ def test_stacked_kernel_matches_single_rows(stack):
         assert row_state.mincost == oracle.mincost
         assert canonical_cells(row_state, rule) == canonical_cells(
             oracle, rule)
-    assert start == unique_keys.shape[0]
     assert counted == single_counted
