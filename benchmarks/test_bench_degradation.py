@@ -25,7 +25,7 @@ from repro.truth_table import TruthTable, obdd_size
 def test_degradation_artifact(benchmark):
     # -- (a) abort latency: governed runs stop near, not at, the deadline
     abort_rows = []
-    for n, deadline in [(12, 0.05), (13, 0.1), (14, 0.1)]:
+    for n, deadline in [(13, 0.05), (14, 0.1), (15, 0.1)]:
         table = TruthTable.random(n, seed=n)
         counters = OperationCounters()
         started = time.perf_counter()

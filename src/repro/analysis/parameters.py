@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from scipy import optimize
-
 from .entropy import binary_entropy as H
 
 LOG2_3 = math.log2(3.0)
@@ -73,6 +71,7 @@ def gamma1() -> Tuple[float, float]:
     Solves ``(1-a) + H(a) = H(a)/2 + (1-a) log2 3``.  Paper:
     ``alpha* = 0.274863``, ``gamma_1 <= 2.97625``.
     """
+    from scipy import optimize
 
     def balance(a: float) -> float:
         return (1.0 - a) + H(a) - (0.5 * H(a) + (1.0 - a) * LOG2_3)
@@ -87,6 +86,7 @@ def gamma2_appendix_b() -> Tuple[float, float, float]:
     Solves Eqs. (20)-(21).  Paper: ``alpha_1* = 0.192755``,
     ``alpha_2* = 0.334571``, ``gamma_2 = 2.8569``.
     """
+    from scipy import optimize
 
     def equations(a: Sequence[float]) -> List[float]:
         a1, a2 = a
@@ -168,6 +168,8 @@ def solve_parameters(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    from scipy import optimize
+
     gamma = gamma_subroutine
 
     if k == 1:

@@ -92,7 +92,7 @@ from .._bitops import bits_of
 from ..analysis.counters import OperationCounters
 from ..errors import ExecutorBrokenError, OrderingError
 from .checkpoint import RetryPolicy
-from .compaction import cofactor_indices, compact_table
+from .compaction import compact_table
 from .frontier import Layer
 from .spec import FSState, ReductionRule
 
@@ -104,8 +104,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 _WATCHER_POLL_SECONDS = 0.05
 
 # New table cells one batch of candidate compactions holds: enough that
-# numpy's fixed cost per call vanishes, few enough that a batch's
-# scratch arrays stay a few megabytes.
+# the chunk loop's numpy work per batch vanishes, few enough that a
+# batch's scratch arrays stay a few megabytes.
 _BATCH_CELLS = 1 << 16
 
 
@@ -179,11 +179,11 @@ def sweep_chunk(
     The successor ``masks`` are taken in batches of consecutive rows
     holding about ``_BATCH_CELLS`` new table cells.  A batch's
     candidates — one per member ``i`` of each successor whose
-    predecessor is in ``previous`` — stack their predecessor rows
-    straight out of the layer matrix into one
-    :func:`~repro.core.compaction.compact_table` call per cofactor
-    position; each successor then takes its first cheapest candidate in
-    ``bits_of`` order.
+    predecessor is in ``previous`` — read their predecessor rows
+    straight out of the layer matrix in one
+    :func:`~repro.core.compaction.compact_table` call, each at its own
+    cofactor position; each successor then takes its first cheapest
+    candidate in ``bits_of`` order.
 
     ``should_stop`` (the process workers' view of the mirrored
     cancellation event) is polled before each batch with the row count
@@ -196,7 +196,6 @@ def sweep_chunk(
         np.empty(len(masks), np.int64), np.empty(len(masks), np.int64),
         np.empty((len(masks), cells), previous.tables.dtype), counters,
     )
-    indices: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     level_costs = []
     step = -(-_BATCH_CELLS // (k * cells))
     for start in range(0, len(masks), step):
@@ -205,7 +204,7 @@ def sweep_chunk(
             out.cancelled = True
             return out
         level_costs.append(_settle_batch(
-            masks, start, stop, previous, base, rule, indices, out
+            masks, start, stop, previous, base, rule, out
         ))
     out.level_cost = tuple(map(np.concatenate, zip(*level_costs)))
     counters.subsets_processed += len(masks)
@@ -219,13 +218,12 @@ def _settle_batch(
     previous: Layer,
     base: FSState,
     rule: ReductionRule,
-    indices: Dict[int, Tuple[np.ndarray, np.ndarray]],
     out: ChunkResult,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact one batch of successors, a kernel call per cofactor
-    position, and record each successor's winner in rows
-    ``start:stop`` of ``out``.  Returns the batch's candidates'
-    ``(absolute predecessor mask, variable, nodes created)``."""
+    """Compact one batch of successors in one kernel call and record
+    each successor's winner in rows ``start:stop`` of ``out``.  Returns
+    the batch's candidates' ``(absolute predecessor mask, variable,
+    nodes created)``."""
     masks = chunk[start:stop]
     k = int(masks[0]).bit_count()
     members = bits_of(int(np.bitwise_or.reduce(masks)))
@@ -260,21 +258,10 @@ def _settle_batch(
     created = np.empty(len(succ), np.int64)
     tables = np.empty((len(succ), out.tables.shape[1]), out.tables.dtype)
     prev_cost = previous.mincost[row]
-    next_ids = base.num_terminals + prev_cost
-    placed = base.placed + k - 1
-    for p in sorted(set(position.tolist())):
-        at = (position == p).nonzero()[0]
-        cofactors = indices.get(p)
-        if cofactors is None:
-            cofactors = indices[p] = cofactor_indices(
-                base.n, placed, base.num_roots, p
-            )
-        new, _, counts = compact_table(
-            previous.tables.take(row[at], axis=0),
-            *cofactors, next_ids[at].tolist(), rule, out.counters,
-        )
-        created[at] = counts
-        tables[at] = new
+    compact_table(
+        previous.tables, row, position, base.num_terminals + prev_cost, rule,
+        tables, created, counters=out.counters,
+    )
 
     # A stable sort by (successor, cost) keeps bits_of order among equal
     # costs, so each successor's first cheapest candidate wins.

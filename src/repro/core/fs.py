@@ -35,6 +35,7 @@ from .cache import (
     table_key,
 )
 from .checkpoint import FaultInjector, RetryPolicy
+from .compaction import KERNEL
 from .engine import EngineConfig, run_layered_sweep
 from .spec import FSState, ReductionRule
 
@@ -305,7 +306,7 @@ def run_fs(
             state0 = initial_state(table, rule)
         profiler.meta.setdefault("n", n)
         profiler.meta.setdefault("rule", rule.value)
-        profiler.meta.setdefault("kernel", "numpy")
+        profiler.meta.setdefault("kernel", KERNEL)
         profiler.meta.setdefault("jobs", jobs)
         profiler.meta.setdefault(
             "backend",

@@ -7,6 +7,10 @@ loudly (naming the offender) on unknown methods or keyword arguments —
 while the five ``run_*`` functions stay importable and untouched.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -171,3 +175,24 @@ class TestEntryPointsStayPublic:
 
         assert METHODS == ("fs", "shared", "constrained", "window",
                            "fs_star")
+
+
+def test_solves_load_no_scipy():
+    """scipy serves only the Appendix C parameter solver, so importing
+    the package, the CLI and the serve daemon and running an exact solve
+    and a portfolio race leave it unloaded."""
+    script = (
+        "import sys, repro, repro.cli, repro.serve\n"
+        "from repro.truth_table import TruthTable\n"
+        "repro.solve(TruthTable.random(8, seed=1))\n"
+        "repro.solve(TruthTable.random(6, seed=2), strategy='portfolio')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__)),
+         env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.compaction import KERNEL
 from repro.io import load_diagram, write_pla
 from repro.truth_table import TruthTable
 
@@ -87,7 +88,7 @@ class TestOptimize:
         assert [layer["k"] for layer in profile["layers"]] == [1, 2, 3, 4]
         assert profile["peak_frontier_bytes"] > 0
         assert profile["layers"][-1]["counters"]["subsets_processed"] == 15
-        assert profile["meta"]["kernel"] == "numpy"
+        assert profile["meta"]["kernel"] == KERNEL
 
     def test_pla_input(self, run, tmp_path):
         table = TruthTable.random(4, seed=1)
@@ -424,9 +425,12 @@ class TestBatchOptimize:
 class TestResourceGovernance:
     """--timeout / --max-frontier-mb / --fallback / --max-retries."""
 
-    def heavy_pla(self, tmp_path, n=12, seed=3):
+    def heavy_pla(self, tmp_path, n=13, seed=3):
+        # An exact solve of about 0.15 s on a 2-vCPU host: past the
+        # 0.05 s budgets below.  Unmerged minterms write in milliseconds.
         path = tmp_path / f"heavy{n}.pla"
-        path.write_text(write_pla(TruthTable.random(n, seed=seed)))
+        path.write_text(write_pla(TruthTable.random(n, seed=seed),
+                                  merge=False))
         return str(path)
 
     def test_timeout_without_fallback_is_a_clean_error(self, run, tmp_path):
@@ -481,8 +485,10 @@ class TestResourceGovernance:
         assert "uncertified" in err
 
     def test_certify_rejects_inexact_result(self, run, tmp_path):
-        code, _, err = run("certify", "--pla", self.heavy_pla(tmp_path),
-                           "--timeout", "0.05", "--fallback",
+        # Certificates stop at n = 12, whose exact solve takes about
+        # 0.05 s: a 5 ms budget forces the fallback.
+        code, _, err = run("certify", "--pla", self.heavy_pla(tmp_path, 12),
+                           "--timeout", "0.005", "--fallback",
                            "--out", str(tmp_path / "cert.json"))
         assert code == 2
         assert "cannot certify" in err
@@ -509,7 +515,7 @@ class TestResourceGovernance:
             self, run, tmp_path):
         self.heavy_pla(tmp_path)
         path = self.manifest(tmp_path, [
-            {"pla": "heavy12.pla", "label": "slow"},
+            {"pla": "heavy13.pla", "label": "slow"},
             {"expr": "x0 & x1", "label": "fast"},
         ])
         code, out, _ = run("optimize", "--batch", path, "--timeout", "0.05")
@@ -521,7 +527,7 @@ class TestResourceGovernance:
     def test_batch_timeout_with_fallback_tags_rung(self, run, tmp_path):
         self.heavy_pla(tmp_path)
         path = self.manifest(tmp_path, [
-            {"pla": "heavy12.pla", "label": "slow"},
+            {"pla": "heavy13.pla", "label": "slow"},
             {"expr": "x0 & x1", "label": "fast"},
         ])
         code, out, _ = run("optimize", "--batch", path,

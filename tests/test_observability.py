@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.counters import OperationCounters
 from repro.core import ReductionRule, run_fs, run_fs_shared
+from repro.core.compaction import KERNEL
 from repro.observability import LayerProfile, Profiler
 from repro.truth_table import TruthTable
 
@@ -67,7 +68,7 @@ class TestEngineIntegration:
             6, 15, 20, 15, 6, 1
         ]
         assert profiler.meta["n"] == 6
-        assert profiler.meta["kernel"] == "numpy"
+        assert profiler.meta["kernel"] == KERNEL
         assert "prepare" in profiler.phases
 
     @pytest.mark.parametrize("n, rule, itemsize", [

@@ -380,7 +380,9 @@ class TestSigtermDrain:
                 proc.wait()
 
     def test_requests_after_sigterm_get_503(self):
-        slow = TruthTable.random(14, seed=81)
+        # Slow enough (about 1.2 s on a 2-vCPU host) to be in flight when
+        # the second request arrives half a second in.
+        slow = TruthTable.random(15, seed=81)
         proc, address = self._spawn()
         try:
             sock = socket.create_connection(address, timeout=300)

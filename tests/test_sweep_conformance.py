@@ -11,8 +11,10 @@ replaying the winner's chain from one builds exactly ``mincost`` nodes.
 Along a random chain, every ``compact()`` step must equal the
 cell-at-a-time ``COMPACT`` oracle up to node-id renaming.  A stack of
 unrelated parent tables compacted in one kernel call at the sweep's cell
-dtype, its node ids on either side of a key-width boundary, must equal
-the same tables compacted one at a time at ``int64``, and the oracle.
+dtype, each row at its own cofactor position and its node ids on either
+side of a key-width boundary, must equal the numpy kernel the compiled
+one replaced row by row, bit for bit, and the cell-at-a-time oracle.  A
+malformed kernel call must raise before it writes anything.
 """
 
 import base64
@@ -43,12 +45,17 @@ from repro.core import (
 )
 from repro.core import executor
 from repro.core.checkpoint import fingerprint_hash, write_checked_json
-from repro.core.compaction import cofactor_indices, compact_table
+from repro.core.compaction import compact_table
 from repro.core.frontier import Layer
 from repro.core.spec import FSState
 from repro.errors import CheckpointError
 from repro.truth_table import TruthTable
-from tests.compact_oracle import canonical_cells, compact_python
+from tests.compact_oracle import (
+    canonical_cells,
+    cofactor_indices,
+    compact_python,
+    compact_table_numpy,
+)
 
 @st.composite
 def problems(draw):
@@ -220,13 +227,13 @@ def renamed(state, rule, offset):
 
 @st.composite
 def stacks(draw, rule, boundary, shifts):
-    """Unrelated parent states that fold the same cofactor position,
-    stored as the sweep stores them.
+    """Unrelated parent states with ``placed`` variables placed, stored
+    as the sweep stores them.
 
-    Every row is a random function (1-2 roots) compacted along its own
+    Every row is a random function (1-3 roots) compacted along its own
     random chain of ``placed`` variables, so rows differ in placed set,
-    table values and ``next_id``; each folds its ``position``-th free
-    variable next.  With a ``boundary``, one offset renames every row's
+    table values and ``next_id``; each folds its own ``position``-th
+    free variable next.  With a ``boundary``, one offset renames every row's
     internal node ids so the node-id bound :meth:`Layer.cell_dtype` uses
     ends up ``shifts(span)`` past it, ``span`` being how many ids a row
     can hold.  At a cell width (``2^8``, ``2^16``) that puts the stack's
@@ -237,9 +244,8 @@ def stacks(draw, rule, boundary, shifts):
     when no boundary is asked for.
     """
     n = draw(st.integers(1, 6))
-    roots = draw(st.integers(1, 2))
+    roots = draw(st.integers(1, 3))
     placed = draw(st.integers(0, n - 1))
-    position = draw(st.integers(0, n - placed - 1))
     top = 2 if rule is ReductionRule.MTBDD else 1
     rows = []
     for _ in range(draw(st.integers(2, 6))):
@@ -254,19 +260,21 @@ def stacks(draw, rule, boundary, shifts):
             state = initial_state_shared(functions, rule)
         for var in draw(st.permutations(range(n)))[:placed]:
             state = compact(state, var, rule)
-        rows.append((state, bits_of(state.free_mask)[position]))
+        position = draw(st.integers(0, n - placed - 1))
+        rows.append((state, bits_of(state.free_mask)[position], position))
     dtype = np.dtype(np.int64)
     if boundary:
         if rule is ReductionRule.CBDD:  # edges double the bound
             boundary >>= 1
-        terminals = max(state.num_terminals for state, _ in rows)
+        terminals = max(state.num_terminals for state, _, _ in rows)
         offset = boundary - terminals - (roots << n) + draw(shifts(roots << n))
         assume(offset >= 0)  # else the rows' ids cannot reach that side
-        rows = [(renamed(state, rule, offset), var) for state, var in rows]
+        rows = [(renamed(state, rule, offset), var, position)
+                for state, var, position in rows]
     if boundary or draw(st.booleans()):
         dtype = np.result_type(
-            *(Layer.cell_dtype(state, rule) for state, _ in rows))
-    return rule, placed, position, rows, dtype
+            *(Layer.cell_dtype(state, rule) for state, _, _ in rows))
+    return rule, placed, rows, dtype
 
 
 def below(span):
@@ -283,10 +291,11 @@ def across(span):
 
 def test_stacked_kernel_matches_single_rows():
     """Under every rule, unshifted, on each side of both cell-width
-    boundaries and across half of each, a stack at its cell dtype
-    compacts like its rows one at a time at ``int64``: same tables, node
-    counts and counters; a one-row call at the cell dtype too; and each
-    row matches the oracle."""
+    boundaries and across half of each, a stack at its cell dtype, each
+    row read by index and folding its own position, compacts like the
+    numpy kernel row by row: same tables, node counts and counters; a
+    one-row call at the cell dtype returns the numpy kernel's keys too;
+    and each row matches the cell-at-a-time oracle."""
     for rule in ReductionRule:
         for boundary, shifts in ((0, None), (1 << 8, below), (1 << 8, above),
                                  (1 << 16, below), (1 << 16, above),
@@ -297,38 +306,101 @@ def test_stacked_kernel_matches_single_rows():
 
 
 def check_stack(stack):
-    rule, placed, position, rows, dtype = stack
+    rule, placed, rows, dtype = stack
     first = rows[0][0]
-    idx0, idx1 = cofactor_indices(first.n, placed, first.num_roots,
-                                  position)
-    next_ids = [state.next_id for state, _ in rows]
-    stacked = np.stack([state.table for state, _ in rows]).astype(dtype)
+    stacked = np.stack([state.table for state, _, _ in rows]).astype(dtype)
+    # Read the parent rows in reverse, so stack row r is parent row
+    # `parents[r]`, not row r.
+    parents = np.arange(len(rows))[::-1].copy()
+    positions = np.array([rows[p][2] for p in parents])
+    next_ids = np.array([rows[p][0].next_id for p in parents])
+    width = stacked.shape[1] // 2
+    out = np.empty((len(rows), width), dtype)
+    counts = np.empty(len(rows), np.int64)
     counted = OperationCounters()
-    tables, unique_keys, counts = compact_table(
-        stacked, idx0, idx1, next_ids, rule, counted,
-    )
-    assert tables.dtype == dtype and unique_keys is None
-    single_counted = OperationCounters()
-    for r, (state, var) in enumerate(rows):
-        table, _, count = compact_table(
-            state.table[None], idx0, idx1, [next_ids[r]], rule,
-            single_counted,
-        )
-        assert np.array_equal(tables[r], table[0])
-        assert [counts[r]] == count
-        narrow, _, narrow_count = compact_table(
-            stacked[r:r + 1], idx0, idx1, [next_ids[r]], rule,
-        )
-        assert narrow.dtype == dtype and np.array_equal(narrow[0], table[0])
-        assert narrow_count == count
+    created = compact_table(stacked, parents, positions, next_ids, rule, out,
+                            counts, counters=counted)
+    assert created == counts.sum()
+    assert counted == OperationCounters(
+        compactions=len(rows), table_cells=out.size, nodes_created=created)
+    for r, p in enumerate(parents.tolist()):
+        state, var, position = rows[p]
+        idx0, idx1 = cofactor_indices(first.n, placed, first.num_roots,
+                                      position)
+        expected, expected_keys, expected_count = compact_table_numpy(
+            stacked[p:p + 1], idx0, idx1, [state.next_id], rule)
+        assert np.array_equal(out[r], expected[0])
+        assert [counts[r]] == expected_count
+        table = np.empty(width, dtype)
+        keys = np.empty(width, np.uint64)
+        single = compact_table(stacked[p], 0, position, state.next_id, rule,
+                               table, keys=keys)
+        assert np.array_equal(table, expected[0])
+        assert keys[:single].tolist() == expected_keys.tolist()
 
         oracle = compact_python(state, var, rule)
         row_state = FSState(
             n=state.n, mask=oracle.mask, pi=oracle.pi,
-            mincost=state.mincost + counts[r], table=tables[r],
+            mincost=state.mincost + int(counts[r]), table=out[r],
             num_terminals=state.num_terminals, num_roots=state.num_roots,
         )
         assert row_state.mincost == oracle.mincost
         assert canonical_cells(row_state, rule) == canonical_cells(
             oracle, rule)
-    assert counted == single_counted
+
+
+def test_malformed_kernel_calls_raise():
+    """A wrong dtype, a non-contiguous or read-only array, a row or
+    cofactor position out of range, or an output too short raises
+    :class:`TypeError` or :class:`ValueError` and writes nothing: the
+    output rows and the guard rows around them keep their fill."""
+    parents = np.arange(32, dtype=np.uint16).reshape(4, 8) % 5
+    read_only = np.full((2, 4), 99, np.uint16)
+    read_only.flags.writeable = False
+
+    def filled(shape, dtype=np.uint16):
+        return np.full(shape, 99, dtype)
+
+    cases = [
+        dict(tables=parents.astype(np.float64)),
+        dict(tables=parents.astype(np.int32)),
+        dict(tables=parents.astype(">u2")),
+        dict(out=filled((2, 4), np.uint8)),
+        dict(rows=np.array([0, 3], np.int32)),
+        dict(rows=np.array([0.0, 3.0])),
+        dict(tables=parents[:, ::2]),
+        dict(tables=parents.T),
+        dict(out=filled((2, 8))[:, ::2]),
+        dict(out=read_only),
+        dict(rows=np.array([0, 4])),
+        dict(rows=np.array([-1, 0])),
+        dict(rows=np.array([0, 1, 2])),
+        dict(positions=3),
+        dict(positions=-1),
+        dict(positions=np.array([2, 3])),
+        dict(next_ids=-1),
+        dict(out=filled((1, 4))),
+        dict(out=filled((2, 3))),
+        dict(out=filled(4)),
+        dict(counts=np.zeros(1, np.int64)),
+        dict(counts=np.zeros(2, np.int32)),
+        dict(keys=np.zeros(8, np.uint64)),
+        dict(rows=0, out=filled(4), keys=np.zeros(3, np.uint64)),
+        dict(rows=0, out=filled(4), keys=np.zeros(4, np.float64)),
+        dict(rows=0, out=filled(4), keys=np.zeros(4, "i4,i4")),
+        dict(tables=parents[:, :1].copy()),
+        dict(tables=parents[:, :6].copy(), out=filled((2, 3))),
+    ]
+    for case in cases:
+        backing = filled((4, 4))
+        call = dict(tables=parents, rows=np.array([0, 3]), positions=2,
+                    next_ids=5, out=backing[1:3], counts=None, keys=None)
+        call.update(case)
+        with pytest.raises((TypeError, ValueError)):
+            compact_table(call["tables"], call["rows"], call["positions"],
+                          call["next_ids"], ReductionRule.BDD, call["out"],
+                          call["counts"], call["keys"])
+        assert (backing == 99).all() and (call["out"] == 99).all(), case
+    with pytest.raises(OverflowError):
+        compact_table(parents, 0, 2, 1 << 31, ReductionRule.BDD,
+                      filled(4))
