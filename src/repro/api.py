@@ -48,7 +48,7 @@ METHODS = ("fs", "shared", "constrained", "window", "fs_star")
 _ENGINE_KWARGS = (
     "jobs", "backend", "profiler",
     "checkpoint_dir", "resume", "fault_injector", "cache", "budget",
-    "io_retry", "max_pool_rebuilds",
+    "io_retry",
 )
 
 
@@ -160,7 +160,7 @@ def _engine_config(method: str, kwargs: Dict[str, Any]) -> EngineConfig:
 # never checkpoint mid-heuristic).
 _STRATEGY_ENGINE_KWARGS = (
     "jobs", "backend", "profiler", "cache",
-    "budget", "checkpoint_dir", "resume", "max_pool_rebuilds",
+    "budget", "checkpoint_dir", "resume",
 )
 
 
@@ -232,7 +232,7 @@ def solve(
         Uniform execution knobs, identical across methods: ``jobs``,
         ``backend``, ``profiler``, ``checkpoint_dir``,
         ``resume``, ``fault_injector``, ``cache``, ``budget``,
-        ``io_retry``, ``max_pool_rebuilds``.
+        ``io_retry``.
 
     Returns
     -------
@@ -432,7 +432,6 @@ def _solve_strategy(
         budget=kwargs.get("budget"),
         checkpoint_dir=kwargs.get("checkpoint_dir"),
         resume=kwargs.get("resume", False),
-        max_pool_rebuilds=kwargs.get("max_pool_rebuilds"),
     )
 
     if strategy == "portfolio":

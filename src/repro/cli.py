@@ -127,9 +127,6 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
     io_retry = _make_io_retry(args)
     if io_retry is not None:
         kwargs["io_retry"] = io_retry
-    max_pool_rebuilds = getattr(args, "max_pool_rebuilds", None)
-    if max_pool_rebuilds is not None:
-        kwargs["max_pool_rebuilds"] = max_pool_rebuilds
     return kwargs
 
 
@@ -281,7 +278,7 @@ def _solve_with_strategy(table, strategy, rule, args, profiler,
     from .api import solve
 
     allowed = ("jobs", "backend", "cache",
-               "budget", "checkpoint_dir", "resume", "max_pool_rebuilds")
+               "budget", "checkpoint_dir", "resume")
     kwargs = {k: v for k, v in engine_kwargs.items() if k in allowed}
     if profiler is not None:
         kwargs["profiler"] = profiler
@@ -739,14 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=list(BACKENDS),
                        default="serial",
                        help="where --jobs workers run: 'serial' (default; "
-                            "inline) or 'process' (real multicore "
-                            "throughput; the base table ships once per "
-                            "run via shared memory).  A one-shot process "
-                            "run spawns its pool for that one solve, "
-                            "which can cost more than the solve itself; "
-                            "a warm pool (repro serve) is where it pays.  "
-                            "Results and counters are bit-identical "
-                            "across backends")
+                            "inline) or 'thread' (a pool of --jobs threads "
+                            "over the GIL-free kernel, sharing both DP "
+                            "layers in memory).  Results and counters are "
+                            "bit-identical across backends")
         p.add_argument("--checkpoint-dir",
                        help="snapshot every finished DP layer into this "
                             "directory so an interrupted run can be "
@@ -808,14 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retry transient checkpoint/cache disk-write "
                             "failures up to N times with exponential "
                             "backoff (default: fail on the first error)")
-        p.add_argument("--max-pool-rebuilds", type=nonnegative_int,
-                       default=None, metavar="N",
-                       help="with --backend process: rebuild a crashed "
-                            "worker pool (SIGKILLed/OOM-killed worker) up "
-                            "to N times per DP layer, re-running only the "
-                            "chunks whose results were lost — results and "
-                            "counters stay bit-identical to an uncrashed "
-                            "run (default: 2; 0 disables self-healing)")
 
     def add_profile_option(p: argparse.ArgumentParser) -> None:
         p.add_argument("--profile",
@@ -910,13 +895,12 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--unix-socket", default=None, metavar="PATH",
                      help="serve on this unix-domain socket instead of TCP")
     srv.add_argument("--jobs", type=positive_int, default=None,
-                     help="worker width of the one warm pool (default: "
-                          "CPU count)")
+                     help="threads per DP layer in the one warm pool "
+                          "(default: CPU count)")
     srv.add_argument("--backend", choices=list(BACKENDS),
-                     default="process",
-                     help="execution backend warmed once for the server's "
-                          "lifetime (default 'process': the pool spin-up "
-                          "the daemon exists to amortize)")
+                     default="thread",
+                     help="execution backend kept for the server's "
+                          "lifetime (default 'thread')")
     srv.add_argument("--cache-dir",
                      help="persist the shared result cache into this "
                           "directory (cross-process-safe; restarts and "
@@ -950,15 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-frontier-mb", type=positive_float, default=None,
                      metavar="MB",
                      help="frontier byte cap applied to every request")
-    srv.add_argument("--max-pool-rebuilds", type=nonnegative_int,
-                     default=None, metavar="N",
-                     help="self-healing budget of the warm process "
-                          "backend: rebuild a crashed worker pool up to N "
-                          "times per DP layer before the request fails "
-                          "(default 2; 0 disables in-sweep healing — the "
-                          "daemon then swaps in a fresh backend and fails "
-                          "only the in-flight request with a retryable "
-                          "503 backend_restarting)")
     srv.set_defaults(handler=_run_serve)
 
     cert = sub.add_parser("certify",
@@ -981,7 +956,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         unix_socket=args.unix_socket,
-        backend=getattr(args, "backend", "process"),
+        backend=getattr(args, "backend", "thread"),
         jobs=args.jobs if args.jobs else (os.cpu_count() or 1),
         cache_dir=getattr(args, "cache_dir", None),
         cache_size=args.cache_size,
@@ -991,7 +966,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         default_timeout=getattr(args, "timeout", None),
         max_frontier_mb=getattr(args, "max_frontier_mb", None),
-        max_pool_rebuilds=getattr(args, "max_pool_rebuilds", None),
     )
     return serve_main(config)
 

@@ -73,11 +73,10 @@ from .engine import (
 from .executor import (
     BACKENDS,
     ChunkResult,
-    ChunkTask,
     ExecutorBackend,
-    ProcessBackend,
     SerialBackend,
     SweepContext,
+    ThreadBackend,
     create_backend,
     shared_backend,
 )
@@ -163,11 +162,10 @@ __all__ = [
     "Layer",
     "BACKENDS",
     "ChunkResult",
-    "ChunkTask",
     "ExecutorBackend",
-    "ProcessBackend",
     "SerialBackend",
     "SweepContext",
+    "ThreadBackend",
     "create_backend",
     "shared_backend",
     "run_fs_star",

@@ -8,7 +8,9 @@ The library is cached in ``__pycache__`` beside the source, or in the
 user cache directory when that is not writable, under a name carrying a
 hash of the source and the fixed flags, and the interpreter's
 ``EXT_SUFFIX``: an edited source or another interpreter gets a library
-of its own.
+of its own.  A build into ``__pycache__`` removes the libraries earlier
+sources left there; the user cache directory is shared by every
+installed copy, so a build there removes nothing.
 
 A build writes a temporary file and moves it into place with
 :func:`os.replace`, so processes building at once each install a whole
@@ -121,6 +123,10 @@ def load(source: Path = SOURCE) -> ModuleType:
     path = library_path(source)
     if not _intact(path):
         build(source, path)
+        if path.parent == source.parent / "__pycache__":
+            for stale in path.parent.glob(f"{source.stem}.*{EXT_SUFFIX}"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)
     loader = importlib.machinery.ExtensionFileLoader(MODULE, str(path))
     spec = importlib.util.spec_from_file_location(MODULE, path, loader=loader)
     module = importlib.util.module_from_spec(spec)

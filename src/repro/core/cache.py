@@ -870,12 +870,12 @@ def optimize_many(
 
     How ``jobs`` parallelizes depends on ``backend``: with the default
     ``"serial"`` backend, misses fan over a ``jobs``-wide thread pool,
-    each item running the sequential engine.  With ``backend="process"``
+    each item running the sequential engine.  With ``backend="thread"``
     (or a live :class:`~repro.core.executor.ExecutorBackend` instance),
     items run one at a time but each item fans its DP layers over one
-    process pool shared across the whole batch — the right shape when
-    items are big (layer parallelism beats item parallelism under the
-    GIL) and what keeps worker count bounded at ``jobs`` either way.
+    thread pool shared across the whole batch — the right shape when
+    items are big, and what keeps worker count bounded at ``jobs``
+    either way.
 
     Failures are **isolated per item**: a table the canonicalizer or the
     solver rejects becomes a structured :class:`BatchError` on
@@ -918,11 +918,11 @@ def optimize_many(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     # The serial backend parallelizes *across* items (thread fan-out of
-    # sequential solves); a process backend parallelizes *within* each
+    # sequential solves); a thread backend parallelizes *within* each
     # item, sharing one pool across the batch so worker count stays
     # bounded at ``jobs`` and pool startup is paid once.
     share_pool = jobs > 1 and (
-        backend == "process" or isinstance(backend, ExecutorBackend)
+        backend == "thread" or isinstance(backend, ExecutorBackend)
     )
     batch_backend: Optional[ExecutorBackend] = None
     owns_backend = False

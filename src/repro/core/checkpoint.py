@@ -261,37 +261,7 @@ class FaultInjector:
     corruption: str = "truncate"
     """Damage mode for ``corrupt_layer`` (see :func:`corrupt_checkpoint`)."""
 
-    kill_worker_layer: Optional[int] = None
-    """SIGKILL the worker process executing chunk ``kill_worker_chunk``
-    of the layer with this cardinality — a *process-level* fault, unlike
-    the coordinator-side raises above.  The process backend consults the
-    injector while building that chunk's task and flags the envelope;
-    the worker kills itself with ``SIGKILL`` (uncatchable, exactly what
-    an OOM killer delivers), the pool reports
-    :class:`concurrent.futures.process.BrokenProcessPool`, and the
-    backend's self-healing path takes over.  The serial backend ignores
-    these fields: there is no worker to lose."""
-
-    kill_worker_chunk: int = 0
-    """Chunk index (within the layer's chunk list) whose worker dies."""
-
-    kill_worker_phase: str = "before"
-    """``"before"`` kills the worker as the chunk starts (no work done);
-    ``"during"`` kills it about halfway through the chunk's masks, so
-    partial worker-side state is provably discarded on retry."""
-
-    worker_kills: int = 1
-    """How many times the targeted chunk's worker dies.  Each armed kill
-    fires once — the coordinator marks it consumed *before* shipping the
-    chunk, so the healed pool's re-submission runs clean.  Values above
-    ``max_pool_rebuilds`` exhaust the healing budget and surface
-    :class:`~repro.errors.ExecutorBrokenError` deterministically."""
-
     commits_seen: int = field(default=0, init=False)
-
-    worker_kills_injected: int = field(default=0, init=False)
-    """How many worker kills this injector has armed so far (across
-    retries and sweeps); tests assert it to prove the fault fired."""
 
     def on_layer_committed(self, k: int, path: Optional[str]) -> None:
         self.commits_seen += 1
@@ -308,29 +278,6 @@ class FaultInjector:
             raise InjectedFault(
                 f"injected crash after {self.commits_seen} checkpoint commits"
             )
-
-    def take_worker_kill(self, layer: int, chunk_index: int) -> Optional[str]:
-        """Consume one armed worker kill for ``(layer, chunk_index)``.
-
-        Returns the kill phase (``"before"``/``"during"``) when the
-        chunk's worker should die, ``None`` otherwise.  Consuming
-        *mutates coordinator state*, which is what makes recovery
-        deterministic: once ``worker_kills`` kills have been armed, the
-        healed pool's re-submission of the same chunk ships clean.
-        """
-        if (
-            self.kill_worker_layer != layer
-            or self.kill_worker_chunk != chunk_index
-            or self.worker_kills_injected >= self.worker_kills
-        ):
-            return None
-        if self.kill_worker_phase not in ("before", "during"):
-            raise ValueError(
-                f"unknown kill_worker_phase {self.kill_worker_phase!r}; "
-                "expected 'before' or 'during'"
-            )
-        self.worker_kills_injected += 1
-        return self.kill_worker_phase
 
 
 # ----------------------------------------------------------------------

@@ -115,7 +115,6 @@ def run_fs_constrained(
     cache: Optional[ResultCache] = None,
     budget: Optional["Budget"] = None,
     io_retry: Optional[RetryPolicy] = None,
-    max_pool_rebuilds: Optional[int] = None,
 ) -> ConstrainedResult:
     """Optimal ordering among those honoring every ``(earlier, later)``
     pair (``earlier`` is read closer to the root).
@@ -141,7 +140,6 @@ def run_fs_constrained(
         profiler=profiler, checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, checkpoint_tag=tag, cache=cache,
         budget=budget, io_retry=io_retry,
-        max_pool_rebuilds=max_pool_rebuilds,
     )
     # Precedence constraints are tied to concrete variable names, so the
     # key hashes the raw table plus the closure — no canonicalization.

@@ -11,13 +11,14 @@ and interpret the outcome.  Centralizing it buys two things at once:
 
 * **layer parallelism** — masks of equal cardinality are independent
   (Lemma 4's recurrence only reads the previous layer), so ``jobs=N``
-  splits each layer into chunks for an
+  splits each layer into row ranges for an
   :class:`~repro.core.executor.ExecutorBackend` (``serial`` or
-  ``process``, selected via ``EngineConfig(backend=...)``; see
-  :mod:`repro.core.executor`).  Each chunk tallies into its own
-  :class:`~repro.analysis.counters.OperationCounters` and the engine
-  merges them in deterministic chunk order, so results *and counters*
-  are bit-identical across backends and job counts;
+  ``thread``, selected via ``EngineConfig(backend=...)``; see
+  :mod:`repro.core.executor`).  Every chunk writes its rows straight
+  into the next layer's preallocated columns and tallies into its own
+  :class:`~repro.analysis.counters.OperationCounters`; the engine merges
+  counters in deterministic chunk order, so results *and counters* are
+  bit-identical across backends and job counts;
 * **one retained layer** — only the previous layer is kept (Remark 1),
   as one dense :class:`~repro.core.frontier.Layer` holding every row's
   table; it is the memory ceiling (``C(n, n/2)`` rows of ``2^{n/2}``
@@ -36,12 +37,14 @@ uninterrupted run.  Because every DP entry point routes through
 
 Resource governance: a :class:`~repro.core.budget.Budget` on the config
 is checked at every layer boundary — before a layer starts and after it
-(and its checkpoint) commits, never mid-kernel — so a deadline, a
-frontier-size cap or a cooperative cancellation aborts the sweep
-promptly and deterministically with a
+(and its checkpoint) commits — so a deadline, a frontier-size cap or a
+cooperative cancellation aborts the sweep promptly with a
 :class:`~repro.errors.BudgetExceeded` that names the layers completed,
-the best-so-far bound and the last durable checkpoint.  All five DP
-entry points inherit this the same way they inherit crash safety.
+the best-so-far bound and the last durable checkpoint.  Pooled chunks of
+the thread backend also poll the budget between batches; a layer they
+abandon is discarded whole, so the abort still names the last committed
+layer.  All five DP entry points inherit this the same way they inherit
+crash safety.
 """
 
 from __future__ import annotations
@@ -55,15 +58,14 @@ import numpy as np
 
 from .._bitops import popcount, subsets_of_size
 from ..analysis.counters import OperationCounters
-from ..errors import (
-    BudgetExceeded, DimensionError, ExecutorBrokenError, OrderingError,
-)
+from ..errors import BudgetExceeded, DimensionError, OrderingError
 from ..observability import Profiler
 from .checkpoint import (
     CheckpointStore, FaultInjector, RetryPolicy, sweep_fingerprint,
 )
 from .executor import (
-    BACKENDS, ExecutorBackend, SweepContext, resolve_backend, split_chunks,
+    BACKENDS, ExecutorBackend, NextLayer, SweepContext, resolve_backend,
+    split_chunks,
 )
 from .frontier import Layer
 from .spec import FSState, ReductionRule
@@ -86,12 +88,11 @@ class EngineConfig:
 
     backend: Union[str, ExecutorBackend] = "serial"
     """Where layer chunks execute (see :mod:`repro.core.executor`):
-    ``"serial"`` (inline on the caller), ``"process"`` for real multicore
-    throughput, or a live :class:`~repro.core.executor.ExecutorBackend`
-    instance whose pool the caller owns and wants shared across several
-    sweeps.  Results and counters are bit-identical across backends;
-    only the process backend's ``tasks_shipped`` / ``bytes_shipped``
-    transport extras differ."""
+    ``"serial"`` (inline on the caller), ``"thread"`` (a pool of ``jobs``
+    threads over the GIL-free kernel), or a live
+    :class:`~repro.core.executor.ExecutorBackend` instance whose pool the
+    caller owns and wants shared across several sweeps.  Results and
+    counters are bit-identical across backends."""
 
     profiler: Optional[Profiler] = None
 
@@ -105,20 +106,9 @@ class EngineConfig:
     :class:`~repro.errors.CheckpointError` if the newest one is damaged."""
 
     fault_injector: Optional[FaultInjector] = None
-    """Test hook: notified after each layer commits; may crash the sweep,
-    corrupt the just-written checkpoint, or — through the process
-    backend — SIGKILL the worker executing a chosen chunk (see
+    """Test hook: notified after each layer commits; may crash the sweep
+    or corrupt the just-written checkpoint (see
     :class:`repro.core.checkpoint.FaultInjector`)."""
-
-    max_pool_rebuilds: Optional[int] = None
-    """Self-healing budget of the process backend: how many times one
-    layer may rebuild a broken worker pool (re-creating the workers and
-    re-shipping the shared base table, retrying only unmerged chunks)
-    before the sweep raises
-    :class:`~repro.errors.ExecutorBrokenError`.  ``None`` keeps the
-    backend default (2); ``0`` disables healing.  Only consulted when
-    ``backend`` is a *name* — a caller-owned instance keeps whatever its
-    creator configured."""
 
     checkpoint_tag: str = ""
     """Extra entry-point state folded into the checkpoint fingerprint
@@ -297,19 +287,9 @@ def run_layered_sweep(
                 start_k = restored.layer + 1
                 last_checkpoint_path = restored.path
 
-    backend, engine_owns_backend = resolve_backend(
-        config.backend, max_pool_rebuilds=config.max_pool_rebuilds
-    )
+    backend, engine_owns_backend = resolve_backend(config.backend)
     backend.begin_sweep(
-        SweepContext(
-            base=base,
-            rule=rule,
-            jobs=config.jobs,
-            counters=counters,
-            budget=budget,
-            profiler=profiler,
-            fault_injector=config.fault_injector,
-        )
+        SweepContext(base=base, rule=rule, jobs=config.jobs, budget=budget)
     )
     try:
         for k in range(start_k, upto + 1):
@@ -335,24 +315,16 @@ def run_layered_sweep(
                     f"no subset of size {k} passes the subset filter"
                 )
             started = time.perf_counter()
-            chunks = split_chunks(layer_masks, config.jobs)
-            try:
-                parts = backend.run_layer(k, chunks, previous)
-            except ExecutorBrokenError as exc:
-                # The backend knows its pool died; only the engine knows
-                # where the run can restart.  Layers below k are durably
-                # committed, so a resume from this path re-runs exactly
-                # the broken layer onward.
-                if exc.checkpoint_path is None:
-                    exc.checkpoint_path = last_checkpoint_path
-                raise
+            out = NextLayer.allocate(layer_masks, previous)
+            parts = backend.run_layer(
+                k, split_chunks(len(layer_masks), config.jobs), previous, out
+            )
             if any(part.cancelled for part in parts):
-                # A process worker observed the mirrored cancellation
-                # event and stopped mid-layer.  Discard the partial layer
-                # wholesale (no merge, no checkpoint) so the abort always
-                # describes the last *committed* boundary and a resume
-                # with a bigger budget replays layer k from scratch,
-                # bit-identically.
+                # A pooled chunk saw the budget spent and stopped
+                # mid-layer.  Discard the partial layer wholesale (no
+                # merge, no checkpoint) so the abort always describes the
+                # last *committed* boundary and a resume with a bigger
+                # budget replays layer k from scratch, bit-identically.
                 best = int(previous.mincost.min())
                 where = f"mid-layer cancellation (during k={k})"
                 if budget is not None:
@@ -374,19 +346,12 @@ def run_layered_sweep(
                     checkpoint_path=last_checkpoint_path,
                     where=where,
                 )
-            # Join strictly in chunk order: chunks are contiguous row
-            # ranges and counter merge order is fixed, so the outcome is
-            # independent of where the chunks ran.
-            current = Layer(
-                layer_masks,
-                _joined([part.mincost for part in parts]),
-                _joined([part.tables for part in parts]),
-            )
+            # Merge strictly in chunk order: counter merge order is
+            # fixed, so the outcome is independent of where chunks ran.
+            current = out.layer()
             keys = layer_masks.tolist()
             mincost_by_subset.update(zip(keys, current.mincost.tolist()))
-            best_last.update(zip(
-                keys, _joined([part.best_last for part in parts]).tolist()
-            ))
+            best_last.update(zip(keys, out.best_last.tolist()))
             for part in parts:
                 pred, var, cost = part.level_cost
                 level_cost_by_choice.update(zip(
@@ -484,8 +449,3 @@ def chain_of(best_last: Dict[int, int], mask: int) -> List[int]:
         mask &= ~(1 << var)
     chain.reverse()
     return chain
-
-
-def _joined(arrays: List[np.ndarray]) -> np.ndarray:
-    """Chunk results concatenated in chunk order (a lone chunk as is)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)

@@ -15,9 +15,8 @@ that name and price its rows:
   (:meth:`Layer.cell_dtype`).
 
 The engine builds and commits layers, the chunk loop stacks predecessor
-rows straight out of the matrix, the process backend ships
-:meth:`Layer.take` slices, the checkpoint store writes one blob per
-layer and the budget meters :attr:`Layer.nbytes`, which is exact.
+rows straight out of the matrix, the checkpoint store writes one blob
+per layer and the budget meters :attr:`Layer.nbytes`, which is exact.
 """
 
 from __future__ import annotations
@@ -80,10 +79,6 @@ class Layer:
             bound <<= 1
         return np.min_scalar_type(bound)
 
-    def __reduce__(self):
-        # Pickles (process shipping) carry the three columns only.
-        return (Layer, (self.masks, self.mincost, self.tables))
-
     def __len__(self) -> int:
         return self.masks.shape[0]
 
@@ -99,9 +94,3 @@ class Layer:
         at = np.searchsorted(self._sorted, masks)
         found = self._sorted.take(at, mode="clip") == masks
         return np.where(found, self._order.take(at, mode="clip"), -1)
-
-    def take(self, masks: np.ndarray) -> "Layer":
-        """The sub-layer of those of ``masks`` this layer holds."""
-        rows = self.rows_of(masks)
-        rows = rows[rows >= 0]
-        return Layer(self.masks[rows], self.mincost[rows], self.tables[rows])

@@ -201,7 +201,6 @@ def run_fs(
     cache: Optional[ResultCache] = None,
     budget: Optional["Budget"] = None,
     io_retry: Optional[RetryPolicy] = None,
-    max_pool_rebuilds: Optional[int] = None,
 ) -> FSResult:
     """Run the full Friedman-Supowit dynamic program.
 
@@ -220,9 +219,9 @@ def run_fs(
         bit-identical for every value.
     backend:
         Where those workers run — ``"serial"`` (default, inline) or
-        ``"process"`` for real multicore throughput, or a live
-        :class:`repro.core.executor.ExecutorBackend` instance to share
-        one pool across several runs.  Results and counters are
+        ``"thread"`` (a pool of ``jobs`` threads over the GIL-free
+        kernel), or a live :class:`repro.core.executor.ExecutorBackend`
+        instance to share one pool across several runs.  Results and counters are
         bit-identical across backends (see :mod:`repro.core.executor`).
     profiler:
         Optional :class:`repro.observability.Profiler` receiving the
@@ -256,13 +255,6 @@ def run_fs(
     io_retry:
         Optional :class:`repro.core.checkpoint.RetryPolicy` retrying
         transient checkpoint-write failures with exponential backoff.
-    max_pool_rebuilds:
-        Self-healing budget of the ``"process"`` backend: how many times
-        one layer may rebuild a SIGKILLed worker pool (retrying only the
-        chunks whose results were not yet merged) before the sweep gives
-        up with :class:`~repro.errors.ExecutorBrokenError` carrying the
-        last committed checkpoint.  ``None`` keeps the backend default
-        (2); ignored by the serial backend.
 
     Returns
     -------
@@ -279,7 +271,6 @@ def run_fs(
         checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,
         budget=budget, io_retry=io_retry,
-        max_pool_rebuilds=max_pool_rebuilds,
     )
     key = None
     if cache is not None:

@@ -112,7 +112,6 @@ def run_fs_shared(
     cache: Optional[ResultCache] = None,
     budget: Optional["Budget"] = None,
     io_retry: Optional[RetryPolicy] = None,
-    max_pool_rebuilds: Optional[int] = None,
 ) -> FSResult:
     """Exact optimal ordering for the shared diagram of several outputs.
 
@@ -120,8 +119,7 @@ def run_fs_shared(
     sizes; returns an :class:`~repro.core.fs.FSResult` whose ``mincost``
     counts the *shared* internal nodes of the whole forest.  Execution
     options (``jobs``/``backend``/``profiler``/
-    ``checkpoint_dir``/``resume``/``cache``/``budget``/``io_retry``/
-    ``max_pool_rebuilds``) match
+    ``checkpoint_dir``/``resume``/``cache``/``budget``/``io_retry``) match
     :func:`repro.core.fs.run_fs` — the same engine runs both DPs, and a
     single-output shared call shares cache entries with ``run_fs`` (the
     problems are identical).  Multi-output keys canonicalize under
@@ -136,7 +134,6 @@ def run_fs_shared(
         profiler=profiler, checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,
         budget=budget, io_retry=io_retry,
-        max_pool_rebuilds=max_pool_rebuilds,
     )
     key = None
     if cache is not None:

@@ -75,44 +75,6 @@ class BudgetExceeded(ReproError):
         self.where = where
 
 
-class ExecutorBrokenError(ReproError):
-    """An execution backend died and could not be healed.
-
-    The process backend rebuilds its pool (fresh workers, re-shipped
-    shared-memory base table) and re-submits only the unmerged chunks of
-    the broken layer, up to ``max_pool_rebuilds`` times with exponential
-    backoff; this error means every rebuild was consumed and the layer
-    still could not complete — e.g. a chunk that deterministically kills
-    its worker (an OOM-sized allocation) would otherwise rebuild forever.
-    The exception records where the run stood so a larger-budget retry
-    resumes at the layer boundary instead of from scratch:
-
-    ``layer``
-        The DP layer (subset cardinality) that was executing when the
-        backend gave up.  Layers below it are fully committed.
-    ``pool_rebuilds``
-        How many pool rebuilds were attempted before giving up.
-    ``checkpoint_path``
-        The last durably committed checkpoint file when the run had
-        ``checkpoint_dir`` set — resuming from it re-runs only the
-        broken layer onward, bit-identically.  ``None`` without
-        checkpointing.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        layer=None,
-        pool_rebuilds=None,
-        checkpoint_path=None,
-    ) -> None:
-        super().__init__(message)
-        self.layer = layer
-        self.pool_rebuilds = pool_rebuilds
-        self.checkpoint_path = checkpoint_path
-
-
 class CheckpointError(ReproError):
     """A sweep checkpoint could not be loaded: the file was truncated or
     corrupted (checksum mismatch), or it was written by a sweep with a

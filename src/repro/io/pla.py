@@ -170,20 +170,21 @@ def write_pla(table: TruthTable, merge: bool = True) -> str:
     on = table.values != 0
     cubes: List[str] = []
     covered = np.zeros(1 << n, dtype=bool)
-    assignments = np.arange(1 << n, dtype=np.int64)
     for minterm in np.nonzero(on)[0]:
         if covered[minterm]:
             continue
         cube = ["1" if (int(minterm) >> i) & 1 else "0" for i in range(n)]
+        # The cube's own points, all in the on-set: dropping literal i
+        # keeps the cube inside it iff their neighbours across i are too.
+        points = np.array([minterm])
         if merge:
             for i in range(n):
-                trial = cube[:i] + ["-"] + cube[i + 1:]
-                inside = _cube_cover(assignments, "".join(trial))
-                if np.all(on[inside]):
-                    cube = trial
-        text = "".join(cube)
-        covered |= _cube_cover(assignments, text)
-        cubes.append(text)
+                across = points ^ (1 << i)
+                if on[across].all():
+                    cube[i] = "-"
+                    points = np.concatenate([points, across])
+        covered[points] = True
+        cubes.append("".join(cube))
     lines = [f".i {n}", ".o 1", f".p {len(cubes)}"]
     lines += [f"{cube} 1" for cube in cubes]
     lines.append(".e")

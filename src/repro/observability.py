@@ -20,20 +20,10 @@ Well-known phase names: ``prepare``, ``checkpoint_write`` /
 ``checkpoint_load``, ``cache_lookup`` / ``cache_store`` /
 ``canonicalize``, ``budget_check`` — the engine's per-layer-boundary
 resource-governance checks (see :mod:`repro.core.budget`), kept as a
-phase so operators can verify governance overhead stays negligible —
-and ``ipc_submit`` / ``ipc_merge`` — the process execution backend's
-per-layer task shipping and result collection
-(see :mod:`repro.core.executor`), kept separate so transport cost never
-masquerades as kernel time.  Governance events land in the
-``budget_aborts`` / ``fallback_used`` / ``retries`` extra counters;
-process-backend shipping volume lands in ``tasks_shipped`` /
-``bytes_shipped`` (the one pair of counters that legitimately differs
-across execution backends).  Self-healing events land in
-``pool_rebuilds`` / ``chunks_retried`` — how many times the process
-backend rebuilt its crashed worker pool mid-sweep and how many chunks it
-resubmitted to the fresh pool; both stay zero on a healthy run, and like
-the shipping pair they are transport facts excluded from bit-identity
-comparisons.
+phase so operators can verify governance overhead stays negligible.
+Governance events land in the ``budget_aborts`` / ``fallback_used`` /
+``retries`` extra counters.  No counter depends on the execution
+backend: serial and thread sweeps produce identical snapshots.
 
 Wall-clock numbers are honest measurements of *this* process; the paper's
 complexity claims are still pinned by the deterministic

@@ -893,9 +893,7 @@ def run_portfolio(
 
     from .core.executor import resolve_backend  # deferred: engine family
 
-    backend_obj, owns_backend = resolve_backend(
-        config.backend, max_pool_rebuilds=config.max_pool_rebuilds
-    )
+    backend_obj, owns_backend = resolve_backend(config.backend)
     member_config = EngineConfig(
         jobs=config.jobs,
         backend=backend_obj,

@@ -4,16 +4,15 @@ The library grew everything a long-lived reordering service needs — warm
 :class:`~repro.core.executor.ExecutorBackend` pools, a fingerprint-deduped
 :class:`~repro.core.cache.ResultCache`, :class:`~repro.core.budget.Budget`
 admission with cooperative cancellation — but each caller still paid
-process startup, pool spin-up and a cold cache per invocation.  This
-module turns those five library entry points into a system that serves
-traffic: a single-process stdlib-``asyncio`` front-end multiplexing many
-concurrent clients over
+process startup and a cold cache per invocation.  This module turns
+those five library entry points into a system that serves traffic: a
+single-process stdlib-``asyncio`` front-end multiplexing many concurrent
+clients over
 
-* **one warm execution backend** (pinned for the server's lifetime via
-  the :func:`~repro.core.executor.shared_backend` context manager, so a
-  process pool is paid for once and reused by every request; concurrent
-  sweeps serialize on the backend's sweep mutex while canonicalization,
-  cache traffic and I/O overlap freely), and
+* **one warm execution backend** (created once for the server's
+  lifetime, so its thread pool is started once and reused by every
+  request; concurrent sweeps serialize on the backend's sweep mutex
+  while canonicalization, cache traffic and I/O overlap freely), and
 * **one shared result cache** (in-memory LRU plus optional
   cross-process-safe disk store), so every request benefits from every
   previous answer — the accumulation point the learned-ordering
@@ -57,34 +56,19 @@ pipeline.  Operations:
     :class:`~repro.analysis.counters.OperationCounters` across every
     request), the shared cache's
     :class:`~repro.core.cache.CacheStats`, and server-level gauges
-    (queue depth, in-flight, rejections, coalesced duplicates,
-    backend restarts).
+    (queue depth, in-flight, rejections, coalesced duplicates).
 ``{"op": "health"}``
     Probe document for load balancers and supervisors: ``healthy``
-    verdict, queue depth, in-flight count, warm-backend pool liveness
-    (:meth:`~repro.core.executor.ExecutorBackend.healthy`),
-    ``backend_restarts`` and seconds since the last restart.  Answered
-    even while draining (``healthy`` goes false), so probes see the
-    drain instead of a timeout.
+    verdict, backend name, queue depth, in-flight count and uptime.
+    Answered even while draining (``healthy`` goes false), so probes see
+    the drain instead of a timeout.
 ``{"op": "ping"}``
     Liveness probe.
 
 Every response carries an HTTP-style ``status``: 200 served, 400
 malformed request, 429 queue full (the bounded priority queue rejects
-rather than buffers without bound), 503 draining / cancelled /
-``backend_restarting``, 504 budget exhausted, 500 internal error.
-
-The warm backend is *supervised*: the process backend already heals a
-SIGKILLed worker in place (pool rebuild + chunk-level retry, see
-:mod:`repro.core.executor`), but when a sweep still dies — healing
-budget exhausted (:class:`~repro.errors.ExecutorBrokenError`) or a raw
-``BrokenProcessPool`` from a non-healing path — the server swaps in a
-freshly warmed backend under its backend mutex, fails *only* the
-in-flight request with a retryable 503 ``BackendRestarting`` error, and
-keeps serving: one broken pool never turns the daemon into a
-500-forever zombie.  ``backend_restarts`` counts the swaps;
-:class:`ServeClient` can retry through them automatically
-(``retries=``/``backoff=``).
+rather than buffers without bound), 503 draining / cancelled, 504
+budget exhausted, 500 internal error.
 
 Resource governance is per request: each admitted request derives a
 fresh :meth:`~repro.core.budget.Budget.subbudget` from one server-level
@@ -125,7 +109,6 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -134,12 +117,9 @@ from .analysis.counters import OperationCounters
 from .api import solve
 from .core.budget import Budget
 from .core.cache import ResultCache, table_key
-from .core.engine import EngineConfig
-from .core.executor import ExecutorBackend, shared_backend
+from .core.executor import ExecutorBackend, create_backend
 from .core.spec import ReductionRule
-from .errors import (
-    BudgetExceeded, ExecutorBrokenError, ReproError, ServeError,
-)
+from .errors import BudgetExceeded, ReproError, ServeError
 from .truth_table import TruthTable
 
 __all__ = [
@@ -175,11 +155,12 @@ class ServeConfig:
     unix_socket: Optional[str] = None
     """Serve on this unix-domain socket path instead of TCP."""
 
-    backend: str = "process"
-    """Execution backend warmed once for the server's lifetime."""
+    backend: str = "thread"
+    """Execution backend kept for the server's lifetime."""
 
     jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
-    """Worker width of the warm pool (layer parallelism per sweep)."""
+    """Threads per DP layer in the warm pool (layer parallelism per
+    sweep)."""
 
     cache_dir: Optional[str] = None
     """Optional on-disk store for the shared result cache
@@ -211,13 +192,6 @@ class ServeConfig:
 
     max_frontier_mb: Optional[float] = None
     """Frontier byte cap applied to every request's subbudget."""
-
-    max_pool_rebuilds: Optional[int] = None
-    """Self-healing budget of the warm process backend (how many pool
-    rebuilds one DP layer may consume before its request fails; see
-    :class:`~repro.core.engine.EngineConfig.max_pool_rebuilds`).
-    ``None`` keeps the backend default (2); ``0`` disables in-sweep
-    healing, leaving recovery entirely to the server-level backend swap."""
 
     max_request_bytes: int = 8 * 1024 * 1024
     """Per-line transport limit (a ``values`` table for n=16 as a bit
@@ -271,11 +245,6 @@ class ServerMetrics:
     """Batch items that shared a canonical fingerprint with an earlier
     item in the same manifest and were resolved without queueing."""
 
-    backend_restarts: int = 0
-    """Times the supervisor replaced a broken warm backend with a
-    freshly warmed one (each swap failed exactly one in-flight request
-    with a retryable 503 ``BackendRestarting``)."""
-
     strategy_solves: Dict[str, int] = field(default_factory=dict)
     """Completed solves per non-exact ``strategy`` value (``fallback``,
     ``portfolio``, or a registered strategy name)."""
@@ -299,7 +268,6 @@ class ServerMetrics:
             "batches": self.batches,
             "batch_items": self.batch_items,
             "batch_deduped": self.batch_deduped,
-            "backend_restarts": self.backend_restarts,
             "strategy_solves": dict(sorted(self.strategy_solves.items())),
             "portfolio_wins": dict(sorted(self.portfolio_wins.items())),
         }
@@ -458,13 +426,6 @@ class OrderingServer:
         self.totals = OperationCounters()
         self._totals_lock = threading.Lock()
         self._backend: Optional[ExecutorBackend] = None
-        self._backend_cm: Optional[Any] = None
-        self._backend_lock = threading.Lock()
-        """Serializes backend swaps against each other and against the
-        drain path; a request thread whose backend just died takes it to
-        install the replacement (or to discover a peer already did)."""
-
-        self._last_restart: Optional[float] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._queue: "asyncio.PriorityQueue[_QueuedRequest]" = None  # type: ignore[assignment]
         self._workers: List[asyncio.Task] = []
@@ -488,10 +449,9 @@ class OrderingServer:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.PriorityQueue(maxsize=config.queue_limit)
         self._done = asyncio.Event()
-        # Pin ONE live backend instance for the whole server lifetime
-        # (until a supervisor swap); every request's sweep reuses its
-        # warm pool.
-        self._warm_backend()
+        # ONE live backend instance for the whole server lifetime;
+        # every request's sweep reuses its warm pool.
+        self._backend = create_backend(config.backend)
         self._pool = ThreadPoolExecutor(
             max_workers=config.max_inflight,
             thread_name_prefix="repro-serve",
@@ -580,11 +540,9 @@ class OrderingServer:
         self._installed_signals.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        with self._backend_lock:
-            if self._backend_cm is not None:
-                self._backend_cm.__exit__(None, None, None)
-                self._backend_cm = None
-                self._backend = None
+        if self._backend is not None:
+            self._backend.close()
+            self._backend = None
         for conn in list(self._connections):
             conn.writer.close()
         try:
@@ -607,48 +565,6 @@ class OrderingServer:
 
     def _log(self, message: str) -> None:
         print(f"repro serve: {message}", file=sys.stderr, flush=True)
-
-    # -- backend supervision -------------------------------------------
-
-    def _warm_backend(self) -> None:
-        """Enter a fresh ``shared_backend`` block and pin its instance.
-        Caller holds ``_backend_lock`` (or is single-threaded startup)."""
-        config = self.config
-        cm = shared_backend(
-            EngineConfig(jobs=config.jobs,
-                         backend=config.backend,
-                         max_pool_rebuilds=config.max_pool_rebuilds)
-        )
-        self._backend = cm.__enter__().backend
-        self._backend_cm = cm
-
-    def _restart_backend(self, broken: Optional[ExecutorBackend]) -> None:
-        """Swap a freshly warmed backend in for ``broken``.
-
-        Runs on the request thread that caught the death.  The identity
-        check makes concurrent failures converge on ONE swap: whichever
-        thread takes the lock first replaces the instance, and peers
-        that lost the race see ``self._backend is not broken`` and keep
-        the replacement.  A drain that already released the backend
-        (``_backend_cm is None``) suppresses the swap entirely.
-        """
-        with self._backend_lock:
-            if self._backend is not broken or self._backend_cm is None:
-                return
-            old_cm = self._backend_cm
-            self._backend = None
-            self._backend_cm = None
-            try:
-                old_cm.__exit__(None, None, None)
-            except Exception as exc:  # noqa: BLE001 - it is already broken
-                self._log(f"closing broken backend failed: {exc!r}")
-            self._warm_backend()
-            self.metrics.backend_restarts += 1
-            self._last_restart = time.monotonic()
-            self._log(
-                "execution backend died; a freshly warmed replacement is "
-                f"serving (restart #{self.metrics.backend_restarts})"
-            )
 
     # -- connection handling -------------------------------------------
 
@@ -1274,10 +1190,6 @@ class OrderingServer:
     def _execute(self, prepared: _Prepared) -> Dict[str, Any]:
         """Run one governed solve (in the pool); returns the response body."""
         config = self.config
-        # Pin the instance for this request: a concurrent supervisor
-        # swap must not hand us half-warmed state, and on failure we
-        # must name the exact instance we broke.
-        backend = self._backend
         sub = (
             prepared.budget
             if prepared.budget is not None
@@ -1299,7 +1211,7 @@ class OrderingServer:
                     seed=prepared.strategy_seed,
                     rule=prepared.rule,
                     jobs=config.jobs,
-                    backend=backend,
+                    backend=self._backend,
                     cache=self.cache,
                     budget=sub,
                 )
@@ -1310,27 +1222,11 @@ class OrderingServer:
                     method=prepared.method,
                     rule=prepared.rule,
                     jobs=config.jobs,
-                    backend=backend,
+                    backend=self._backend,
                     cache=self.cache,
                     budget=sub,
                     **prepared.solve_kwargs,
                 )
-        except (ExecutorBrokenError, BrokenProcessPool) as exc:
-            # The backend's in-sweep healing gave up (or was disabled),
-            # or a pool death escaped on a non-healing path: the warm
-            # pool is dead either way.  Swap in a fresh backend and fail
-            # only this request, retryably.
-            self._restart_backend(backend)
-            with self._totals_lock:
-                self.metrics.kernel_sweeps += 1
-            return {
-                "ok": False, "status": 503,
-                "error": {"type": "BackendRestarting",
-                          "message": f"execution backend died "
-                                     f"mid-request ({exc}); a fresh "
-                                     "backend is warming — retry",
-                          "retryable": True},
-            }
         except BudgetExceeded as exc:
             status = 503 if exc.reason == "cancelled" else 504
             with self._totals_lock:
@@ -1375,31 +1271,18 @@ class OrderingServer:
     # -- observability -------------------------------------------------
 
     def health_snapshot(self) -> Dict[str, Any]:
-        """The ``health`` op document: cheap, lock-light, probe-friendly.
+        """The ``health`` op document: cheap, lock-free, probe-friendly.
 
-        ``healthy`` is the one-bit verdict (accepting work AND the warm
-        backend's pool is alive); the rest is the evidence a supervisor
-        wants next to it.  ``backend_alive`` consults
-        :meth:`~repro.core.executor.ExecutorBackend.healthy` — for the
-        process backend, whether the pool object is marked broken —
-        without touching the pool itself.
+        ``healthy`` is the one-bit verdict (accepting work); the rest is
+        the evidence a supervisor wants next to it.
         """
-        backend = self._backend
-        now = time.monotonic()
-        backend_alive = backend is not None and backend.healthy()
         return {
-            "healthy": backend_alive and not self._draining,
+            "healthy": not self._draining,
             "draining": self._draining,
             "backend": self.config.backend,
-            "backend_alive": backend_alive,
-            "backend_restarts": self.metrics.backend_restarts,
-            "last_restart_seconds_ago": (
-                round(now - self._last_restart, 3)
-                if self._last_restart is not None else None
-            ),
             "queue_depth": self._queue.qsize() if self._queue is not None else 0,
             "in_flight": self._in_flight,
-            "uptime_seconds": round(now - self._started_at, 3),
+            "uptime_seconds": round(time.monotonic() - self._started_at, 3),
         }
 
     def metrics_snapshot(self) -> Dict[str, Any]:
@@ -1428,7 +1311,6 @@ class OrderingServer:
                 "cache_dir": self.config.cache_dir,
                 "cache_shards": self.config.cache_shards,
                 "max_batch_items": self.config.max_batch_items,
-                "max_pool_rebuilds": self.config.max_pool_rebuilds,
             },
         }
 
@@ -1509,11 +1391,10 @@ class ServeClient:
     resubmission reuses the same request ``id``).  Retried failures are
     the transient ones a healthy deployment produces: a connection the
     server dropped (``ConnectionResetError`` / ``BrokenPipeError`` /
-    the "server closed the connection" 503) and a 503
-    ``BackendRestarting`` answer while the daemon swaps in a fresh
-    backend.  Anything else — 400s, 429 queue-full, 503 draining, 504
-    budget — propagates on the first occurrence.  Sleeps
-    ``backoff * 2**attempt`` seconds between tries.
+    the "server closed the connection" 503).  Any answer the server
+    sends — 400s, 429 queue-full, 503 draining, 504 budget — propagates
+    on the first occurrence.  Sleeps ``backoff * 2**attempt`` seconds
+    between tries.
     """
 
     def __init__(
@@ -1603,14 +1484,6 @@ class ServeClient:
         ``id``, not merely the next line off the socket)."""
         return self.collect(self.submit(payload))
 
-    @staticmethod
-    def _is_backend_restarting(response: Dict[str, Any]) -> bool:
-        error = response.get("error", {})
-        return (
-            int(response.get("status", 500)) == 503
-            and error.get("type") == "BackendRestarting"
-        )
-
     def _checked(
         self, payload: Dict[str, Any], *, retryable: bool = False
     ) -> Dict[str, Any]:
@@ -1636,14 +1509,6 @@ class ServeClient:
                 self._reconnect()
                 continue
             if not response.get("ok"):
-                if (
-                    retryable
-                    and attempt + 1 < attempts
-                    and self._is_backend_restarting(response)
-                ):
-                    # Daemon is swapping in a fresh backend; the
-                    # connection stays valid — wait and resubmit.
-                    continue
                 error = response.get("error", {})
                 raise ServeError(
                     f"{error.get('type', 'Error')}: "
@@ -1677,8 +1542,8 @@ class ServeClient:
         return self._checked({"op": "metrics"}, retryable=True)["metrics"]
 
     def health(self) -> Dict[str, Any]:
-        """``health`` op; the daemon's liveness report (backend
-        aliveness, restart count, queue depth)."""
+        """``health`` op; the daemon's liveness report (draining or
+        not, queue depth, in-flight count, uptime)."""
         return self._checked({"op": "health"}, retryable=True)["health"]
 
     def ping(self) -> bool:

@@ -127,18 +127,19 @@ class TestSolveEngineKwargs:
 
     @pytest.mark.parametrize("strategy", ["exact", "fallback", "portfolio"])
     def test_frontier_store_kwarg_is_gone(self, strategy):
-        for kwarg, value in (("frontier_store", "dict"), ("frontier", "full")):
+        for kwarg, value in (("frontier_store", "dict"), ("frontier", "full"),
+                             ("max_pool_rebuilds", 2)):
             with pytest.raises(TypeError, match=kwarg):
                 solve(TABLE, strategy=strategy, **{kwarg: value})
-        with pytest.raises(ValueError, match="process.*serial"):
-            solve(TABLE, strategy=strategy, backend="thread")
+        with pytest.raises(ValueError, match="serial.*thread"):
+            solve(TABLE, strategy=strategy, backend="process")
 
     def test_backend_and_jobs_pass_through(self):
         baseline = solve(TABLE)
         for method_kwargs in (
             {"backend": "serial"},
             {"backend": "serial", "jobs": 4},
-            {"backend": "process", "jobs": 2},
+            {"backend": "thread", "jobs": 2},
         ):
             sol = solve(TABLE, **method_kwargs)
             assert sol.mincost == baseline.mincost

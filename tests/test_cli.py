@@ -54,8 +54,10 @@ class TestOptimize:
     @pytest.mark.parametrize("argv", [
         ("optimize", "--expr", "x0", "--frontier-store", "packed"),
         ("serve", "--frontier-store", "dict"),
-        ("optimize", "--expr", "x0", "--backend", "thread"),
-        ("serve", "--backend", "thread"),
+        ("optimize", "--expr", "x0", "--backend", "process"),
+        ("serve", "--backend", "process"),
+        ("optimize", "--expr", "x0", "--max-pool-rebuilds", "2"),
+        ("serve", "--max-pool-rebuilds", "2"),
     ])
     def test_frontier_store_flag_is_gone(self, run, argv):
         with pytest.raises(SystemExit) as info:
@@ -67,7 +69,7 @@ class TestOptimize:
         _, reference, _ = run("optimize", "--expr", expr)
         for extra in (["--backend", "serial"],
                       ["--backend", "serial", "--jobs", "2"],
-                      ["--backend", "process", "--jobs", "2"]):
+                      ["--backend", "thread", "--jobs", "2"]):
             code, out, _ = run("optimize", "--expr", expr, *extra)
             assert code == 0
             assert out == reference

@@ -48,8 +48,10 @@ class TestEngineConfig:
             EngineConfig(frontier="full")
         with pytest.raises(TypeError, match="strategy"):
             EngineConfig(strategy="exact")
-        with pytest.raises(ValueError, match="process.*serial"):
-            EngineConfig(backend="thread")
+        with pytest.raises(TypeError, match="max_pool_rebuilds"):
+            EngineConfig(max_pool_rebuilds=2)
+        with pytest.raises(ValueError, match="serial.*thread"):
+            EngineConfig(backend="process")
         with pytest.raises(ValueError):
             EngineConfig(jobs=0)
 

@@ -1,21 +1,20 @@
 """Tests for the execution backends (:mod:`repro.core.executor`).
 
-The backends' contract: ``serial`` and ``process`` run the *same*
-chunks through the *same* kernels and merge in the *same* fixed order,
-so results AND operation counters are bit-identical for every
-``backend x jobs`` cell.  The one sanctioned exception: the process
-backend's ``tasks_shipped`` / ``bytes_shipped`` transport tallies, which
-the serial backend never emits.  Budgets (deadline + cooperative
-cancellation, including SIGINT) must propagate across the process
-boundary, and checkpoint/resume must behave identically under every
-backend.
+The backends' contract: ``serial`` and ``thread`` run the *same*
+chunks through the *same* kernel and merge in the *same* fixed order,
+so results AND whole operation-counter snapshots are bit-identical for
+every ``backend x jobs`` cell (drawn in ``tests/test_sweep_conformance``).
+Budgets (deadline + cooperative cancellation, including SIGINT) must
+reach pooled chunks, a layer abandoned mid-way must be discarded whole,
+and checkpoint/resume must behave identically under every backend.
 
-Process-backed tests share one module-scoped ``ProcessBackend`` so the
-interpreter-spawn cost is paid once, not per test.
+Thread-backed tests share one module-scoped ``ThreadBackend`` so its
+pool is reused across tests, as the serve daemon reuses it.
 """
 
 import os
 import signal
+import sys
 import threading
 
 import pytest
@@ -26,8 +25,8 @@ from repro.core import (
     Budget,
     EngineConfig,
     FaultInjector,
-    ProcessBackend,
     SerialBackend,
+    ThreadBackend,
     create_backend,
     handle_signals,
     initial_state,
@@ -38,6 +37,7 @@ from repro.core import (
     run_layered_sweep,
     window_sweep,
 )
+from repro.core import executor as executor_module
 from repro.core.executor import resolve_backend, shared_backend, split_chunks
 from repro.errors import BudgetExceeded, OrderingError
 from repro.truth_table import TruthTable
@@ -57,23 +57,10 @@ class SigintAfterLayer(FaultInjector):
             os.kill(os.getpid(), signal.SIGINT)
 
 
-def paper_counters(counters):
-    """Counter snapshot minus the process backend's transport tallies.
-
-    ``tasks_shipped`` / ``bytes_shipped`` are coordinator-side transport
-    accounting that the serial backend never emits; everything else must
-    be bit-identical across backends.
-    """
-    snap = counters.snapshot()
-    snap.pop("tasks_shipped", None)
-    snap.pop("bytes_shipped", None)
-    return snap
-
-
 @pytest.fixture(scope="module")
-def process_pool():
-    """One spawned pool for the whole module (spawn cost is seconds)."""
-    backend = ProcessBackend(jobs=4)
+def thread_pool():
+    """One warm thread backend for the whole module."""
+    backend = ThreadBackend(jobs=4)
     yield backend
     backend.close()
 
@@ -84,20 +71,25 @@ def process_pool():
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert set(BACKENDS) == {"serial", "process"}
+        assert set(BACKENDS) == {"serial", "thread"}
 
     def test_get_backend_resolves_classes(self):
         assert BACKENDS["serial"] is SerialBackend
-        assert BACKENDS["process"] is ProcessBackend
+        assert BACKENDS["thread"] is ThreadBackend
         assert isinstance(create_backend("serial"), SerialBackend)
-        with create_backend("process", jobs=2) as backend:
-            assert isinstance(backend, ProcessBackend)
+        with create_backend("thread", jobs=2) as backend:
+            assert isinstance(backend, ThreadBackend)
 
     def test_unknown_backend_raises_with_choices(self):
         with pytest.raises(ValueError, match="serial"):
             create_backend("gpu")
         with pytest.raises(ValueError):
             run_fs(TruthTable.random(2, seed=0), backend="gpu")
+        # The process backend is gone; its name is an error naming both.
+        for reject in (lambda: create_backend("process"),
+                       lambda: EngineConfig(backend="process")):
+            with pytest.raises(ValueError, match="serial.*thread"):
+                reject()
 
     def test_config_validates_backend(self):
         with pytest.raises(ValueError):
@@ -117,9 +109,9 @@ class TestBackendRegistry:
             name = "tracing"
             calls = []
 
-            def run_layer(self, layer, chunks, previous):
+            def run_layer(self, layer, *args):
                 type(self).calls.append(layer)
-                return super().run_layer(layer, chunks, previous)
+                return super().run_layer(layer, *args)
 
         tt = TruthTable.random(4, seed=4)
         result = run_fs(tt, backend=TracingBackend())
@@ -152,101 +144,84 @@ class TestBackendRegistry:
 
 
 # ----------------------------------------------------------------------
-# bit-identical parity matrix: backend x jobs
+# chunking (the backend x jobs parity matrix itself is drawn in
+# tests/test_sweep_conformance.py)
 # ----------------------------------------------------------------------
 
 class TestParityMatrix:
     TABLE = TruthTable.random(6, seed=13)
 
-    _REFERENCE = []
-
-    @classmethod
-    def reference(cls):
-        """Serial jobs=1 baseline: the result and its counter snapshot."""
-        if not cls._REFERENCE:
-            counters = OperationCounters()
-            result = run_fs(cls.TABLE, counters=counters, backend="serial",
-                            jobs=1)
-            cls._REFERENCE.append((result, counters.snapshot()))
-        return cls._REFERENCE[0]
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_serial_backend_bit_identical(self, jobs):
-        ref, ref_counters = self.reference()
-        counters = OperationCounters()
-        result = run_fs(self.TABLE, counters=counters, backend="serial",
-                        jobs=jobs)
-        assert result.mincost == ref.mincost
-        assert result.order == ref.order
-        assert result.pi == ref.pi
-        # The serial backend ships nothing: exact snapshot equality.
-        assert counters.snapshot() == ref_counters
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_process_backend_bit_identical(self, jobs, process_pool):
-        ref, ref_counters = self.reference()
-        backend = process_pool if jobs > 1 else "process"
-        counters = OperationCounters()
-        result = run_fs(self.TABLE, counters=counters, backend=backend,
-                        jobs=jobs)
-        assert result.mincost == ref.mincost
-        assert result.order == ref.order
-        assert result.pi == ref.pi
-        assert paper_counters(counters) == ref_counters
-
-    def test_process_jobs1_never_spawns(self):
-        backend = ProcessBackend()
+    def test_thread_jobs1_never_starts_a_pool(self):
+        backend = ThreadBackend()
         try:
             run_fs(self.TABLE, backend=backend, jobs=1)
             assert backend._pool is None  # every layer ran inline
         finally:
             backend.close()
 
+    def test_more_threads_than_cores_under_fast_switching(self):
+        """Eight pooled chunks write disjoint rows of one layer while the
+        interpreter switches threads every microsecond: the outcome and
+        the whole counter snapshot stay those of the serial run."""
+        table = TruthTable.random(11, seed=5)
+        clean = run_fs(table)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_fs(table, backend="thread", jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (result.order, result.mincost, result.mincost_by_subset,
+                result.best_last, result.level_cost_by_choice) == (
+            clean.order, clean.mincost, clean.mincost_by_subset,
+            clean.best_last, clean.level_cost_by_choice)
+        assert result.counters.snapshot() == clean.counters.snapshot()
+
     def test_split_chunks_shapes(self):
-        masks = list(range(10))
-        assert split_chunks(masks, 1) == [masks]
-        chunks = split_chunks(masks, 4)
-        assert [m for chunk in chunks for m in chunk] == masks
+        assert split_chunks(10, 1) == [slice(0, 10)]
+        chunks = split_chunks(10, 4)
+        assert [row for chunk in chunks
+                for row in range(chunk.start, chunk.stop)] == list(range(10))
         assert len(chunks) <= 4
+        assert split_chunks(2, 4) == [slice(0, 1), slice(1, 2)]
 
 
 # ----------------------------------------------------------------------
-# every DP entry point, process backend
+# every DP entry point, thread backend
 # ----------------------------------------------------------------------
 
-class TestProcessBackendAcrossEntryPoints:
-    def test_shared(self, process_pool):
+class TestThreadBackendAcrossEntryPoints:
+    def test_shared(self, thread_pool):
         tables = [TruthTable.random(5, seed=s) for s in (1, 2)]
         serial = run_fs_shared(tables, counters=OperationCounters(),
                                backend="serial")
         counters = OperationCounters()
         par = run_fs_shared(tables, counters=counters,
-                            backend=process_pool, jobs=4)
+                            backend=thread_pool, jobs=4)
         assert par.mincost == serial.mincost
         assert par.order == serial.order
-        assert paper_counters(counters) == paper_counters(serial.counters)
+        assert counters.snapshot() == serial.counters.snapshot()
 
-    def test_constrained(self, process_pool):
+    def test_constrained(self, thread_pool):
         table = TruthTable.random(6, seed=3)
         precedence = [(0, 2), (1, 3)]
         serial = run_fs_constrained(table, precedence, backend="serial")
         par = run_fs_constrained(table, precedence,
-                                 backend=process_pool, jobs=4)
+                                 backend=thread_pool, jobs=4)
         assert par.mincost == serial.mincost
         assert par.order == serial.order
-        assert (paper_counters(par.counters)
-                == paper_counters(serial.counters))
+        assert par.counters.snapshot() == serial.counters.snapshot()
 
-    def test_window(self, process_pool):
+    def test_window(self, thread_pool):
         table = TruthTable.random(7, seed=7)
         serial = window_sweep(table, width=4,
                               config=EngineConfig(backend="serial"))
         par = window_sweep(table, width=4,
-                           config=EngineConfig(backend=process_pool, jobs=4))
+                           config=EngineConfig(backend=thread_pool, jobs=4))
         assert par.size == serial.size
         assert par.order == serial.order
 
-    def test_fs_star(self, process_pool):
+    def test_fs_star(self, thread_pool):
         base = initial_state(TruthTable.random(6, seed=11))
         j_mask = 0b111111
         serial_counters = OperationCounters()
@@ -254,17 +229,17 @@ class TestProcessBackendAcrossEntryPoints:
                              config=EngineConfig(backend="serial"))
         par_counters = OperationCounters()
         par = run_fs_star(base, j_mask, counters=par_counters,
-                          config=EngineConfig(backend=process_pool, jobs=4))
+                          config=EngineConfig(backend=thread_pool, jobs=4))
         assert par.mincost == serial.mincost
         assert par.pi == serial.pi
-        assert paper_counters(par_counters) == paper_counters(serial_counters)
+        assert par_counters.snapshot() == serial_counters.snapshot()
 
-    def test_filter_orphaned_subset_is_an_ordering_error(self, process_pool):
+    def test_filter_orphaned_subset_is_an_ordering_error(self, thread_pool):
         """A feasible subset the filter left without a feasible
         predecessor is an OrderingError on both backends, also where a
-        worker receives its chunk with no predecessor rows at all."""
+        pooled chunk raises it while its sibling runs."""
         state = initial_state(TruthTable.random(3, seed=1))
-        for backend in ("serial", process_pool):
+        for backend in ("serial", thread_pool):
             with pytest.raises(OrderingError,
                                match="no feasible chain reaches subset 0x6"):
                 run_layered_sweep(
@@ -275,40 +250,55 @@ class TestProcessBackendAcrossEntryPoints:
 
 
 # ----------------------------------------------------------------------
-# budget propagation across the process boundary
+# budget propagation into pooled chunks
 # ----------------------------------------------------------------------
 
-class TestProcessBudget:
-    def test_deadline_aborts_at_committed_boundary(self, process_pool,
+class CancelDuringLayer(ThreadBackend):
+    """Cancels ``budget`` as layer ``layer`` starts: after the engine's
+    pre-layer boundary check, before any pooled chunk's first batch."""
+
+    def __init__(self, layer, budget):
+        super().__init__(jobs=2)
+        self.layer, self.budget = layer, budget
+
+    def run_layer(self, layer, *args):
+        if layer == self.layer:
+            self.budget.cancel.set()
+        return super().run_layer(layer, *args)
+
+
+class TestThreadBudget:
+    def test_deadline_aborts_at_committed_boundary(self, thread_pool,
                                                    tmp_path):
         # 20 ms per clock reading: the 50 ms deadline trips within the
         # first layers at any kernel speed.
         table = TruthTable.random(12, seed=42)
         with pytest.raises(BudgetExceeded) as info:
-            run_fs(table, backend=process_pool, jobs=4,
+            run_fs(table, backend=thread_pool, jobs=4,
                    checkpoint_dir=str(tmp_path / "ck"),
                    budget=Budget(deadline=0.05, clock=fake_clock(0.02)))
         exc = info.value
         assert exc.reason == "deadline"
         assert exc.layers_completed is not None and exc.layers_completed >= 0
 
-    def test_pre_cancelled_budget_aborts_promptly(self, process_pool):
+    def test_pre_cancelled_budget_aborts_promptly(self, thread_pool):
         budget = Budget()
         budget.cancel.set()
         with pytest.raises(BudgetExceeded) as info:
-            run_fs(TruthTable.random(8, seed=5), backend=process_pool,
+            run_fs(TruthTable.random(8, seed=5), backend=thread_pool,
                    jobs=4, budget=budget)
         assert info.value.reason == "cancelled"
 
-    def test_pool_survives_abort(self, process_pool):
+    def test_pool_survives_abort(self, thread_pool):
         """The shared pool stays usable after a budget abort."""
         result = run_fs(TruthTable.random(6, seed=13),
-                        backend=process_pool, jobs=4)
+                        backend=thread_pool, jobs=4)
         assert result.mincost == run_fs(TruthTable.random(6, seed=13),
                                         backend="serial").mincost
 
-    def test_sigint_routed_to_coordinator_not_workers(self, process_pool):
-        """SIGINT cancels cooperatively; workers ignore the signal."""
+    def test_sigint_cancels_cooperatively(self, thread_pool):
+        """SIGINT lands on the main thread, sets the budget's event and
+        the sweep stops; nothing is raised inside a pool thread."""
         table = TruthTable.random(11, seed=9)
         budget = Budget()
         with handle_signals(budget) as installed:
@@ -317,66 +307,68 @@ class TestProcessBudget:
             # Signal once layer 2 has run on the pool: the sweep is still
             # going at any kernel speed.
             with pytest.raises(BudgetExceeded) as info:
-                run_fs(table, backend=process_pool, jobs=4, budget=budget,
+                run_fs(table, backend=thread_pool, jobs=4, budget=budget,
                        fault_injector=SigintAfterLayer(2))
         assert info.value.reason == "cancelled"
 
-    def test_checkpoint_resume_bit_identical(self, process_pool, tmp_path):
+    def test_checkpoint_resume_bit_identical(self, thread_pool, tmp_path):
         table = TruthTable.random(10, seed=21)
         ckpt = str(tmp_path / "resume")
         with pytest.raises(BudgetExceeded):
             run_fs(table, counters=OperationCounters(),
-                   backend=process_pool, jobs=4, checkpoint_dir=ckpt,
+                   backend=thread_pool, jobs=4, checkpoint_dir=ckpt,
                    budget=Budget(deadline=0.05, clock=fake_clock(0.02)))
         clean = run_fs(table, counters=OperationCounters(), backend="serial")
         resumed_counters = OperationCounters()
         resumed = run_fs(table, counters=resumed_counters,
-                         backend=process_pool, jobs=4,
+                         backend=thread_pool, jobs=4,
                          checkpoint_dir=ckpt, resume=True)
         assert resumed.mincost == clean.mincost
         assert resumed.order == clean.order
         assert resumed.pi == clean.pi
-        # Transport tallies differ (the resumed run re-ships the base
-        # table); every paper-facing counter must match exactly.
-        assert paper_counters(resumed_counters) == paper_counters(
-            clean.counters)
+        assert resumed_counters.snapshot() == clean.counters.snapshot()
 
+    def test_mid_layer_cancel_discards_the_layer_and_resumes(self, tmp_path):
+        """Pooled chunks that see the budget cancelled stop mid-layer;
+        the engine discards the whole layer and names the last committed
+        one, and a resume from its checkpoint is bit-identical."""
+        table = TruthTable.random(9, seed=8)
+        ckpt = str(tmp_path / "ck")
+        budget = Budget()
+        backend = CancelDuringLayer(4, budget)
+        try:
+            with pytest.raises(BudgetExceeded) as info:
+                run_fs(table, backend=backend, jobs=2, budget=budget,
+                       checkpoint_dir=ckpt)
+        finally:
+            backend.close()
+        exc = info.value
+        assert exc.reason == "cancelled"
+        assert exc.where == "mid-layer cancellation (during k=4)"
+        assert exc.layers_completed == 3
+        assert exc.checkpoint_path.endswith("_layer_0003.json")
+        assert not any(name.endswith("_layer_0004.json")
+                       for name in os.listdir(ckpt))
 
-# ----------------------------------------------------------------------
-# observability: transport phases + tallies
-# ----------------------------------------------------------------------
-
-class TestTransportObservability:
-    def test_process_backend_records_ipc_phases_and_tallies(
-            self, process_pool):
-        from repro.observability import Profiler
-
-        profiler = Profiler()
-        counters = OperationCounters()
-        run_fs(TruthTable.random(6, seed=13), counters=counters,
-               backend=process_pool, jobs=4, profiler=profiler)
-        assert "ipc_submit" in profiler.phases
-        assert "ipc_merge" in profiler.phases
-        assert counters.extra["tasks_shipped"] > 0
-        assert counters.extra["bytes_shipped"] > 0
-
-    def test_in_process_backends_ship_nothing(self):
-        counters = OperationCounters()
-        run_fs(TruthTable.random(6, seed=13), counters=counters,
-               backend="serial", jobs=4)
-        assert "tasks_shipped" not in counters.extra
-        assert "bytes_shipped" not in counters.extra
+        clean = run_fs(table)
+        resumed = run_fs(table, backend="thread", jobs=2,
+                         checkpoint_dir=ckpt, resume=True)
+        assert (resumed.order, resumed.mincost, resumed.mincost_by_subset,
+                resumed.best_last, resumed.level_cost_by_choice) == (
+            clean.order, clean.mincost, clean.mincost_by_subset,
+            clean.best_last, clean.level_cost_by_choice)
+        assert resumed.counters.snapshot() == clean.counters.snapshot()
 
 
 class TestSweepMutex:
     """One warm backend instance serves many sweeps — but one at a time.
 
     Before the mutex, concurrent sweeps silently overwrote each other's
-    ``_context``/``_kernel``, corrupting both results; the serve daemon's
-    request workers are exactly that shape."""
+    ``_context``, corrupting both results; the serve daemon's request
+    workers are exactly that shape."""
 
     def test_concurrent_sweeps_on_one_backend_stay_correct(self):
-        backend = SerialBackend(jobs=2)
+        backend = ThreadBackend(jobs=2)
         tables = [TruthTable.random(6, seed=s) for s in (61, 62, 63, 64)]
         expected = [run_fs(tt).mincost for tt in tables]
         results = [None] * len(tables)
@@ -405,8 +397,6 @@ class TestSweepMutex:
         assert results == expected
 
     def test_nested_sweep_on_same_backend_raises(self):
-        from repro.errors import OrderingError
-
         backend = SerialBackend()
         tt = TruthTable.random(4, seed=65)
         try:
@@ -425,8 +415,39 @@ class TestSweepMutex:
 
     def test_end_sweep_without_begin_is_harmless(self):
         backend = SerialBackend()
-        backend.end_sweep()  # ProcessBackend.close() does this on shutdown
+        backend.end_sweep()  # a close() path may do this on shutdown
         backend.close()
+
+
+class TestSharedBackendMasking:
+    """A broken close() must never mask the body's own exception."""
+
+    class _ExplodingClose(ThreadBackend):
+        def __init__(self, jobs=None):
+            super().__init__(jobs=jobs)
+            self.close_calls = 0
+
+        def close(self):
+            self.close_calls += 1
+            raise RuntimeError("pool teardown exploded")
+
+    def _register(self, monkeypatch, name):
+        monkeypatch.setitem(
+            executor_module.BACKENDS, name, self._ExplodingClose
+        )
+        return name
+
+    def test_body_exception_wins(self, monkeypatch):
+        name = self._register(monkeypatch, "exploding-close")
+        with pytest.raises(ValueError, match="body failed"):
+            with shared_backend(EngineConfig(backend=name)):
+                raise ValueError("body failed")
+
+    def test_clean_exit_close_error_still_propagates(self, monkeypatch):
+        name = self._register(monkeypatch, "exploding-close")
+        with pytest.raises(RuntimeError, match="teardown exploded"):
+            with shared_backend(EngineConfig(backend=name)):
+                pass
 
 
 def _sweep_context_for(table):
@@ -438,5 +459,4 @@ def _sweep_context_for(table):
         base=initial_state(table, ReductionRule.BDD),
         rule=ReductionRule.BDD,
         jobs=1,
-        counters=OperationCounters(),
     )

@@ -186,8 +186,10 @@ class TestRules:
             run_fs(table, frontier_store="packed")
         with pytest.raises(TypeError, match="frontier"):
             run_fs(table, frontier="full")
-        with pytest.raises(ValueError, match="process.*serial"):
-            run_fs(table, backend="thread")
+        with pytest.raises(TypeError, match="max_pool_rebuilds"):
+            run_fs(table, max_pool_rebuilds=2)
+        with pytest.raises(ValueError, match="serial.*thread"):
+            run_fs(table, backend="process")
 
 
 class TestFrontEnd:

@@ -1,5 +1,6 @@
 """Unit tests for the interchange formats (PLA, BLIF, diagram JSON)."""
 
+import numpy as np
 import pytest
 
 from repro.core import ReductionRule, build_diagram, reconstruct_minimum_diagram, run_fs
@@ -103,6 +104,40 @@ class TestPlaParse:
             parse_pla(".i 2\n.o 2\n1110\n.e\n")
 
 
+def _write_pla_reference(table, merge):
+    """The PLA writer as it was: every literal-drop trial masks all
+    ``2^n`` assignments."""
+    n = table.n
+    on = table.values != 0
+    assignments = np.arange(1 << n, dtype=np.int64)
+
+    def cover(cube):
+        inside = np.ones(1 << n, dtype=bool)
+        for position, symbol in enumerate(cube):
+            if symbol != "-":
+                bit = ((assignments >> position) & 1).astype(bool)
+                inside &= bit if symbol == "1" else ~bit
+        return inside
+
+    cubes = []
+    covered = np.zeros(1 << n, dtype=bool)
+    for minterm in np.nonzero(on)[0]:
+        if covered[minterm]:
+            continue
+        cube = ["1" if (int(minterm) >> i) & 1 else "0" for i in range(n)]
+        if merge:
+            for i in range(n):
+                trial = cube[:i] + ["-"] + cube[i + 1:]
+                if np.all(on[cover(trial)]):
+                    cube = trial
+        covered |= cover(cube)
+        cubes.append("".join(cube))
+    lines = [f".i {n}", ".o 1", f".p {len(cubes)}"]
+    lines += [f"{cube} 1" for cube in cubes]
+    lines.append(".e")
+    return "\n".join(lines) + "\n"
+
+
 class TestPlaWrite:
     @pytest.mark.parametrize("seed", range(6))
     def test_roundtrip(self, seed):
@@ -116,6 +151,14 @@ class TestPlaWrite:
         plain = write_pla(tt, merge=False)
         assert merged.count("\n") < plain.count("\n")
         assert parse_pla(merged).truth_table() == tt
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_merge_matches_all_assignments_reference(self, n):
+        tables = [TruthTable.random(n, seed=seed) for seed in range(3)]
+        tables += [TruthTable.constant(n, 0), TruthTable.constant(n, 1)]
+        for tt in tables:
+            for merge in (True, False):
+                assert write_pla(tt, merge) == _write_pla_reference(tt, merge)
 
     def test_empty_onset(self):
         tt = TruthTable.constant(3, 0)

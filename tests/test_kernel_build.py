@@ -82,6 +82,27 @@ def test_edited_source_gets_a_new_cache_name(source):
         assert path.name.endswith(_build.EXT_SUFFIX)
 
 
+def test_rebuild_removes_stale_libraries_from_pycache_only(source, tmp_path):
+    """A build from edited source leaves exactly one library beside the
+    source; the shared user cache keeps one library per source."""
+    first = load(source)
+    original = source.read_text()
+    source.write_text(original + "\n/* edited */\n")
+    second = load(source)
+    assert second != first and second.parent == first.parent
+    assert sorted(p.name for p in second.parent.iterdir()) == [second.name]
+
+    source.write_text(original)
+    (source.parent / "__pycache__").rename(source.parent / "moved")
+    (source.parent / "__pycache__").write_text("not a directory")
+    cache = tmp_path / "cache"
+    shared = [load(source, XDG_CACHE_HOME=str(cache))]
+    source.write_text(original + "\n/* edited */\n")
+    shared.append(load(source, XDG_CACHE_HOME=str(cache)))
+    assert sorted(p.name for p in (cache / "repro").iterdir()) == sorted(
+        path.name for path in shared)
+
+
 def test_unwritable_pycache_falls_back_to_the_user_cache(source, tmp_path):
     (source.parent / "__pycache__").write_text("not a directory")
     cache = tmp_path / "cache"

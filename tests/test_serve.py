@@ -350,11 +350,12 @@ class TestSigtermDrain:
         return proc, (host, int(port))
 
     # The in-flight solve must outlast the tests' 0.3-0.5 s of sleeps:
-    # n=14 takes about 2 s in this daemon (thread backend, jobs=2) on a
-    # 2-core x86 host, four times the longer wait; n=12 took 0.33 s.
+    # n=15 takes 1.2-1.8 s in this daemon (serial backend) on a 2-vCPU
+    # x86 host; n=14 took 0.4-0.6 s, too close to the 0.3 s wait.
     def test_sigterm_during_load_drains_and_exits_zero(self):
-        slow = TruthTable.random(14, seed=80)
+        slow = TruthTable.random(15, seed=81)
         expected = solve(slow)
+        wait = 0.3
         proc, address = self._spawn()
         try:
             sock = socket.create_connection(address, timeout=300)
@@ -364,11 +365,13 @@ class TestSigtermDrain:
                 **_values_payload(slow),
             }).encode() + b"\n")
             handle.flush()
-            time.sleep(0.3)  # let the request reach the worker
+            time.sleep(wait)  # let the request reach the worker
             proc.send_signal(signal.SIGTERM)
             # The in-flight solve finishes bit-identically...
             response = json.loads(handle.readline())
             assert response["ok"], response
+            # ...after the signal landed, so a drain really happened.
+            assert response["result"]["elapsed_seconds"] > wait
             assert tuple(response["result"]["order"]) == expected.order
             assert response["result"]["mincost"] == expected.mincost
             sock.close()

@@ -1,157 +1,39 @@
-"""Serve-layer robustness: a dead pool costs one request, not the daemon.
+"""Serve-layer robustness: the ``health`` probe and the client's retries.
 
-The supervisor contract under test: when the warm process backend dies
-mid-request (workers SIGKILLed — the container-OOM scenario), exactly
-the in-flight request fails, with a retryable 503 ``BackendRestarting``;
-the daemon swaps in a freshly warmed backend under its mutex, keeps
-answering, and accounts the swap in ``backend_restarts`` and the
-``health`` op.  On the client side, ``ServeClient(retries=...)`` rides
-through both that 503 and dropped connections on idempotent ops —
-resubmitting ``solve`` with the *same* request id — while staying
-strictly opt-in (default 0 retries) and never auto-retrying
-``solve_many``.
+The daemon answers ``health`` with a small probe document (draining or
+not, backend name, queue depth, in-flight count, uptime).  On the client
+side, ``ServeClient(retries=...)`` rides through dropped connections on
+idempotent ops — resubmitting with the *same* request id — while staying
+strictly opt-in (default 0 retries), never retrying an answer the server
+sent, and never auto-retrying ``solve_many``.
 """
 
 import json
-import os
-import signal
 import socket
 import threading
 import time
 
 import pytest
 
-from repro import solve
 from repro.errors import ServeError
 from repro.serve import ServeClient, ServeConfig, running_server
-from repro.truth_table import TruthTable
-
-# Distinct tables per request: the daemon's always-on result cache
-# would otherwise answer a repeated fingerprint without ever touching
-# the (deliberately broken) backend.
-TABLE_A = TruthTable.random(5, seed=41)
-TABLE_B = TruthTable.random(5, seed=42)
-TABLE_C = TruthTable.random(5, seed=43)
 
 
-def _values_payload(table):
-    return {
-        "values": "".join(str(int(v)) for v in table.values),
-        "n": table.n,
-    }
-
-
-def _paper_view(wire_counters):
-    """Wire counters minus the transport/healing gauges and the daemon's
-    cache accounting — the residue must be comparable across backends
-    and against a cache-less direct solve."""
-    return {
-        k: v
-        for k, v in wire_counters.items()
-        if k
-        not in (
-            "tasks_shipped",
-            "bytes_shipped",
-            "pool_rebuilds",
-            "chunks_retried",
-            "cache_hits",
-            "cache_misses",
-            "cache_stores",
-        )
-    }
-
-
-def _process_config(**overrides):
-    """A server whose backend really forks workers — the thing that can
-    die.  max_pool_rebuilds=0 turns off executor-level healing so worker
-    death surfaces to the supervisor deterministically."""
-    defaults = dict(
-        backend="process",
-        jobs=2,
-        max_pool_rebuilds=0,
-        max_inflight=1,
-        queue_limit=16,
-    )
-    defaults.update(overrides)
-    return ServeConfig(**defaults)
-
-
-def _kill_pool_workers(server):
-    """SIGKILL every child of the daemon's warm pool."""
-    pool = server._backend._pool
-    assert pool is not None, "pool not warmed yet"
-    for proc in list(pool._processes.values()):
-        os.kill(proc.pid, signal.SIGKILL)
-
-
-class TestBackendSupervisor:
-    def test_daemon_survives_pool_death(self):
-        direct_a = solve(TABLE_A)
-        direct_c = solve(TABLE_C)
-        with running_server(_process_config()) as server:
-            with ServeClient(server.address) as client:
-                # Warm the pool with a real solve.
-                first = client.solve(
-                    method="fs", **_values_payload(TABLE_A)
-                )
-                assert first["mincost"] == direct_a.mincost
-
-                _kill_pool_workers(server)
-
-                # The in-flight request over the corpse fails retryably.
-                with pytest.raises(ServeError) as excinfo:
-                    client.solve(method="fs", **_values_payload(TABLE_B))
-                assert excinfo.value.status == 503
-                assert "BackendRestarting" in str(excinfo.value)
-
-                # ...and only that request: the swap already happened by
-                # the time the 503 went out, so the next solve succeeds
-                # bit-identically on the fresh backend.
-                again = client.solve(
-                    method="fs", **_values_payload(TABLE_C)
-                )
-                assert tuple(again["order"]) == direct_c.order
-                assert again["mincost"] == direct_c.mincost
-                assert _paper_view(again["counters"]) == _paper_view(
-                    direct_c.counters.snapshot()
-                )
-
-                health = client.health()
-                assert health["healthy"] is True
-                assert health["backend_alive"] is True
-                assert health["backend_restarts"] == 1
-                assert health["last_restart_seconds_ago"] is not None
-                assert client.metrics()["server"]["backend_restarts"] == 1
-
-    def test_client_retries_ride_through_restart(self):
-        direct_b = solve(TABLE_B)
-        with running_server(_process_config()) as server:
-            client = ServeClient(
-                server.address, retries=3, backoff=0.01
-            )
-            try:
-                client.solve(method="fs", **_values_payload(TABLE_A))
-                _kill_pool_workers(server)
-                # With retries armed the 503 is invisible to the caller.
-                healed = client.solve(
-                    method="fs", **_values_payload(TABLE_B)
-                )
-                assert tuple(healed["order"]) == direct_b.order
-                assert healed["mincost"] == direct_b.mincost
-                assert client.health()["backend_restarts"] == 1
-            finally:
-                client.close()
-
+class TestHealth:
     def test_health_op_on_healthy_daemon(self):
-        with running_server(_process_config()) as server:
+        config = ServeConfig(backend="thread", jobs=2, max_inflight=1,
+                             queue_limit=16)
+        with running_server(config) as server:
             with ServeClient(server.address) as client:
                 health = client.health()
-                assert health["healthy"] is True
-                assert health["backend"] == "process"
-                assert health["backend_restarts"] == 0
-                assert health["last_restart_seconds_ago"] is None
-                assert health["queue_depth"] == 0
-                assert health["in_flight"] == 0
+                assert health == {
+                    "healthy": True,
+                    "draining": False,
+                    "backend": "thread",
+                    "queue_depth": 0,
+                    "in_flight": 0,
+                    "uptime_seconds": health["uptime_seconds"],
+                }
                 assert health["uptime_seconds"] >= 0
 
 
@@ -245,31 +127,6 @@ class TestClientReconnect:
                     client.ping()
             finally:
                 client.close()
-        finally:
-            stub.close()
-
-    def test_backend_restarting_resubmits_same_id(self):
-        restarting = {
-            "ok": False,
-            "status": 503,
-            "error": {"type": "BackendRestarting", "retryable": True},
-        }
-        stub = _FlakyStub(
-            drops=0,
-            responses=[restarting, {"ok": True, "result": {"mincost": 3}}],
-        )
-        try:
-            client = ServeClient(stub.address, retries=2, backoff=0.0)
-            try:
-                result = client.solve(values="0110", n=2)
-                assert result == {"mincost": 3}
-            finally:
-                client.close()
-            # One connection, two submissions, identical request id.
-            assert stub.connections == 1
-            assert len(stub.received) == 2
-            assert stub.received[0]["id"] == stub.received[1]["id"]
-            assert stub.received[0] == stub.received[1]
         finally:
             stub.close()
 

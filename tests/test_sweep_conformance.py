@@ -1,9 +1,9 @@
 """Generated conformance for the DP's one chunk loop.
 
-Every job count and batch size runs the same chunk loop over the same
-compaction kernel, so one drawn configuration must reproduce the serial
-``jobs=1`` run exactly: order, mincost and every counter; and the
-brute-force optimum.  A drawn crash after layer ``k`` must resume from
+Every backend, job count and batch size runs the same chunk loop over
+the same compaction kernel, so one drawn configuration must reproduce
+the serial ``jobs=1`` run exactly: order, mincost and the whole counter
+snapshot; and the brute-force optimum.  A drawn crash after layer ``k`` must resume from
 its checkpoint to the uninterrupted run in every result map and every
 counter, and a checkpoint damaged as it was
 written must refuse to resume.  The sweep refuses a node-tracking base;
@@ -44,6 +44,7 @@ from repro.core import (
     sweep_fingerprint,
 )
 from repro.core import executor
+from repro.core.executor import BACKENDS
 from repro.core.checkpoint import fingerprint_hash, write_checked_json
 from repro.core.compaction import compact_table
 from repro.core.frontier import Layer
@@ -73,7 +74,8 @@ def problems(draw):
 
 
 configs = st.tuples(
-    st.sampled_from([1, 2]),
+    st.sampled_from(sorted(BACKENDS)),
+    st.sampled_from([1, 2, 4]),
     # The chunk loop's batch cap in table cells: one subset per batch, a
     # few subsets, or the default (every n <= 6 layer in one batch).
     st.one_of(st.just(1), st.integers(2, 64),
@@ -87,8 +89,8 @@ configs = st.tuples(
 )
 
 
-def solve(tables, rule, jobs, **kwargs):
-    kwargs.update(rule=rule, backend="serial", jobs=jobs)
+def solve(tables, rule, backend, jobs, **kwargs):
+    kwargs.update(rule=rule, backend=backend, jobs=jobs)
     if len(tables) == 1:
         return run_fs(tables[0], **kwargs)
     return run_fs_shared(tables, **kwargs)
@@ -104,10 +106,10 @@ def outcome(result):
 @given(problems(), configs)
 def test_chunk_loop_conforms(problem, config):
     tables, rule, chain = problem
-    jobs, batch_cells, crash = config
+    backend, jobs, batch_cells, crash = config
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(executor, "_BATCH_CELLS", batch_cells)
-        got = solve(tables, rule, jobs)
+        got = solve(tables, rule, backend, jobs)
         if crash is not None:
             layer, corruption = min(crash[0], tables[0].n), crash[1]
             with tempfile.TemporaryDirectory() as directory:
@@ -117,18 +119,18 @@ def test_chunk_loop_conforms(problem, config):
                     corruption=corruption or "truncate",
                 )
                 with pytest.raises(InjectedFault):
-                    solve(tables, rule, jobs, checkpoint_dir=directory,
-                          fault_injector=injector)
+                    solve(tables, rule, backend, jobs,
+                          checkpoint_dir=directory, fault_injector=injector)
                 if corruption:
                     with pytest.raises(CheckpointError):
-                        solve(tables, rule, jobs, checkpoint_dir=directory,
-                              resume=True)
+                        solve(tables, rule, backend, jobs,
+                              checkpoint_dir=directory, resume=True)
                 else:
-                    resumed = solve(tables, rule, jobs,
+                    resumed = solve(tables, rule, backend, jobs,
                                     checkpoint_dir=directory, resume=True)
                     assert outcome(resumed) == outcome(got)
 
-    reference = solve(tables, rule, 1)
+    reference = solve(tables, rule, "serial", 1)
     assert (got.order, got.mincost) == (reference.order, reference.mincost)
     assert got.counters.snapshot() == reference.counters.snapshot()
 
