@@ -9,30 +9,34 @@ rule, and deduplicating the surviving pairs into nodes.
 The arithmetic of one step — merge predicate, CBDD edge normalization,
 key packing, dedup, id assignment — lives in exactly one place, the
 compiled kernel ``_compact.c`` (built on first import by
-:mod:`repro.core._build`), which compacts a whole stack of parent rows
-at once, each row folding its own cofactor position and numbering its
-nodes from its own ``next_id``.  :func:`compact_table` is its Python
-face: it adds the counter updates.  It has two callers:
+:mod:`repro.core._build`).  It has two entries, each with a Python face
+here:
 
-* :func:`compact` — its one-row call, one step on one
+* :func:`compact_table` compacts a whole stack of parent rows at once,
+  each row folding its own cofactor position and numbering its nodes
+  from its own ``next_id``, and adds the counter updates.
+  :func:`compact` is its one-row call, one step on one
   :class:`~repro.core.spec.FSState` (chain replays, window costing,
   sifting oracles); a one-row call can also return the new nodes'
   packed keys, which node tracking reads;
-* :func:`repro.core.executor.sweep_chunk` — the DP's chunk loop, which
-  makes one call per batch of successor subsets: every candidate reads
-  its predecessor row straight out of the layer matrix, and each subset
-  then keeps its winning row in the next layer's matrix.
+* :func:`settle_batch` runs one DP step on a batch of successor subsets
+  for :func:`repro.core.executor.sweep_chunk`, the DP's chunk loop: it
+  enumerates every successor's candidates, finds each predecessor's row
+  in the previous layer, compacts it and writes the first cheapest
+  candidate straight into the next layer, all in one call.
 
-A live cell's node is the rank of its ``(u0, u1)`` pair among the
-row's distinct pairs, in ascending order, so tables and node ids do not
-depend on the cell width: ``uint8``/``uint16``/``uint32`` layer
-matrices and ``FSState``'s ``int64`` tables number alike.  Node ids
-stay below ``2^31``; a ``next_id`` at that bound raises
+A live cell's node is numbered by the first occurrence of its
+``(u0, u1)`` pair among the row's new cells, in index order, through a
+hashed unique table (the paper needs only that distinct pairs get
+distinct ids), so tables and node ids do not depend on the cell width:
+``uint8``/``uint16``/``uint32`` layer matrices and ``FSState``'s
+``int64`` tables number alike, and exactly like the paper's pseudo
+code.  Node ids stay below ``2^31``; a ``next_id`` at that bound raises
 :class:`OverflowError`.
 
 The cell-at-a-time transcription of the paper's ``COMPACT`` pseudo code
-and the numpy kernel this one replaced live in the test suite as the
-executable oracles the kernel is checked against.
+lives in the test suite as the executable oracle the kernel is checked
+against, bit for bit.
 
 Correctness note on the paper's ``NODE`` membership test: the paper's
 pseudo code initializes ``NODE_(I\\i,i)`` with ``NODE_(I\\i)`` and tests
@@ -51,13 +55,15 @@ diagram can be emitted.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .._bitops import rank_in_mask
 from ..analysis.counters import OperationCounters
+from ..errors import OrderingError
 from . import _build
+from .frontier import Layer
 from .spec import FSState, ReductionRule
 
 _kernel = _build.load()
@@ -99,11 +105,11 @@ def compact_table(
     ``next_ids[r]``.  Its new table goes to row ``r`` of ``out``, at the
     same cell dtype and half the width (1-D for one row).  ``counts``,
     if given, receives each row's node count.  ``keys``, if given to a
-    one-row call, receives the new nodes' sorted packed ``(u0, u1)``
-    keys (node ``next_ids + j`` is the ``j``-th), ``u0`` shifted by the
-    cell width (32 bits for ``uint32`` and ``int64`` cells).  A
-    malformed call raises :class:`TypeError` or :class:`ValueError`
-    before it writes anything.
+    one-row call, receives the new nodes' packed ``(u0, u1)`` keys in
+    creation order (node ``next_ids + j`` is the ``j``-th), ``u0``
+    shifted by the cell width (32 bits for ``uint32`` and ``int64``
+    cells).  A malformed call raises :class:`TypeError` or
+    :class:`ValueError` before it writes anything.
     """
     created = _kernel.compact(
         tables, rows, positions, next_ids, _RULE_CODES[rule], out, counts,
@@ -114,6 +120,41 @@ def compact_table(
         counters.table_cells += out.size
         counters.nodes_created += created
     return created
+
+
+def settle_batch(
+    previous: Layer,
+    masks: np.ndarray,
+    base: FSState,
+    rule: ReductionRule,
+    out: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    level_cost: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> int:
+    """One DP step on the successor subsets ``masks``; returns the
+    candidates evaluated.
+
+    A successor's candidates are its members ``i`` in ascending
+    (``bits_of``) order whose predecessor, the successor without ``i``,
+    is a row of ``previous``; the first cheapest wins.  Its table,
+    mincost and ``i`` go to the successor's rows of ``out``
+    (``(tables, mincost, best_last)``, one row per successor), and each
+    candidate's absolute predecessor mask, ``i`` and node count to
+    ``level_cost`` (three ``int64`` arrays of at least ``k`` entries per
+    successor), successor-major.  A successor without any candidate
+    raises :class:`~repro.errors.OrderingError` before anything is
+    written; a malformed call raises :class:`TypeError` or
+    :class:`ValueError` before it writes anything.
+    """
+    written = _kernel.settle(
+        previous.tables, previous.sorted_masks, previous.sorted_rows,
+        previous.mincost, masks, base.mask, base.num_terminals,
+        _RULE_CODES[rule], *out, *level_cost,
+    )
+    if written < 0:
+        raise OrderingError(
+            f"no feasible chain reaches subset {int(masks[~written]):#x}"
+        )
+    return written
 
 
 def compact(

@@ -9,10 +9,11 @@ the chunks run.  Two implementations ship, named in :data:`BACKENDS`:
   after another.
 * ``thread`` — a layer of more than one chunk fans out over a lazily
   created :class:`~concurrent.futures.ThreadPoolExecutor` of ``jobs``
-  threads.  The compiled ``COMPACT`` kernel releases the GIL for calls
-  of at least ``2^14`` cells, so the chunks of a large layer run on
-  separate cores while sharing both layers in one address space:
-  nothing is pickled, shipped or copied back.
+  threads.  The compiled kernel settles a whole batch of successors per
+  call and releases the GIL for batches of at least ``2^14`` candidate
+  cells, so the chunks of a large layer run on separate cores while
+  sharing both layers in one address space: nothing is pickled, shipped
+  or copied back.
 
 Every chunk, serial or pooled, writes its winners straight into its own
 row range of the next layer's preallocated columns (:class:`NextLayer`);
@@ -72,19 +73,18 @@ from typing import (
 
 import numpy as np
 
-from .._bitops import bits_of
 from ..analysis.counters import OperationCounters
 from ..errors import OrderingError
-from .compaction import compact_table
+from .compaction import settle_batch
 from .frontier import Layer
 from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from .budget import Budget
 
-# New table cells one batch of candidate compactions holds: enough that
-# the chunk loop's numpy work per batch vanishes, few enough that a
-# batch's scratch arrays stay a few megabytes.
+# Candidate table cells one kernel call settles.  Batches only set how
+# often a chunk polls the budget and, on the thread backend, how often
+# the GIL changes hands: each call runs whole in C.
 _BATCH_CELLS = 1 << 16
 
 
@@ -167,90 +167,40 @@ def sweep_chunk(
     what it computed.
 
     The rows are taken in batches of consecutive successors holding
-    about ``_BATCH_CELLS`` new table cells.  A batch's candidates — one
-    per member ``i`` of each successor whose predecessor is in
-    ``previous`` — read their predecessor rows straight out of the layer
-    matrix in one :func:`~repro.core.compaction.compact_table` call,
-    each at its own cofactor position; each successor then takes its
-    first cheapest candidate in ``bits_of`` order.
+    about ``_BATCH_CELLS`` candidate table cells, each settled in one
+    :func:`~repro.core.compaction.settle_batch` kernel call: every
+    member ``i`` of a successor whose predecessor is in ``previous`` is
+    a candidate, whose predecessor row the kernel reads straight out of
+    the layer matrix, and each successor keeps its first cheapest
+    candidate in ``bits_of`` order.  The kernel numbers a row's new
+    nodes by first occurrence.
 
     ``should_stop`` (a pooled chunk's view of the budget) is polled
     before each batch; a stopped chunk returns with ``cancelled=True``
     and partial rows the engine discards.
     """
     k = int(out.masks[rows.start]).bit_count()
-    step = -(-_BATCH_CELLS // (k * out.tables.shape[1]))
-    level_costs = []
+    width = out.tables.shape[1]
+    step = -(-_BATCH_CELLS // (k * width))
+    level_cost = tuple(
+        np.empty((rows.stop - rows.start) * k, np.int64) for _ in range(3)
+    )
+    written = 0
     for start in range(rows.start, rows.stop, step):
         if should_stop is not None and should_stop():
             return ChunkResult(counters, cancelled=True)
-        level_costs.append(_settle_batch(
-            slice(start, min(start + step, rows.stop)), previous, out,
-            base, rule, counters,
-        ))
-    counters.subsets_processed += rows.stop - rows.start
-    return ChunkResult(counters, tuple(map(np.concatenate, zip(*level_costs))))
-
-
-def _settle_batch(
-    batch: slice,
-    previous: Layer,
-    out: NextLayer,
-    base: FSState,
-    rule: ReductionRule,
-    counters: OperationCounters,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact one batch of successors in one kernel call and record
-    each successor's winner in rows ``batch`` of ``out``.  Returns the
-    batch's candidates' ``(absolute predecessor mask, variable, nodes
-    created)``."""
-    masks = out.masks[batch]
-    k = int(masks[0]).bit_count()
-    members = bits_of(int(np.bitwise_or.reduce(masks)))
-    bits = np.array([1 << i for i in members])
-    member = (masks[:, None] & bits) != 0
-    # Candidates successor-major, members ascending (bits_of order): one
-    # per member i of each successor whose predecessor is in `previous`.
-    succ, slot = member.nonzero()
-    pred = masks[succ] ^ bits[slot]
-    row = previous.rows_of(pred)
-    var = np.array(members)[slot]
-    # i's rank among the predecessor's free variables: the base's free
-    # variables below i, less the successor's other members below i.
-    free_below = np.array(
-        [i - (base.mask & ((1 << i) - 1)).bit_count() for i in members]
-    )
-    position = free_below[slot] + 1 - member.cumsum(axis=1)[member]
-    starts = np.arange(0, len(succ), k)
-    if (row < 0).any():  # a subset filter dropped some predecessors
-        keep = row >= 0
-        succ, var, pred, row, position = (
-            succ[keep], var[keep], pred[keep], row[keep], position[keep]
+        batch = slice(start, min(start + step, rows.stop))
+        written += settle_batch(
+            previous, out.masks[batch], base, rule,
+            (out.tables[batch], out.mincost[batch], out.best_last[batch]),
+            tuple(column[written:] for column in level_cost),
         )
-        per_successor = np.bincount(succ, minlength=len(masks))
-        if not per_successor.all():
-            raise OrderingError(
-                f"no feasible chain reaches subset "
-                f"{int(masks[np.argmin(per_successor)]):#x}"
-            )
-        starts = np.cumsum(per_successor) - per_successor
-
-    created = np.empty(len(succ), np.int64)
-    tables = np.empty((len(succ), out.tables.shape[1]), out.tables.dtype)
-    prev_cost = previous.mincost[row]
-    compact_table(
-        previous.tables, row, position, base.num_terminals + prev_cost, rule,
-        tables, created, counters=counters,
-    )
-
-    # A stable sort by (successor, cost) keeps bits_of order among equal
-    # costs, so each successor's first cheapest candidate wins.
-    cost = prev_cost + created
-    winners = np.lexsort((cost, succ))[starts]
-    out.mincost[batch] = cost[winners]
-    out.best_last[batch] = var[winners]
-    out.tables[batch] = tables[winners]
-    return base.mask | pred, var, created
+    level_cost = tuple(column[:written] for column in level_cost)
+    counters.compactions += written
+    counters.table_cells += written * width
+    counters.nodes_created += int(level_cost[2].sum())
+    counters.subsets_processed += rows.stop - rows.start
+    return ChunkResult(counters, level_cost)
 
 
 # ----------------------------------------------------------------------

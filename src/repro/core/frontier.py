@@ -7,15 +7,16 @@ integer matrix, and :class:`Layer` is that matrix plus the two vectors
 that name and price its rows:
 
 * ``masks`` — the layer's feasible subsets (relative to the swept
-  universe) in :func:`~repro._bitops.subsets_of_size` order, with a
-  vectorized mask -> row lookup (:meth:`Layer.rows_of`);
+  universe) in :func:`~repro._bitops.subsets_of_size` order, and the
+  kernel's mask -> row lookup over them (``sorted_masks`` ascending,
+  ``sorted_rows`` the row of each);
 * ``mincost`` — ``MINCOST`` of each row, ``int64``;
 * ``tables`` — one ``(rows, cells)`` matrix stored at the narrowest
   unsigned dtype holding the sweep's node-id bound
   (:meth:`Layer.cell_dtype`).
 
-The engine builds and commits layers, the chunk loop stacks predecessor
-rows straight out of the matrix, the checkpoint store writes one blob
+The engine builds and commits layers, the kernel reads predecessor rows
+straight out of the matrix, the checkpoint store writes one blob
 per layer and the budget meters :attr:`Layer.nbytes`, which is exact.
 """
 
@@ -29,7 +30,7 @@ from .spec import FSState, ReductionRule
 class Layer:
     """One finished DP layer (see the module docstring)."""
 
-    __slots__ = ("masks", "mincost", "tables", "_sorted", "_order")
+    __slots__ = ("masks", "mincost", "tables", "sorted_masks", "sorted_rows")
 
     def __init__(
         self,
@@ -47,8 +48,8 @@ class Layer:
                 f"{self.mincost.shape[0]} mincosts, "
                 f"{tables.shape[0]} table rows"
             )
-        self._order = np.argsort(self.masks, kind="stable")
-        self._sorted = self.masks[self._order]
+        self.sorted_rows = np.argsort(self.masks, kind="stable")
+        self.sorted_masks = self.masks[self.sorted_rows]
 
     @classmethod
     def of_base(cls, base: FSState, rule: ReductionRule) -> "Layer":
@@ -86,11 +87,3 @@ class Layer:
     def nbytes(self) -> int:
         """Exact resident payload bytes of the three columns."""
         return self.masks.nbytes + self.mincost.nbytes + self.tables.nbytes
-
-    def rows_of(self, masks: np.ndarray) -> np.ndarray:
-        """Row of each of ``masks`` in this layer, ``-1`` where absent."""
-        if not len(self._sorted):
-            return np.full(np.shape(masks), -1, np.int64)
-        at = np.searchsorted(self._sorted, masks)
-        found = self._sorted.take(at, mode="clip") == masks
-        return np.where(found, self._order.take(at, mode="clip"), -1)

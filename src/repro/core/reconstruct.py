@@ -6,6 +6,11 @@ this module re-runs the compaction chain along the optimal ordering with
 node tracking switched on, which materializes the paper's ``NODE`` set —
 the full structure of the minimum diagram — in ``n`` compactions
 (``O*(2^n)`` time, dominated by the DP that preceded it).
+
+Node ids are the kernel's: each level's new nodes are numbered by the
+first occurrence of their cofactor pair.  Another numbering describes an
+isomorphic diagram, so DOT, JSON and Verilog exports are to be compared
+up to node ids, not as text.
 """
 
 from __future__ import annotations

@@ -427,9 +427,10 @@ class TestBatchOptimize:
 class TestResourceGovernance:
     """--timeout / --max-frontier-mb / --fallback / --max-retries."""
 
-    def heavy_pla(self, tmp_path, n=13, seed=3):
-        # An exact solve of about 0.15 s on a 2-vCPU host: past the
-        # 0.05 s budgets below.  Unmerged minterms write in milliseconds.
+    def heavy_pla(self, tmp_path, n=14, seed=3):
+        # An exact solve of about 0.15-0.2 s on a 2-vCPU host (n = 13
+        # takes about 0.06 s): past the 0.05 s budgets below.  Unmerged
+        # minterms write in milliseconds.
         path = tmp_path / f"heavy{n}.pla"
         path.write_text(write_pla(TruthTable.random(n, seed=seed),
                                   merge=False))
@@ -488,7 +489,7 @@ class TestResourceGovernance:
 
     def test_certify_rejects_inexact_result(self, run, tmp_path):
         # Certificates stop at n = 12, whose exact solve takes about
-        # 0.05 s: a 5 ms budget forces the fallback.
+        # 0.02-0.03 s: a 5 ms budget forces the fallback.
         code, _, err = run("certify", "--pla", self.heavy_pla(tmp_path, 12),
                            "--timeout", "0.005", "--fallback",
                            "--out", str(tmp_path / "cert.json"))
@@ -496,7 +497,10 @@ class TestResourceGovernance:
         assert "cannot certify" in err
 
     def test_gap_marks_fallback_bounds(self, run):
-        code, out, _ = run("gap", "--max-pairs", "6",
+        # Seven pairs end on an n = 14 function, whose exact solve takes
+        # about 0.1 s against the 0.05 s budget (six pairs end at n = 12,
+        # about 0.025 s, inside it).
+        code, out, _ = run("gap", "--max-pairs", "7",
                            "--timeout", "0.05", "--fallback")
         assert code == 0
         assert "~" in out
@@ -517,7 +521,7 @@ class TestResourceGovernance:
             self, run, tmp_path):
         self.heavy_pla(tmp_path)
         path = self.manifest(tmp_path, [
-            {"pla": "heavy13.pla", "label": "slow"},
+            {"pla": "heavy14.pla", "label": "slow"},
             {"expr": "x0 & x1", "label": "fast"},
         ])
         code, out, _ = run("optimize", "--batch", path, "--timeout", "0.05")
@@ -529,7 +533,7 @@ class TestResourceGovernance:
     def test_batch_timeout_with_fallback_tags_rung(self, run, tmp_path):
         self.heavy_pla(tmp_path)
         path = self.manifest(tmp_path, [
-            {"pla": "heavy13.pla", "label": "slow"},
+            {"pla": "heavy14.pla", "label": "slow"},
             {"expr": "x0 & x1", "label": "fast"},
         ])
         code, out, _ = run("optimize", "--batch", path,

@@ -1,5 +1,5 @@
-"""Unit tests for the table-compaction kernel, checked against the
-cell-at-a-time ``COMPACT`` oracle."""
+"""Unit tests for the table-compaction kernel, checked bit for bit
+against the cell-at-a-time ``COMPACT`` oracle."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,15 @@ from repro.core import ReductionRule, compact, initial_state
 from repro.core.spec import FSState
 from repro.errors import DimensionError
 from repro.truth_table import TruthTable, count_subfunctions
-from tests.compact_oracle import canonical_cells, compact_python
+from tests.compact_oracle import compact_python
+
+
+def assert_same_step(a, b):
+    """Kernel and oracle states agree exactly: node count, every table
+    cell (node ids included) and, when tracked, every node triple."""
+    assert a.mincost == b.mincost
+    assert np.array_equal(a.table, b.table)
+    assert a.nodes == b.nodes
 
 
 class TestInitialState:
@@ -135,6 +143,8 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("rule", list(ReductionRule))
     @pytest.mark.parametrize("seed", range(4))
     def test_engines_agree_up_to_renaming(self, rule, seed):
+        # Both number new nodes by first occurrence, so they agree
+        # exactly, which implies agreement up to renaming.
         if rule is ReductionRule.MTBDD:
             tt = TruthTable.random(4, seed=seed, num_values=3)
         else:
@@ -144,8 +154,7 @@ class TestEngineEquivalence:
         for v in (2, 0, 3):
             a = compact(a, v, rule)
             b = compact_python(b, v, rule)
-            assert a.mincost == b.mincost
-            assert canonical_cells(a, rule) == canonical_cells(b, rule)
+            assert_same_step(a, b)
 
     def test_python_engine_counters(self):
         tt = TruthTable.random(3, seed=10)
@@ -156,8 +165,8 @@ class TestEngineEquivalence:
 
 class TestEngineEquivalenceCBDD:
     """The CBDD rule rewrites cofactor pairs before dedup (complement
-    normalization), a path the generic renaming check above does not pin
-    edge-exactly; these tests compare the full edge semantics."""
+    normalization); these tests compare every edge, complement bits
+    included, and the tracked nodes."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cbdd_engines_agree_edge_exactly(self, seed):
@@ -167,10 +176,7 @@ class TestEngineEquivalenceCBDD:
         for v in (1, 3, 0, 2):
             a = compact(a, v, ReductionRule.CBDD)
             b = compact_python(b, v, ReductionRule.CBDD)
-            assert a.mincost == b.mincost
-            assert canonical_cells(a, ReductionRule.CBDD) == canonical_cells(
-                b, ReductionRule.CBDD
-            )
+            assert_same_step(a, b)
 
     def test_cbdd_complement_pair_shares_node_in_both_engines(self):
         # f and ~f over the last variable normalize to one complement
@@ -188,6 +194,7 @@ class TestEngineEquivalenceCBDD:
         for v in (2, 1, 0):
             a = compact(a, v, ReductionRule.CBDD)
             b = compact_python(b, v, ReductionRule.CBDD)
+            assert_same_step(a, b)
         assert len(a.nodes) == len(b.nodes) == a.mincost
         for nodes in (a.nodes, b.nodes):
             for _, (var, lo, hi) in nodes.items():
@@ -216,8 +223,7 @@ class TestEngineEquivalenceMultiRooted:
         for v in (0, 2, 3, 1):
             a = compact(a, v, rule)
             b = compact_python(b, v, rule)
-            assert a.mincost == b.mincost
-            assert canonical_cells(a, rule) == canonical_cells(b, rule)
+            assert_same_step(a, b)
 
     def test_multi_rooted_cbdd_engines_agree(self):
         from repro.core.shared import initial_state_shared
@@ -231,10 +237,7 @@ class TestEngineEquivalenceMultiRooted:
         for v in (3, 0, 1, 2):
             a = compact(a, v, ReductionRule.CBDD)
             b = compact_python(b, v, ReductionRule.CBDD)
-            assert a.mincost == b.mincost
-            assert canonical_cells(a, ReductionRule.CBDD) == canonical_cells(
-                b, ReductionRule.CBDD
-            )
+            assert_same_step(a, b)
 
     def test_cross_root_sharing_counted_once_by_both_engines(self):
         # Identical outputs: the shared diagram is the single-output one,
@@ -248,16 +251,19 @@ class TestEngineEquivalenceMultiRooted:
             shared_np = compact(shared, v)
             shared_py = compact_python(shared, v)
             single = compact(single, v)
-            assert shared_np.mincost == shared_py.mincost == single.mincost
+            assert_same_step(shared_np, shared_py)
+            assert shared_np.mincost == single.mincost
             shared = shared_np
 
 
 class TestNodeTracking:
     def test_tracked_nodes_are_consistent_triples(self):
         tt = TruthTable.random(4, seed=11)
-        state = initial_state(tt, track_nodes=True)
+        state = oracle = initial_state(tt, track_nodes=True)
         for v in (3, 1, 0, 2):
             state = compact(state, v)
+            oracle = compact_python(oracle, v)
+            assert_same_step(state, oracle)
         assert state.nodes is not None
         assert len(state.nodes) == state.mincost
         for node_id, (var, lo, hi) in state.nodes.items():

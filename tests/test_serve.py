@@ -350,10 +350,10 @@ class TestSigtermDrain:
         return proc, (host, int(port))
 
     # The in-flight solve must outlast the tests' 0.3-0.5 s of sleeps:
-    # n=15 takes 1.2-1.8 s in this daemon (serial backend) on a 2-vCPU
-    # x86 host; n=14 took 0.4-0.6 s, too close to the 0.3 s wait.
+    # n=16 takes about 2 s in this daemon (serial backend) on a 2-vCPU
+    # x86 host; n=15 took 0.5-0.6 s, too close to the 0.5 s of sleeps.
     def test_sigterm_during_load_drains_and_exits_zero(self):
-        slow = TruthTable.random(15, seed=81)
+        slow = TruthTable.random(16, seed=81)
         expected = solve(slow)
         wait = 0.3
         proc, address = self._spawn()
@@ -383,9 +383,9 @@ class TestSigtermDrain:
                 proc.wait()
 
     def test_requests_after_sigterm_get_503(self):
-        # Slow enough (about 1.2 s on a 2-vCPU host) to be in flight when
+        # Slow enough (about 2 s on a 2-vCPU host) to be in flight when
         # the second request arrives half a second in.
-        slow = TruthTable.random(15, seed=81)
+        slow = TruthTable.random(16, seed=81)
         proc, address = self._spawn()
         try:
             sock = socket.create_connection(address, timeout=300)

@@ -3,23 +3,29 @@
 Every backend, job count and batch size runs the same chunk loop over
 the same compaction kernel, so one drawn configuration must reproduce
 the serial ``jobs=1`` run exactly: order, mincost and the whole counter
-snapshot; and the brute-force optimum.  A drawn crash after layer ``k`` must resume from
-its checkpoint to the uninterrupted run in every result map and every
-counter, and a checkpoint damaged as it was
-written must refuse to resume.  The sweep refuses a node-tracking base;
-replaying the winner's chain from one builds exactly ``mincost`` nodes.
-Along a random chain, every ``compact()`` step must equal the
-cell-at-a-time ``COMPACT`` oracle up to node-id renaming.  A stack of
-unrelated parent tables compacted in one kernel call at the sweep's cell
-dtype, each row at its own cofactor position and its node ids on either
-side of a key-width boundary, must equal the numpy kernel the compiled
-one replaced row by row, bit for bit, and the cell-at-a-time oracle.  A
-malformed kernel call must raise before it writes anything.
+snapshot; and the brute-force optimum.  A drawn crash after layer ``k``
+must resume from its checkpoint to the uninterrupted run in every result
+map and every counter, and a checkpoint damaged as it was written must
+refuse to resume; one whose node ids were renumbered within every row
+must resume to the same run, since only equality of cells matters.  The
+sweep refuses a node-tracking base; replaying the winner's chain from
+one builds exactly ``mincost`` nodes, the oracle's.  Along a random
+chain, every ``compact()`` step must equal the cell-at-a-time
+``COMPACT`` oracle bit for bit.  A stack of unrelated parent tables
+compacted in one kernel call at the sweep's cell dtype, each row at its
+own cofactor position and its node ids on either side of a key-width
+boundary, must equal that oracle row by row, and one-row calls of the
+same rows, keys included.  A malformed kernel call, of either entry,
+must raise before it writes anything.
 """
 
 import base64
+import glob
+import os
 import shutil
 import tempfile
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,18 +51,15 @@ from repro.core import (
 )
 from repro.core import executor
 from repro.core.executor import BACKENDS
-from repro.core.checkpoint import fingerprint_hash, write_checked_json
-from repro.core.compaction import compact_table
+from repro.core.checkpoint import (
+    fingerprint_hash, read_checked_json, write_checked_json,
+)
+from repro.core.compaction import compact_table, settle_batch
 from repro.core.frontier import Layer
 from repro.core.spec import FSState
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, OrderingError
 from repro.truth_table import TruthTable
-from tests.compact_oracle import (
-    canonical_cells,
-    cofactor_indices,
-    compact_python,
-    compact_table_numpy,
-)
+from tests.compact_oracle import compact_python
 
 @st.composite
 def problems(draw):
@@ -147,9 +150,12 @@ def test_chunk_loop_conforms(problem, config):
     full = (1 << tables[0].n) - 1
     with pytest.raises(ValueError, match="node structure"):
         run_layered_sweep(tracked, full, rule)
+    replayed = tracked
     for var in got.pi:
         tracked = compact(tracked, var, rule)
+        replayed = compact_python(replayed, var, rule)
     assert len(tracked.nodes) == got.mincost
+    assert tracked.nodes == replayed.nodes
 
     for var in chain:
         counted, oracle_counted = OperationCounters(), OperationCounters()
@@ -158,7 +164,7 @@ def test_chunk_loop_conforms(problem, config):
         assert (state.mask, state.pi, state.mincost) == (
             oracle.mask, oracle.pi, oracle.mincost
         )
-        assert canonical_cells(state, rule) == canonical_cells(oracle, rule)
+        assert np.array_equal(state.table, oracle.table)
         assert counted == oracle_counted
 
 
@@ -210,6 +216,52 @@ def test_earlier_checkpoint_formats_never_resume(tmp_path):
         with pytest.raises(CheckpointError):
             run_fs(table, checkpoint_dir=str(tmp_path / fingerprint_hash(
                 current)), resume=True)
+
+
+@pytest.mark.parametrize("rule", list(ReductionRule))
+@pytest.mark.parametrize("roots", [1, 2])
+def test_renumbered_checkpoint_resumes(tmp_path, rule, roots):
+    """Numbering within a row is free: ``COMPACT`` compares cells only
+    for equality, and a row's ids stay below its next id either way.  A
+    layer checkpoint whose internal node ids are permuted within every
+    row, terminals and CBDD complement bits kept (as a kernel numbering
+    in another order would have written it), resumes to the clean run's
+    outcome, for ``run_fs`` and ``run_fs_shared``."""
+    top = 2 if rule is ReductionRule.MTBDD else 1
+    rng = np.random.default_rng(7)
+    tables = [TruthTable(6, rng.integers(0, top + 1, 64).tolist())
+              for _ in range(roots)]
+    clean = solve(tables, rule, "serial", 1)
+    directory = str(tmp_path)
+    with pytest.raises(InjectedFault):
+        solve(tables, rule, "serial", 1, checkpoint_dir=directory,
+              fault_injector=FaultInjector(kill_after_layer=3))
+    (path,) = glob.glob(os.path.join(directory, "*_layer_0003.json"))
+    payload = read_checked_json(path)
+    frontier = payload["frontier"]
+    rows, cells = frontier["rows"], frontier["cells"]
+    raw = base64.b64decode(frontier["blob"])
+    mincost = np.frombuffer(raw, np.int64, rows, 8 * rows)
+    original = np.frombuffer(raw, np.dtype(frontier["dtype"]), rows * cells,
+                             16 * rows).reshape(rows, cells)
+    terminals = (initial_state(tables[0], rule).num_terminals if roots == 1
+                 else initial_state_shared(tables, rule).num_terminals)
+    edges = rule is ReductionRule.CBDD  # cells are ``id << 1 | bit``
+    permuted = original.copy()
+    for row, cost in zip(permuted, mincost.tolist()):
+        ids = row >> 1 if edges else row.copy()
+        internal = ids >= terminals
+        # A permutation of the row's id range [terminals, next id).
+        mapping = terminals + rng.permutation(cost)
+        ids[internal] = mapping[ids[internal] - terminals]
+        row[:] = (ids << 1) | (row & 1) if edges else ids
+    assert not np.array_equal(permuted, original)
+    frontier["blob"] = base64.b64encode(
+        raw[:16 * rows] + permuted.tobytes()).decode("ascii")
+    write_checked_json(path, payload)
+    resumed = solve(tables, rule, "serial", 1, checkpoint_dir=directory,
+                    resume=True)
+    assert outcome(resumed) == outcome(clean)
 
 
 def renamed(state, rule, offset):
@@ -295,9 +347,10 @@ def test_stacked_kernel_matches_single_rows():
     """Under every rule, unshifted, on each side of both cell-width
     boundaries and across half of each, a stack at its cell dtype, each
     row read by index and folding its own position, compacts like the
-    numpy kernel row by row: same tables, node counts and counters; a
-    one-row call at the cell dtype returns the numpy kernel's keys too;
-    and each row matches the cell-at-a-time oracle."""
+    cell-at-a-time oracle row by row, bit for bit: same tables, node
+    counts and counters; and a one-row call of each row at the cell
+    dtype writes the same table and returns the oracle's new nodes as
+    keys, in creation order."""
     for rule in ReductionRule:
         for boundary, shifts in ((0, None), (1 << 8, below), (1 << 8, above),
                                  (1 << 16, below), (1 << 16, above),
@@ -308,8 +361,7 @@ def test_stacked_kernel_matches_single_rows():
 
 
 def check_stack(stack):
-    rule, placed, rows, dtype = stack
-    first = rows[0][0]
+    rule, _, rows, dtype = stack
     stacked = np.stack([state.table for state, _, _ in rows]).astype(dtype)
     # Read the parent rows in reverse, so stack row r is parent row
     # `parents[r]`, not row r.
@@ -325,37 +377,31 @@ def check_stack(stack):
     assert created == counts.sum()
     assert counted == OperationCounters(
         compactions=len(rows), table_cells=out.size, nodes_created=created)
+    shift = 8 * min(dtype.itemsize, 4)
     for r, p in enumerate(parents.tolist()):
         state, var, position = rows[p]
-        idx0, idx1 = cofactor_indices(first.n, placed, first.num_roots,
-                                      position)
-        expected, expected_keys, expected_count = compact_table_numpy(
-            stacked[p:p + 1], idx0, idx1, [state.next_id], rule)
-        assert np.array_equal(out[r], expected[0])
-        assert [counts[r]] == expected_count
+        oracle = compact_python(replace(state, nodes={}), var, rule)
+        assert np.array_equal(out[r], oracle.table)
+        assert counts[r] == oracle.mincost - state.mincost
+
         table = np.empty(width, dtype)
         keys = np.empty(width, np.uint64)
         single = compact_table(stacked[p], 0, position, state.next_id, rule,
                                table, keys=keys)
-        assert np.array_equal(table, expected[0])
-        assert keys[:single].tolist() == expected_keys.tolist()
-
-        oracle = compact_python(state, var, rule)
-        row_state = FSState(
-            n=state.n, mask=oracle.mask, pi=oracle.pi,
-            mincost=state.mincost + int(counts[r]), table=out[r],
-            num_terminals=state.num_terminals, num_roots=state.num_roots,
-        )
-        assert row_state.mincost == oracle.mincost
-        assert canonical_cells(row_state, rule) == canonical_cells(
-            oracle, rule)
+        assert np.array_equal(table, out[r])
+        assert single == counts[r]
+        assert {
+            state.next_id + j: (var, key >> shift, key & ((1 << shift) - 1))
+            for j, key in enumerate(keys[:single].tolist())
+        } == oracle.nodes
 
 
 def test_malformed_kernel_calls_raise():
     """A wrong dtype, a non-contiguous or read-only array, a row or
     cofactor position out of range, or an output too short raises
     :class:`TypeError` or :class:`ValueError` and writes nothing: the
-    output rows and the guard rows around them keep their fill."""
+    output rows and the guard rows around them keep their fill.  The
+    same holds for the batch entry (:func:`check_malformed_batches`)."""
     parents = np.arange(32, dtype=np.uint16).reshape(4, 8) % 5
     read_only = np.full((2, 4), 99, np.uint16)
     read_only.flags.writeable = False
@@ -406,3 +452,102 @@ def test_malformed_kernel_calls_raise():
     with pytest.raises(OverflowError):
         compact_table(parents, 0, 2, 1 << 31, ReductionRule.BDD,
                       filled(4))
+    check_malformed_batches()
+
+
+def check_malformed_batches():
+    """The batch entry on a three-row layer 1 of three variables: wrong
+    cell or index dtypes, non-contiguous or read-only outputs, outputs or
+    level-cost arrays too short, previous-layer columns of unequal
+    length, a predecessor row out of bounds, and successors whose
+    positions or next ids fall outside the tables each raise before
+    anything is written; so does a successor without a predecessor, as
+    :class:`~repro.errors.OrderingError`."""
+    tables = np.array([[2, 3, 2, 0], [1, 0, 3, 2], [0, 1, 1, 0]], np.uint16)
+    outputs = ("tables", "mincost", "best_last", "level_masks",
+               "level_vars", "level_created")
+
+    def filled(shape, dtype=np.int64):
+        return np.full(shape, 99, dtype)
+
+    def read_only(array):
+        array.flags.writeable = False
+        return array
+
+    def previous(**columns):
+        layer = dict(tables=tables, sorted_masks=np.array([1, 2, 4]),
+                     sorted_rows=np.array([0, 1, 2]),
+                     mincost=np.array([1, 2, 1]))
+        layer.update(columns)
+        return SimpleNamespace(**layer)
+
+    def call(case):
+        """Runs ``case``; returns the arrays whose fill must survive a
+        refused call: the default outputs' backing (guard entries
+        around each) and the case's own outputs."""
+        backing = [filled((5, 2), np.uint16), filled(5), filled(5),
+                   filled((3, 8))]
+        args = dict(
+            previous=previous(), masks=np.array([3, 5, 6]),
+            base=SimpleNamespace(mask=0, num_terminals=2),
+            tables=backing[0][1:4], mincost=backing[1][1:4],
+            best_last=backing[2][1:4], level_masks=backing[3][0, 1:7],
+            level_vars=backing[3][1, 1:7], level_created=backing[3][2, 1:7],
+        )
+        args.update(case)
+        try:
+            settle_batch(
+                args["previous"], args["masks"], args["base"],
+                ReductionRule.BDD, tuple(args[name] for name in outputs[:3]),
+                tuple(args[name] for name in outputs[3:]),
+            )
+        finally:
+            untouched = backing + [case[name] for name in outputs
+                                   if name in case]
+            assert all((array == 99).all() for array in untouched), case
+
+    with pytest.raises(AssertionError):  # a well-formed call writes
+        call({})
+    cases = [
+        dict(previous=previous(tables=tables.astype(np.float64))),
+        dict(previous=previous(tables=tables.astype(np.int32))),
+        dict(previous=previous(tables=tables.astype(">u2"))),
+        dict(tables=filled((3, 2), np.uint8)),
+        dict(previous=previous(sorted_masks=np.array([1, 2, 4], np.int32))),
+        dict(previous=previous(sorted_rows=np.array([0.0, 1.0, 2.0]))),
+        dict(previous=previous(mincost=np.array([1, 2, 1], np.uint64))),
+        dict(masks=np.array([3, 5, 6], np.int32)),
+        dict(level_created=filled(6, np.int32)),
+        dict(tables=filled((3, 4), np.uint16)[:, ::2]),
+        dict(mincost=filled(6)[::2]),
+        dict(best_last=filled(3)[::-1]),
+        dict(level_vars=filled(12)[::2]),
+        dict(tables=read_only(filled((3, 2), np.uint16))),
+        dict(mincost=read_only(filled(3))),
+        dict(level_masks=read_only(filled(6))),
+        dict(tables=filled((2, 2), np.uint16)),
+        dict(tables=filled((3, 3), np.uint16)),
+        dict(mincost=filled(2)),
+        dict(best_last=filled(2)),
+        dict(level_masks=filled(5)),
+        dict(level_vars=filled(5)),
+        dict(level_created=filled(5)),
+        dict(previous=previous(sorted_masks=np.array([1, 2]))),
+        dict(previous=previous(sorted_rows=np.array([0, 1, 2, 2]))),
+        dict(previous=previous(mincost=np.array([1, 2]))),
+        dict(previous=previous(tables=tables[:2])),
+        dict(previous=previous(sorted_rows=np.array([0, 1, 3]))),
+        dict(previous=previous(sorted_rows=np.array([-1, 1, 2]))),
+        dict(previous=previous(mincost=np.array([1, -3, 1]))),
+        dict(masks=np.array([3, 5, -6])),
+        dict(masks=np.array([3, 5, 9])),  # member 3 lies past the tables
+        dict(base=SimpleNamespace(mask=-1, num_terminals=2)),
+        dict(base=SimpleNamespace(mask=0, num_terminals=-2)),
+    ]
+    for case in cases:
+        with pytest.raises((TypeError, ValueError)):
+            call(case)
+    with pytest.raises(OverflowError):
+        call(dict(previous=previous(mincost=np.array([1, 1 << 31, 1]))))
+    with pytest.raises(OrderingError, match="0x10"):
+        call(dict(masks=np.array([3, 5, 16])))
