@@ -1,11 +1,10 @@
 /*
  * The COMPACT kernel of the Friedman-Supowit DP, compiled.
  *
- * compact() runs one COMPACT step (paper section 2.3) on every row of a
- * stack.  Row r reads parent row rows[r] of a table matrix, folds the
- * free variable at cofactor position positions[r] and numbers the nodes
- * it creates from next_ids[r]; it writes its new table into row r of
- * the caller's output.  Rows never share nodes.
+ * compact() runs one COMPACT step (paper section 2.3) on one table row:
+ * it folds the free variable at a cofactor position, numbers the nodes
+ * it creates from a next id and writes the new table into the caller's
+ * output.
  *
  * settle() runs one DP step (Lemma 4) on a batch of successor subsets.
  * For each successor it walks the members i in ascending order, finds
@@ -40,20 +39,18 @@
  * and index is checked before anything is written, and the interpreter
  * lock is released around the work of large calls.
  *
- *     compact(parents, rows, positions, next_ids, rule, out, counts, keys)
- *         -> nodes created by all rows
+ *     compact(parent, position, next_id, rule, out, keys)
+ *         -> nodes created
  *
- * parents:   1-D (one row) or 2-D C-contiguous matrix of parent rows
- * rows, positions, next_ids:
- *            an int, or a 1-D int64 array with one entry per row
+ * parent:    1-D C-contiguous row of parent cells
+ * position, next_id:
+ *            ints: the cofactor position folded, the first new node's id
  * rule:      0 (BDD, MTBDD), 1 (ZDD) or 2 (CBDD)
- * out:       writable, the parents' cell type, one row per stack row
- *            (1-D for one row), half the parents' row width
- * counts:    None, or a writable int64 array receiving each row's nodes
- * keys:      None, or (one-row calls only) a writable 8-byte integer
- *            array of at least the new row width receiving the keys of
- *            the created nodes in creation order, u0 shifted by the cell
- *            width (32 bits for uint32 and int64 cells)
+ * out:       writable 1-D, the parent's cell type, half its width
+ * keys:      None, or a writable 8-byte integer array of at least the
+ *            new row width receiving the keys of the created nodes in
+ *            creation order, u0 shifted by the cell width (32 bits for
+ *            uint32 and int64 cells)
  *
  *     settle(tables, sorted_masks, order, mincost, masks, base_mask,
  *            num_terminals, rule, out, out_mincost, out_best_last,
@@ -221,46 +218,6 @@ get_array(PyObject *arg, Py_buffer *view, int writable, Py_ssize_t least,
         return -1;
     }
     return 0;
-}
-
-/* An int broadcast to every row, or an int64 vector of one per row. */
-typedef struct {
-    Py_buffer view;
-    const int64_t *data;
-    int64_t scalar;
-    Py_ssize_t length;  /* -1 for a broadcast int */
-} Vector;
-
-static int
-get_vector(PyObject *arg, Vector *vector, const char *name)
-{
-    vector->view.obj = NULL;
-    vector->length = -1;
-    vector->data = &vector->scalar;
-    if (PyLong_Check(arg)) {
-        vector->scalar = PyLong_AsLongLong(arg);
-        return vector->scalar == -1 && PyErr_Occurred() ? -1 : 0;
-    }
-    if (PyObject_GetBuffer(arg, &vector->view,
-                           PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return -1;
-    if (vector->view.ndim > 1 || !is_int64(&vector->view)) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s must be an int or a 1-D int64 array", name);
-        PyBuffer_Release(&vector->view);
-        vector->view.obj = NULL;
-        return -1;
-    }
-    vector->data = (const int64_t *)vector->view.buf;
-    if (vector->view.ndim == 1)
-        vector->length = vector->view.shape[0];
-    return 0;
-}
-
-static int64_t
-element(const Vector *vector, Py_ssize_t r)
-{
-    return vector->length < 0 ? vector->data[0] : vector->data[r];
 }
 
 static void
@@ -448,137 +405,90 @@ compact_row(int type, const char *parent, char *target, Py_ssize_t width,
 }
 
 /* ------------------------------------------------------------------ */
-/* compact(): a stack of rows                                          */
+/* compact(): one row                                                  */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
 compact(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer parents = {0}, out = {0}, counts = {0}, keys = {0};
-    Vector rows = {0}, positions = {0}, next_ids = {0};
+    enum { PARENT, POSITION, NEXT_ID, RULE, OUT, KEYS, NARGS };
+    Py_buffer parent = {0}, out = {0}, keys = {0};
+    Unique *unique = NULL;
     PyObject *result = NULL;
     (void)module;
 
-    if (nargs != 8) {
+    if (nargs != NARGS) {
         PyErr_Format(PyExc_TypeError,
-                     "compact() takes 8 arguments (%zd given)", nargs);
+                     "compact() takes %d arguments (%zd given)", NARGS, nargs);
         return NULL;
     }
-    if (get_matrix(args[0], &parents, 0, "parents") < 0
-        || get_vector(args[1], &rows, "rows") < 0
-        || get_vector(args[2], &positions, "positions") < 0
-        || get_vector(args[3], &next_ids, "next_ids") < 0
-        || get_matrix(args[5], &out, 1, "out") < 0)
+    if (get_matrix(args[PARENT], &parent, 0, "parent") < 0
+        || get_matrix(args[OUT], &out, 1, "out") < 0)
         goto done;
-    if (args[6] != Py_None
-        && PyObject_GetBuffer(args[6], &counts, PyBUF_C_CONTIGUOUS
+    if (args[KEYS] != Py_None
+        && PyObject_GetBuffer(args[KEYS], &keys, PyBUF_C_CONTIGUOUS
                               | PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
         goto done;
-    if (args[7] != Py_None
-        && PyObject_GetBuffer(args[7], &keys, PyBUF_C_CONTIGUOUS
-                              | PyBUF_FORMAT | PyBUF_WRITABLE) < 0)
+    const int64_t position = PyLong_AsLongLong(args[POSITION]);
+    if (position == -1 && PyErr_Occurred())
         goto done;
-    const long rule = get_rule(args[4]);
+    const int64_t next_id = PyLong_AsLongLong(args[NEXT_ID]);
+    if (next_id == -1 && PyErr_Occurred())
+        goto done;
+    const long rule = get_rule(args[RULE]);
     if (rule < 0)
         goto done;
-
-    /* The stack height: every vector argument agrees on it. */
-    Py_ssize_t height = 1;
-    const Vector *vectors[] = {&rows, &positions, &next_ids};
-    for (int v = 0; v < 3; v++)
-        if (vectors[v]->length >= 0)
-            height = vectors[v]->length;
-    for (int v = 0; v < 3; v++)
-        if (vectors[v]->length >= 0 && vectors[v]->length != height) {
-            PyErr_SetString(PyExc_ValueError,
-                            "rows, positions and next_ids differ in length");
-            goto done;
-        }
-
-    const int type = cell_type(&parents);
-    const Py_ssize_t width = new_width(&parents, &out, height);
-    if (width < 0)
-        goto done;
-    const Py_ssize_t parent_width = 2 * width;
-    if (counts.obj != NULL
-        && (counts.ndim != 1 || !is_int64(&counts)
-            || counts.shape[0] < height)) {
-        PyErr_Format(PyExc_ValueError,
-                     "counts must be a 1-D int64 array of at least %zd "
-                     "entries", height);
+    if (parent.ndim != 1 || out.ndim != 1) {
+        PyErr_SetString(PyExc_ValueError, "parent and out must be 1-D rows");
         goto done;
     }
+    const Py_ssize_t width = new_width(&parent, &out, 1);
+    if (width < 0)
+        goto done;
     if (keys.obj != NULL
-        && (height != 1 || keys.ndim != 1 || keys.itemsize != 8
+        && (keys.ndim != 1 || keys.itemsize != 8
             || format_code(keys.format) == '\0'
             || strchr("LlQq", format_code(keys.format)) == NULL
             || keys.shape[0] < width)) {
         PyErr_Format(PyExc_ValueError,
                      "keys must be a 1-D 8-byte integer array of at least "
-                     "%zd entries, for one row", width);
+                     "%zd entries", width);
         goto done;
     }
-    for (Py_ssize_t r = 0; r < height; r++) {
-        int64_t row = element(&rows, r), position = element(&positions, r);
-        int64_t next_id = element(&next_ids, r);
-        if (row < 0 || row >= matrix_rows(&parents)) {
-            PyErr_Format(PyExc_ValueError,
-                         "row %lld outside the %zd parent rows",
-                         (long long)row, matrix_rows(&parents));
-            goto done;
-        }
-        if (!valid_position(position, width)) {
-            PyErr_Format(PyExc_ValueError,
-                         "cofactor position %lld outside rows of %zd cells",
-                         (long long)position, parent_width);
-            goto done;
-        }
-        if (next_id >= NODE_LIMIT) {
-            PyErr_SetString(PyExc_OverflowError, "node id space exhausted");
-            goto done;
-        }
-        if (next_id < 0) {
-            PyErr_Format(PyExc_ValueError, "negative next id %lld",
-                         (long long)next_id);
-            goto done;
-        }
+    if (!valid_position(position, width)) {
+        PyErr_Format(PyExc_ValueError,
+                     "cofactor position %lld outside rows of %zd cells",
+                     (long long)position, 2 * width);
+        goto done;
     }
-
-    Unique *unique = take_table(width);
-    if (unique == NULL) {
+    if (next_id >= NODE_LIMIT) {
+        PyErr_SetString(PyExc_OverflowError, "node id space exhausted");
+        goto done;
+    }
+    if (next_id < 0) {
+        PyErr_Format(PyExc_ValueError, "negative next id %lld",
+                     (long long)next_id);
+        goto done;
+    }
+    if ((unique = take_table(width)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    const Py_ssize_t itemsize = parents.itemsize;
-    const char *parent = (const char *)parents.buf;
-    char *target = (char *)out.buf;
-    int64_t *row_counts = (int64_t *)counts.buf;
-    int64_t total = 0;
+
     PyThreadState *thread = NULL;
-    if (height * width >= RELEASE_CELLS)
+    if (width >= RELEASE_CELLS)
         thread = PyEval_SaveThread();
-    for (Py_ssize_t r = 0; r < height; r++) {
-        int64_t created = compact_row(
-            type, parent + element(&rows, r) * parent_width * itemsize,
-            target + r * width * itemsize, width,
-            (int)element(&positions, r), element(&next_ids, r), (int)rule,
-            unique, (uint64_t *)keys.buf);
-        if (row_counts != NULL)
-            row_counts[r] = created;
-        total += created;
-    }
+    const int64_t created = compact_row(
+        cell_type(&parent), (const char *)parent.buf, (char *)out.buf, width,
+        (int)position, next_id, (int)rule, unique, (uint64_t *)keys.buf);
     if (thread != NULL)
         PyEval_RestoreThread(thread);
-    give_table(unique);
-    result = PyLong_FromLongLong(total);
+    result = PyLong_FromLongLong(created);
 
 done:
-    release(&parents);
-    release(&rows.view);
-    release(&positions.view);
-    release(&next_ids.view);
+    give_table(unique);
+    release(&parent);
     release(&out);
-    release(&counts);
     release(&keys);
     return result;
 }
@@ -875,9 +785,8 @@ done:
 
 static PyMethodDef methods[] = {
     {"compact", (PyCFunction)(void (*)(void))compact, METH_FASTCALL,
-     "compact(parents, rows, positions, next_ids, rule, out, counts, keys)"
-     ": one COMPACT step on a stack of table rows; returns the nodes "
-     "created."},
+     "compact(parent, position, next_id, rule, out, keys): one COMPACT "
+     "step on one table row; returns the nodes created."},
     {"settle", (PyCFunction)(void (*)(void))settle, METH_FASTCALL,
      "settle(tables, sorted_masks, order, mincost, masks, base_mask, "
      "num_terminals, rule, out, out_mincost, out_best_last, level_masks, "

@@ -76,7 +76,8 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -769,7 +770,7 @@ def chain_result_maps(
 
 def chain_widths(
     order: Sequence[int],
-    level_cost_by_choice: Dict[Tuple[int, int], int],
+    level_cost_by_choice: Mapping[Tuple[int, int], int],
     n: int,
 ) -> List[int]:
     """Width profile of ``order`` read off a sweep's recorded level costs."""

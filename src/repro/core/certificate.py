@@ -89,7 +89,7 @@ def extract_certificate(result: FSResult) -> OptimalityCertificate:
         n=result.n,
         order=result.order,
         mincost=result.mincost,
-        mincost_by_subset=dict(result.mincost_by_subset),
+        mincost_by_subset=dict(result.mincost_by_subset.items()),
     )
 
 

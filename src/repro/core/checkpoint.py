@@ -3,23 +3,31 @@
 The FS dynamic program is the most expensive thing this repository runs —
 ``O*(3^n)`` table cells (Theorem 5) — and, because Lemma 4's recurrence
 only ever reads the previous layer, a finished layer is a perfect cut
-point: the layer matrix plus the accumulated DP tables are everything
-the sweep needs to continue.  This module snapshots exactly that state so
-:func:`repro.core.engine.run_layered_sweep` can restart from the last
-finished layer instead of from scratch, which covers every DP entry point
-(``run_fs``, ``run_fs_shared``, the constrained DP, the window optimizer
-and FS*) for free.
+point: the layer matrix plus the DP tables of the layers so far are
+everything the sweep needs to continue.  This module snapshots that
+state, one layer per file, so :func:`repro.core.engine.run_layered_sweep`
+can restart from the last finished layer instead of from scratch, which
+covers every DP entry point (``run_fs``, ``run_fs_shared``, the
+constrained DP, the window optimizer and FS*) for free.
 
 Design points:
 
-* **Self-describing files.**  Each layer writes one JSON file carrying a
-  *fingerprint* of the sweep (rule, ``n``, universe mask, layer
-  format, a content hash of the base state, ...), the
-  finished :class:`~repro.core.frontier.Layer` as one base64 blob, and a
-  SHA-256 *checksum* of the payload.  Loading validates both; a
-  truncated file, a checksum mismatch or a fingerprint mismatch raises
-  :class:`~repro.errors.CheckpointError` naming the offending file —
-  a resume never silently continues from the wrong data.
+* **One layer per file.**  The file of layer ``k`` holds only what layer
+  ``k`` added: the finished :class:`~repro.core.frontier.Layer` (masks,
+  mincosts and tables) as one base64 blob, its rows' best last
+  variables, and its candidates' level costs as ``(absolute predecessor
+  mask, variable, Cost_i)`` columns, plus the running
+  ``subsets_processed`` and counter delta.  A write costs in proportion
+  to its layer, and a resume from layer ``k`` reads layers ``1..k``
+  back; a missing or damaged file among them raises
+  :class:`~repro.errors.CheckpointError` naming it.
+* **Self-describing files.**  Each file carries a *fingerprint* of the
+  sweep (rule, ``n``, universe mask, layer format, a content hash of the
+  base state, ...) and a SHA-256 *checksum* of the payload.  Loading
+  validates both; a truncated file, a checksum mismatch or a
+  fingerprint mismatch raises :class:`~repro.errors.CheckpointError`
+  naming the offending file — a resume never silently continues from
+  the wrong data.
 * **Fingerprint-scoped filenames.**  The fingerprint hash is part of the
   filename, so many sweeps (a window sweep runs dozens of FS* solves) can
   share one checkpoint directory without clobbering each other, and a
@@ -51,7 +59,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,10 +70,11 @@ from .spec import FSState
 
 FORMAT_VERSION = 1
 
-# How a checkpoint holds its layer.  Format 2 is one dense blob per
-# layer; files of the earlier per-entry and packed-column formats carry
-# a different fingerprint, so they are never resumed.
-LAYER_FORMAT = 2
+# How a checkpoint holds its layer.  Format 3 is one file per layer
+# holding only that layer; files of the earlier formats (per-entry,
+# packed columns, and format 2's dense blob beside the whole accumulated
+# DP maps) carry a different fingerprint, so they are never resumed.
+LAYER_FORMAT = 3
 
 _COUNTER_FIELDS = (
     "table_cells",
@@ -87,19 +96,21 @@ def write_checked_json(path: str, payload: Dict[str, Any]) -> str:
     The document layout (``format``/``checksum``/``payload``) is the one
     every durable artifact of this package uses: sweep checkpoints and
     result-cache entries alike.  The payload checksum is computed over the
-    canonical (sorted, separator-free) JSON encoding, and the file lands
-    via a temp-name ``os.replace`` so a crash mid-write never leaves a
-    torn file under the real name.
+    canonical (sorted, separator-free) JSON encoding, which is also the
+    payload's text in the document, so the payload is encoded once; the
+    file lands via a temp-name ``os.replace`` so a crash mid-write never
+    leaves a torn file under the real name.
     """
-    payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    document = {
-        "format": FORMAT_VERSION,
-        "checksum": hashlib.sha256(payload_json.encode()).hexdigest(),
-        "payload": payload,
-    }
+    payload_json = json.dumps(
+        payload, sort_keys=True, separators=(",", ":")
+    ).encode()
+    checksum = hashlib.sha256(payload_json).hexdigest()
     tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(document, handle, sort_keys=True)
+    with open(tmp, "wb") as handle:
+        handle.write(f'{{"checksum": "{checksum}", "format": '
+                     f'{FORMAT_VERSION}, "payload": '.encode())
+        handle.write(payload_json)
+        handle.write(b"}")
     os.replace(tmp, path)
     return path
 
@@ -367,6 +378,26 @@ def _decode_layer(record: Dict[str, Any]) -> Layer:
     return Layer(masks, mincost, tables.reshape(rows, cells))
 
 
+def _encode_columns(columns: np.ndarray) -> Dict[str, Any]:
+    """An ``int64`` column, or the equal-length columns that are the
+    rows of a matrix, as one base64 blob."""
+    columns = np.ascontiguousarray(columns, np.int64)
+    return {"rows": columns.shape[-1],
+            "blob": base64.b64encode(columns.tobytes()).decode("ascii")}
+
+
+def _decode_columns(record: Dict[str, Any], count: int) -> np.ndarray:
+    """The ``(count, rows)`` matrix of :func:`_encode_columns`."""
+    rows = int(record["rows"])
+    raw = base64.b64decode(record["blob"], validate=True)
+    if len(raw) != 8 * count * rows:
+        raise ValueError(
+            f"column blob holds {len(raw)} bytes, its header says "
+            f"{count} columns of {rows} rows"
+        )
+    return np.frombuffer(raw, np.int64).reshape(count, rows)
+
+
 def counters_from_snapshot(snapshot: Dict[str, int]) -> OperationCounters:
     """Rebuild an :class:`OperationCounters` from a plain-dict snapshot
     (the inverse of ``OperationCounters.snapshot`` / ``diff``)."""
@@ -384,14 +415,19 @@ def counters_from_snapshot(snapshot: Dict[str, int]) -> OperationCounters:
 # ----------------------------------------------------------------------
 
 @dataclass
-class RestoredSweep:
-    """Everything a resumed sweep needs to continue after ``layer``."""
+class LayerCheckpoint:
+    """One validated layer file: what layer ``layer`` added to the sweep,
+    and the sweep's running totals after it."""
 
     layer: int
     frontier: Layer
-    mincost_by_subset: Dict[int, int]
-    best_last: Dict[int, int]
-    level_cost_by_choice: Dict[Tuple[int, int], int]
+    best_last: np.ndarray
+    """Each row's best last variable, aligned with ``frontier``'s rows."""
+
+    level_cost: np.ndarray
+    """The layer's candidates, a ``(3, candidates)`` block: absolute
+    predecessor masks, variables and ``Cost_i``."""
+
     subsets_processed: int
     counter_delta: OperationCounters
     path: str
@@ -441,9 +477,8 @@ class CheckpointStore:
         self,
         k: int,
         frontier: Layer,
-        mincost_by_subset: Dict[int, int],
-        best_last: Dict[int, int],
-        level_cost_by_choice: Dict[Tuple[int, int], int],
+        best_last: np.ndarray,
+        level_cost: np.ndarray,
         subsets_processed: int,
         counter_delta: Dict[str, int],
     ) -> str:
@@ -452,12 +487,8 @@ class CheckpointStore:
             "fingerprint": self.fingerprint,
             "layer": k,
             "frontier": _encode_layer(frontier),
-            "mincost_by_subset": sorted(mincost_by_subset.items()),
-            "best_last": sorted(best_last.items()),
-            "level_cost_by_choice": [
-                [list(key), cost]
-                for key, cost in sorted(level_cost_by_choice.items())
-            ],
+            "best_last": _encode_columns(best_last),
+            "level_cost": _encode_columns(level_cost),
             "subsets_processed": subsets_processed,
             "counter_delta": dict(sorted(counter_delta.items())),
         }
@@ -470,19 +501,40 @@ class CheckpointStore:
             )
         return write_checked_json(path, payload)
 
-    def load_latest(self, upto: int) -> Optional[RestoredSweep]:
-        """Restore the newest finished layer ``<= upto``, or ``None``.
+    def load_layers(self, upto: int) -> Iterator[LayerCheckpoint]:
+        """Layers ``1..k`` of the newest finished layer ``k <= upto``, in
+        order, each validated as it is read; nothing when no file exists.
 
-        The newest matching file must validate; a damaged or mismatched
-        checkpoint raises :class:`~repro.errors.CheckpointError` rather
-        than silently falling back to an older layer or a cold start.
+        Every one of them must be present and valid: a missing, damaged
+        or mismatched file raises :class:`~repro.errors.CheckpointError`
+        naming it rather than silently falling back to an older layer
+        or a cold start.
         """
-        candidates = [k for k in self.layers_on_disk() if k <= upto]
-        if not candidates:
-            return None
-        return self.load_file(self.layer_path(max(candidates)))
+        on_disk = [k for k in self.layers_on_disk() if k <= upto]
+        for k in range(1, max(on_disk, default=0) + 1):
+            path = self.layer_path(k)
+            if k not in on_disk:
+                raise CheckpointError(
+                    f"checkpoint {path} is missing; resuming from layer "
+                    f"{max(on_disk)} needs every layer below it"
+                )
+            restored = self.load_file(path)
+            if restored.layer != k:
+                raise CheckpointError(
+                    f"checkpoint {path} holds layer {restored.layer}, "
+                    f"not {k}"
+                )
+            yield restored
 
-    def load_file(self, path: str) -> RestoredSweep:
+    def load_latest(self, upto: int) -> Optional[LayerCheckpoint]:
+        """The newest finished layer ``<= upto``, or ``None``, after
+        validating every layer below it (see :meth:`load_layers`)."""
+        restored = None
+        for restored in self.load_layers(upto):
+            pass
+        return restored
+
+    def load_file(self, path: str) -> LayerCheckpoint:
         """Load and fully validate one checkpoint file."""
         payload = read_checked_json(path, error=CheckpointError)
         found = payload.get("fingerprint", {})
@@ -499,21 +551,19 @@ class CheckpointStore:
                 "refusing to resume from it"
             )
         try:
-            restored = RestoredSweep(
+            frontier = _decode_layer(payload["frontier"])
+            (best_last,) = _decode_columns(payload["best_last"], 1)
+            level_cost = _decode_columns(payload["level_cost"], 3)
+            if len(best_last) != len(frontier):
+                raise ValueError(
+                    f"{len(best_last)} best last variables for "
+                    f"{len(frontier)} rows"
+                )
+            restored = LayerCheckpoint(
                 layer=int(payload["layer"]),
-                frontier=_decode_layer(payload["frontier"]),
-                mincost_by_subset={
-                    int(mask): int(cost)
-                    for mask, cost in payload["mincost_by_subset"]
-                },
-                best_last={
-                    int(mask): int(var)
-                    for mask, var in payload["best_last"]
-                },
-                level_cost_by_choice={
-                    (int(key[0]), int(key[1])): int(cost)
-                    for key, cost in payload["level_cost_by_choice"]
-                },
+                frontier=frontier,
+                best_last=best_last,
+                level_cost=level_cost,
                 subsets_processed=int(payload["subsets_processed"]),
                 counter_delta=counters_from_snapshot(
                     payload["counter_delta"]

@@ -12,13 +12,12 @@ compiled kernel ``_compact.c`` (built on first import by
 :mod:`repro.core._build`).  It has two entries, each with a Python face
 here:
 
-* :func:`compact_table` compacts a whole stack of parent rows at once,
-  each row folding its own cofactor position and numbering its nodes
-  from its own ``next_id``, and adds the counter updates.
-  :func:`compact` is its one-row call, one step on one
-  :class:`~repro.core.spec.FSState` (chain replays, window costing,
-  sifting oracles); a one-row call can also return the new nodes'
-  packed keys, which node tracking reads;
+* :func:`compact_table` compacts one parent row, folding one cofactor
+  position and numbering its nodes from a ``next_id``, and adds the
+  counter updates; it can also return the new nodes' packed keys, which
+  node tracking reads.  :func:`compact` is one step on one
+  :class:`~repro.core.spec.FSState` through it (chain replays, window
+  costing, sifting oracles);
 * :func:`settle_batch` runs one DP step on a batch of successor subsets
   for :func:`repro.core.executor.sweep_chunk`, the DP's chunk loop: it
   enumerates every successor's candidates, finds each predecessor's row
@@ -55,7 +54,7 @@ diagram can be emitted.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,44 +78,33 @@ _RULE_CODES = {
     ReductionRule.CBDD: 2,
 }
 
-Indices = Union[int, np.ndarray]
-"""An int shared by every row of a stack, or an ``int64`` array with
-one entry per row."""
-
-
 def compact_table(
-    tables: np.ndarray,
-    rows: Indices,
-    positions: Indices,
-    next_ids: Indices,
+    table: np.ndarray,
+    position: int,
+    next_id: int,
     rule: ReductionRule,
     out: np.ndarray,
-    counts: Optional[np.ndarray] = None,
     keys: Optional[np.ndarray] = None,
     counters: Optional[OperationCounters] = None,
 ) -> int:
-    """One ``COMPACT`` step on every row of a stack; returns the nodes
-    created by all rows.
+    """One ``COMPACT`` step on one table row; returns the nodes created.
 
-    Stack row ``r`` reads row ``rows[r]`` of ``tables`` (a C-contiguous
-    ``uint8``/``uint16``/``uint32``/``int64`` matrix, read-only views
-    included; 1-D for one row), folds the free variable at cofactor
-    position ``positions[r]`` and numbers its new nodes from
-    ``next_ids[r]``.  Its new table goes to row ``r`` of ``out``, at the
-    same cell dtype and half the width (1-D for one row).  ``counts``,
-    if given, receives each row's node count.  ``keys``, if given to a
-    one-row call, receives the new nodes' packed ``(u0, u1)`` keys in
-    creation order (node ``next_ids + j`` is the ``j``-th), ``u0``
-    shifted by the cell width (32 bits for ``uint32`` and ``int64``
-    cells).  A malformed call raises :class:`TypeError` or
-    :class:`ValueError` before it writes anything.
+    ``table`` is a 1-D C-contiguous ``uint8``/``uint16``/``uint32``/
+    ``int64`` row (read-only views included).  The free variable at
+    cofactor position ``position`` is folded and the new nodes are
+    numbered from ``next_id``; the new table goes to ``out``, at the same
+    cell dtype and half the width.  ``keys``, if given, receives the new
+    nodes' packed ``(u0, u1)`` keys in creation order (node
+    ``next_id + j`` is the ``j``-th), ``u0`` shifted by the cell width
+    (32 bits for ``uint32`` and ``int64`` cells).  A malformed call
+    raises :class:`TypeError` or :class:`ValueError` before it writes
+    anything.
     """
     created = _kernel.compact(
-        tables, rows, positions, next_ids, _RULE_CODES[rule], out, counts,
-        keys,
+        table, position, next_id, _RULE_CODES[rule], out, keys,
     )
     if counters is not None:
-        counters.compactions += out.size // out.shape[-1]
+        counters.compactions += 1
         counters.table_cells += out.size
         counters.nodes_created += created
     return created
@@ -128,7 +116,7 @@ def settle_batch(
     base: FSState,
     rule: ReductionRule,
     out: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    level_cost: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    level_cost: Sequence[np.ndarray],
 ) -> int:
     """One DP step on the successor subsets ``masks``; returns the
     candidates evaluated.
@@ -139,11 +127,12 @@ def settle_batch(
     mincost and ``i`` go to the successor's rows of ``out``
     (``(tables, mincost, best_last)``, one row per successor), and each
     candidate's absolute predecessor mask, ``i`` and node count to
-    ``level_cost`` (three ``int64`` arrays of at least ``k`` entries per
-    successor), successor-major.  A successor without any candidate
-    raises :class:`~repro.errors.OrderingError` before anything is
-    written; a malformed call raises :class:`TypeError` or
-    :class:`ValueError` before it writes anything.
+    ``level_cost`` (three ``int64`` arrays, or the rows of a ``(3, c)``
+    block, of at least ``k`` entries per successor), successor-major.  A
+    successor without any candidate raises
+    :class:`~repro.errors.OrderingError` before anything is written; a
+    malformed call raises :class:`TypeError` or :class:`ValueError`
+    before it writes anything.
     """
     written = _kernel.settle(
         previous.tables, previous.sorted_masks, previous.sorted_rows,
@@ -172,7 +161,7 @@ def compact(
     keys = None if state.nodes is None else np.empty(table.shape, np.uint64)
     next_id = state.next_id
     created = compact_table(
-        state.table, 0, rank_in_mask(state.free_mask, var), next_id, rule,
+        state.table, rank_in_mask(state.free_mask, var), next_id, rule,
         table, keys=keys, counters=counters,
     )
     nodes = None

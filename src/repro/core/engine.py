@@ -7,7 +7,7 @@ sweep the subsets of a universe mask in order of cardinality, computing
 each subset's best state from its one-smaller predecessors via a table
 compaction, and retain the finished layer as the frontier for the next.
 This module owns that sweep; the entry points only prepare a base state
-and interpret the outcome.  Centralizing it buys two things at once:
+and interpret the outcome.  Centralizing it buys three things at once:
 
 * **layer parallelism** — masks of equal cardinality are independent
   (Lemma 4's recurrence only reads the previous layer), so ``jobs=N``
@@ -22,7 +22,19 @@ and interpret the outcome.  Centralizing it buys two things at once:
 * **one retained layer** — only the previous layer is kept (Remark 1),
   as one dense :class:`~repro.core.frontier.Layer` holding every row's
   table; it is the memory ceiling (``C(n, n/2)`` rows of ``2^{n/2}``
-  cells each at the waist).
+  cells each at the waist);
+* **dense DP tables** — ``MINCOST``, each subset's best last variable and
+  every candidate's ``Cost_i`` (Lemma 4) live in :class:`DPTables`,
+  arrays over the sweep's ``2^m`` subsets (``m`` = the universe's size),
+  ``-1`` wherever a subset or candidate was never finalized.  A subset's
+  index is its relative mask when the universe is the low bits (every
+  full-function sweep) and the mask compressed onto the universe's bits
+  otherwise (FS*).  Finished layers are scattered into them from what
+  the kernel wrote, one numpy call per column, as soon as ``2^16``
+  candidates wait (every large layer) and when the sweep ends, so no
+  Python object is made per subset or candidate; :class:`SweepOutcome`
+  hands them out as read-only :class:`~collections.abc.Mapping` views
+  (:class:`SubsetMap`, :class:`LevelCostMap`).
 
 A :class:`~repro.observability.Profiler` attached to the
 :class:`EngineConfig` records per-layer wall-clock, subset throughput,
@@ -30,10 +42,13 @@ frontier footprint, counter snapshots and checkpoint write/load timings.
 
 Crash safety: with ``checkpoint_dir`` set on the :class:`EngineConfig`,
 every finished layer is snapshotted through
-:mod:`repro.core.checkpoint`, and ``resume=True`` restarts the sweep
-from the last valid snapshot — results and counters bit-identical to an
-uninterrupted run.  Because every DP entry point routes through
-:func:`run_layered_sweep`, all of them inherit this for free.
+:mod:`repro.core.checkpoint` (the layer, its rows' best last variables
+and its candidates' level costs: one file per layer, each holding only
+that layer), and ``resume=True`` reads layers ``1..k`` back into the DP
+tables and restarts the sweep after the newest one — results and
+counters bit-identical to an uninterrupted run.  Because every DP entry
+point routes through :func:`run_layered_sweep`, all of them inherit
+this for free.
 
 Resource governance: a :class:`~repro.core.budget.Budget` on the config
 is checked at every layer boundary — before a layer starts and after it
@@ -49,16 +64,25 @@ crash safety.
 
 from __future__ import annotations
 
+import functools
+import operator
 import time
+from collections.abc import ItemsView, Mapping, ValuesView
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from itertools import combinations
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple,
+    Union,
+)
 
 import numpy as np
 
-from .._bitops import popcount, subsets_of_size
+from .._bitops import bits_of, popcount
 from ..analysis.counters import OperationCounters
-from ..errors import BudgetExceeded, DimensionError, OrderingError
+from ..errors import (
+    BudgetExceeded, CheckpointError, DimensionError, OrderingError,
+)
 from ..observability import Profiler
 from .checkpoint import (
     CheckpointStore, FaultInjector, RetryPolicy, sweep_fingerprint,
@@ -101,9 +125,10 @@ class EngineConfig:
     :mod:`repro.core.checkpoint`).  ``None`` disables checkpointing."""
 
     resume: bool = False
-    """Restart from the newest valid checkpoint in ``checkpoint_dir``
-    matching this sweep's fingerprint; a cold start if none exists, a
-    :class:`~repro.errors.CheckpointError` if the newest one is damaged."""
+    """Restart after the newest checkpointed layer in ``checkpoint_dir``
+    matching this sweep's fingerprint, reading layers ``1..k`` back; a
+    cold start if none exists, a :class:`~repro.errors.CheckpointError`
+    if any of those files is missing or damaged."""
 
     fault_injector: Optional[FaultInjector] = None
     """Test hook: notified after each layer commits; may crash the sweep
@@ -150,6 +175,240 @@ class EngineConfig:
             )
 
 
+# Candidates whose layers the DP tables gather before one scatter: a
+# small sweep's (FS* windows) all at its end, a large one's every layer.
+_SCATTER_CANDIDATES = 1 << 16
+
+
+@functools.lru_cache(maxsize=64)
+def _expansion(universe_mask: int) -> np.ndarray:
+    """Every sub-mask of ``universe_mask``, the one at dense index ``i``
+    holding the universe's ``j``-th variable iff bit ``j`` of ``i`` is
+    set.  Expansion keeps order, so ``searchsorted`` compresses.  Cached
+    (read-only): a window sweep solves the same few ``J`` over and
+    over."""
+    expanded = [0]
+    for var in bits_of(universe_mask):
+        expanded += [mask | 1 << var for mask in expanded]
+    expanded = np.array(expanded, np.int64)
+    expanded.flags.writeable = False
+    return expanded
+
+
+class DPTables:
+    """``MINCOST``, the best last variable and ``Cost_i`` of one sweep,
+    as dense arrays over its subsets (see the module docstring).
+
+    ``mincost[i]`` and ``best_last[i]`` belong to the subset of dense
+    index ``i``; ``level_cost[i, v]`` is the width of variable ``v``
+    placed directly above it.  ``-1`` marks what was never finalized.
+    """
+
+    __slots__ = ("base_mask", "universe_mask", "positions", "expanded",
+                 "absolute", "mincost", "best_last", "level_cost",
+                 "pending")
+
+    def __init__(self, base: FSState, universe_mask: int) -> None:
+        self.base_mask = base.mask
+        self.universe_mask = universe_mask
+        members = bits_of(universe_mask)
+        size = len(members)
+        # Each variable's bit in a dense index, -1 outside the universe.
+        self.positions = [-1] * base.n
+        for position, var in enumerate(members):
+            self.positions[var] = position
+        # Dense index -> relative mask, None while the two coincide.
+        self.expanded: Optional[np.ndarray] = None
+        if universe_mask != (1 << size) - 1:
+            self.expanded = _expansion(universe_mask)
+            self.absolute = self.expanded | base.mask
+        self.pending: List[Tuple[np.ndarray, ...]] = []
+        self.mincost = np.empty(1 << size, np.int64)
+        self.best_last = np.empty(1 << size, np.int8)
+        self.level_cost = np.empty((1 << size, base.n), np.int32)
+        for array in (self.mincost, self.best_last, self.level_cost):
+            array.fill(-1)
+        self.mincost[0] = base.mincost
+
+    def index(self, masks: np.ndarray) -> np.ndarray:
+        """Dense indices of relative ``masks`` (sub-masks of the universe)."""
+        if self.expanded is None:
+            return masks
+        return self.expanded.searchsorted(masks)
+
+    def masks(self, indices: np.ndarray) -> np.ndarray:
+        """Relative masks of dense ``indices``."""
+        if self.expanded is None:
+            return indices
+        return self.expanded[indices]
+
+    def index_of(self, mask: Any) -> int:
+        """Dense index of one relative mask; :class:`KeyError` unless it
+        is a sub-mask of the universe."""
+        try:
+            value = operator.index(mask)
+        except TypeError:
+            raise KeyError(mask) from None
+        if value < 0 or value & ~self.universe_mask:
+            raise KeyError(mask)
+        if self.expanded is None:
+            return value
+        index = 0
+        while value:
+            low = value & -value
+            index |= 1 << self.positions[low.bit_length() - 1]
+            value ^= low
+        return index
+
+    def record(
+        self,
+        masks: np.ndarray,
+        mincost: np.ndarray,
+        best_last: np.ndarray,
+        level_cost: List[np.ndarray],
+    ) -> None:
+        """Queue one finished layer: its rows' relative masks, mincosts
+        and best last variables, and its candidates' ``(3, candidates)``
+        blocks of ``(absolute predecessor mask, variable, Cost_i)``.
+        Queued layers are scattered once ``_SCATTER_CANDIDATES``
+        candidates wait, and by :meth:`flush`."""
+        self.pending.append((masks, mincost, best_last, level_cost))
+        waiting = sum(block.shape[1] for layer in self.pending
+                      for block in layer[3])
+        if waiting >= _SCATTER_CANDIDATES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Scatter every queued layer into the arrays, one numpy call
+        per column."""
+        if not self.pending:
+            return
+        layers, self.pending = self.pending, []
+        rows = self.index(np.concatenate([layer[0] for layer in layers]))
+        self.mincost[rows] = np.concatenate([layer[1] for layer in layers])
+        self.best_last[rows] = np.concatenate([layer[2] for layer in layers])
+        before, var, cost = np.concatenate(
+            [block for layer in layers for block in layer[3]], axis=1)
+        if self.expanded is not None:
+            rows = self.absolute.searchsorted(before)
+        elif self.base_mask:
+            rows = before ^ self.base_mask
+        else:
+            rows = before
+        self.level_cost[rows, var] = cost
+
+    def outcome(
+        self, frontier: Dict[int, FSState], subsets_processed: int
+    ) -> "SweepOutcome":
+        """The finished sweep, its DP maps read-only views of these
+        arrays (once :meth:`flush` has emptied the queue)."""
+        return SweepOutcome(
+            frontier=frontier,
+            mincost_by_subset=SubsetMap(self, self.mincost),
+            best_last=SubsetMap(self, self.best_last),
+            level_cost_by_choice=LevelCostMap(self, self.level_cost),
+            subsets_processed=subsets_processed,
+        )
+
+    def chain(self, index: int) -> List[int]:
+        """The recorded optimal chain of the subset at dense ``index``,
+        bottom-first, read off ``best_last``."""
+        best, positions = self.best_last, self.positions
+        chain = []
+        while index:
+            var = int(best[index])
+            chain.append(var)
+            index ^= 1 << positions[var]
+        chain.reverse()
+        return chain
+
+
+class _Items(ItemsView):
+    def __iter__(self) -> Iterator[Tuple[Any, int]]:
+        return zip(*self._mapping._columns())
+
+
+class _Values(ValuesView):
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._mapping._columns()[1])
+
+
+class _DenseMap(Mapping):
+    """Read-only :class:`~collections.abc.Mapping` over one
+    :class:`DPTables` array, skipping ``-1`` entries; subclasses list
+    its keys and values, in ascending index order, with ``_columns()``.
+    ``dict(view)`` gives a mutable copy; item assignment raises
+    :class:`TypeError`."""
+
+    __slots__ = ("_tables", "_values")
+
+    def __init__(self, tables: DPTables, values: np.ndarray) -> None:
+        self._tables = tables
+        self._values = values
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._columns()[0])
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._values >= 0))
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class SubsetMap(_DenseMap):
+    """``{relative mask: value}`` over ``MINCOST`` or the best last
+    variable of every finalized subset."""
+
+    __slots__ = ()
+
+    def __getitem__(self, mask: Any) -> int:
+        value = self._values[self._tables.index_of(mask)]
+        if value < 0:
+            raise KeyError(mask)
+        return int(value)
+
+    def _columns(self) -> Tuple[List[Any], List[int]]:
+        present = np.flatnonzero(self._values >= 0)
+        return (self._tables.masks(present).tolist(),
+                self._values[present].tolist())
+
+
+class LevelCostMap(_DenseMap):
+    """``{(absolute predecessor mask, variable): Cost_i}`` over every
+    candidate the sweep evaluated."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: Any) -> int:
+        # A predecessor without every base variable lands outside the
+        # universe; a variable placed in it, in the base or outside the
+        # universe was never a candidate there, so its entry is -1.
+        try:
+            before, var = map(operator.index, key)
+            if not 0 <= var < len(self._tables.positions):
+                raise KeyError(key)
+            row = self._tables.index_of(before ^ self._tables.base_mask)
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        value = self._values[row, var]
+        if value < 0:
+            raise KeyError(key)
+        return int(value)
+
+    def _columns(self) -> Tuple[List[Any], List[int]]:
+        rows, var = np.nonzero(self._values >= 0)
+        before = self._tables.masks(rows) | self._tables.base_mask
+        return (list(zip(before.tolist(), var.tolist())),
+                self._values[rows, var].tolist())
+
+
 @dataclass
 class SweepOutcome:
     """Everything a DP entry point may need from a finished sweep.
@@ -158,18 +417,20 @@ class SweepOutcome:
     DPs (``base.mask == 0``) they coincide with absolute variable masks;
     for FS* they are sub-masks of ``J`` exactly as
     :func:`repro.core.fs_star.fs_star_levels` has always returned them.
+    The three DP maps are read-only views over the sweep's
+    :class:`DPTables`.
     """
 
     frontier: Dict[int, FSState]
     """States of the final layer (``|K| == upto``), fully materialized."""
 
-    mincost_by_subset: Dict[int, int]
+    mincost_by_subset: Mapping[int, int]
     """``MINCOST`` for every finalized subset, including the base (mask 0)."""
 
-    best_last: Dict[int, int]
+    best_last: Mapping[int, int]
     """For each finalized non-empty subset, the minimizing last variable."""
 
-    level_cost_by_choice: Dict[Tuple[int, int], int]
+    level_cost_by_choice: Mapping[Tuple[int, int], int]
     """``Cost_i`` for every evaluated candidate, keyed by the predecessor
     state's *absolute* mask and the placed variable."""
 
@@ -232,21 +493,28 @@ def run_layered_sweep(
             "untracked base and replay the winning pi with compact() from "
             "a tracking one (as build_diagram does)"
         )
-    Layer.cell_dtype(base, rule)  # rejects a base that could outgrow it
-
-    mincost_by_subset: Dict[int, int] = {0: base.mincost}
-    best_last: Dict[int, int] = {}
-    level_cost_by_choice: Dict[Tuple[int, int], int] = {}
+    # Layer 0, at the sweep's cell dtype; rejects a base that could
+    # outgrow it.
+    previous = Layer.of_base(base, rule)
+    tables = DPTables(base, universe_mask)
     subsets_processed = 0
 
+    members = [1 << var for var in bits_of(universe_mask)]
+
+    def layer_masks(k: int) -> np.ndarray:
+        # subsets_of_size's order, with the members listed once
+        masks = map(sum, combinations(members, k))
+        if subset_filter is not None:
+            masks = filter(subset_filter, masks)
+        masks = np.fromiter(masks, np.int64)
+        if not len(masks):
+            raise OrderingError(
+                f"no subset of size {k} passes the subset filter"
+            )
+        return masks
+
     if upto == 0:
-        return SweepOutcome(
-            frontier={0: base},
-            mincost_by_subset=mincost_by_subset,
-            best_last=best_last,
-            level_cost_by_choice=level_cost_by_choice,
-        )
-    previous = Layer.of_base(base, rule)
+        return tables.outcome({0: base}, subsets_processed)
 
     budget = config.budget
     last_checkpoint_path: Optional[str] = None
@@ -275,13 +543,21 @@ def run_layered_sweep(
         if config.resume:
             with (profiler.phase("checkpoint_load") if profiler is not None
                   else nullcontext()):
-                restored = store.load_latest(upto)
+                restored = None
+                for restored in store.load_layers(upto):
+                    layer = restored.frontier
+                    if not np.array_equal(layer.masks,
+                                          layer_masks(restored.layer)):
+                        raise CheckpointError(
+                            f"checkpoint {restored.path} holds other "
+                            f"subsets than layer {restored.layer} of this "
+                            "sweep; refusing to resume from it"
+                        )
+                    tables.record(layer.masks, layer.mincost,
+                                  restored.best_last, [restored.level_cost])
+                    tables.flush()  # releases the file's decoded blob
             if restored is not None:
                 previous = restored.frontier
-                mincost_by_subset = restored.mincost_by_subset
-                mincost_by_subset.setdefault(0, base.mincost)
-                best_last = restored.best_last
-                level_cost_by_choice = restored.level_cost_by_choice
                 subsets_processed = restored.subsets_processed
                 counters.merge(restored.counter_delta)
                 start_k = restored.layer + 1
@@ -306,18 +582,11 @@ def run_layered_sweep(
                         checkpoint_path=last_checkpoint_path,
                         where=f"layer boundary (before k={k})",
                     )
-            layer_masks = subsets_of_size(universe_mask, k)
-            if subset_filter is not None:
-                layer_masks = filter(subset_filter, layer_masks)
-            layer_masks = np.fromiter(layer_masks, np.int64)
-            if not len(layer_masks):
-                raise OrderingError(
-                    f"no subset of size {k} passes the subset filter"
-                )
+            masks = layer_masks(k)
             started = time.perf_counter()
-            out = NextLayer.allocate(layer_masks, previous)
+            out = NextLayer.allocate(masks, previous)
             parts = backend.run_layer(
-                k, split_chunks(len(layer_masks), config.jobs), previous, out
+                k, split_chunks(len(masks), config.jobs), previous, out
             )
             if any(part.cancelled for part in parts):
                 # A pooled chunk saw the budget spent and stopped
@@ -349,14 +618,9 @@ def run_layered_sweep(
             # Merge strictly in chunk order: counter merge order is
             # fixed, so the outcome is independent of where chunks ran.
             current = out.layer()
-            keys = layer_masks.tolist()
-            mincost_by_subset.update(zip(keys, current.mincost.tolist()))
-            best_last.update(zip(keys, out.best_last.tolist()))
+            level_cost = [part.level_cost for part in parts]
+            tables.record(masks, current.mincost, out.best_last, level_cost)
             for part in parts:
-                pred, var, cost = part.level_cost
-                level_cost_by_choice.update(zip(
-                    zip(pred.tolist(), var.tolist()), cost.tolist()
-                ))
                 counters.merge(part.counters)
             subsets_processed += len(current)
             previous = current
@@ -377,9 +641,8 @@ def run_layered_sweep(
                     checkpoint_path = store.save_layer(
                         k=k,
                         frontier=current,
-                        mincost_by_subset=mincost_by_subset,
-                        best_last=best_last,
-                        level_cost_by_choice=level_cost_by_choice,
+                        best_last=out.best_last,
+                        level_cost=np.concatenate(level_cost, axis=1),
                         subsets_processed=subsets_processed,
                         counter_delta=counters.diff(counters_baseline),
                     )
@@ -416,36 +679,20 @@ def run_layered_sweep(
         if engine_owns_backend:
             backend.close()
 
+    tables.flush()
+    indices = tables.index(previous.masks).tolist()
     frontier = {
         mask: FSState(
             n=base.n,
             mask=base.mask | mask,
-            pi=base.pi + tuple(chain_of(best_last, mask)),
+            pi=base.pi + tuple(tables.chain(index)),
             mincost=mincost,
             table=previous.tables[row].astype(np.int64),
             num_terminals=base.num_terminals,
             num_roots=base.num_roots,
         )
-        for row, (mask, mincost) in enumerate(
-            zip(previous.masks.tolist(), previous.mincost.tolist())
-        )
+        for row, (mask, index, mincost) in enumerate(zip(
+            previous.masks.tolist(), indices, previous.mincost.tolist()
+        ))
     }
-    return SweepOutcome(
-        frontier=frontier,
-        mincost_by_subset=mincost_by_subset,
-        best_last=best_last,
-        level_cost_by_choice=level_cost_by_choice,
-        subsets_processed=subsets_processed,
-    )
-
-
-def chain_of(best_last: Dict[int, int], mask: int) -> List[int]:
-    """The recorded optimal chain of ``mask``, bottom-first, read off
-    ``best_last`` (each subset's minimizing last variable)."""
-    chain = []
-    while mask:
-        var = best_last[mask]
-        chain.append(var)
-        mask &= ~(1 << var)
-    chain.reverse()
-    return chain
+    return tables.outcome(frontier, subsets_processed)

@@ -125,11 +125,11 @@ class ChunkResult:
 
     counters: OperationCounters
 
-    level_cost: Tuple[np.ndarray, ...] = ()
-    """``Cost_i`` of every candidate the chunk evaluated, as three
-    aligned arrays: the predecessor's absolute mask, the placed variable
-    and the nodes its compaction created.  The engine turns them into
-    ``level_cost_by_choice`` entries."""
+    level_cost: Optional[np.ndarray] = None
+    """``Cost_i`` of every candidate the chunk evaluated, as a
+    ``(3, candidates)`` ``int64`` block whose rows are the predecessor's
+    absolute mask, the placed variable and the nodes its compaction
+    created.  The engine scatters it into its DP tables."""
 
     cancelled: bool = False
     """True when the chunk saw the budget spent and stopped early; the
@@ -182,9 +182,7 @@ def sweep_chunk(
     k = int(out.masks[rows.start]).bit_count()
     width = out.tables.shape[1]
     step = -(-_BATCH_CELLS // (k * width))
-    level_cost = tuple(
-        np.empty((rows.stop - rows.start) * k, np.int64) for _ in range(3)
-    )
+    level_cost = np.empty((3, (rows.stop - rows.start) * k), np.int64)
     written = 0
     for start in range(rows.start, rows.stop, step):
         if should_stop is not None and should_stop():
@@ -193,9 +191,9 @@ def sweep_chunk(
         written += settle_batch(
             previous, out.masks[batch], base, rule,
             (out.tables[batch], out.mincost[batch], out.best_last[batch]),
-            tuple(column[written:] for column in level_cost),
+            level_cost[:, written:],
         )
-    level_cost = tuple(column[:written] for column in level_cost)
+    level_cost = level_cost[:, :written]
     counters.compactions += written
     counters.table_cells += written * width
     counters.nodes_created += int(level_cost[2].sum())

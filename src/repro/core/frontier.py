@@ -48,7 +48,7 @@ class Layer:
                 f"{self.mincost.shape[0]} mincosts, "
                 f"{tables.shape[0]} table rows"
             )
-        self.sorted_rows = np.argsort(self.masks, kind="stable")
+        self.sorted_rows = self.masks.argsort(kind="stable")
         self.sorted_masks = self.masks[self.sorted_rows]
 
     @classmethod

@@ -17,7 +17,7 @@ measures exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -121,17 +121,22 @@ class FSResult:
     num_terminals: int
     """Terminals of the diagram (2 for BDD/ZDD; distinct values for MTBDD)."""
 
-    mincost_by_subset: Dict[int, int]
+    mincost_by_subset: Mapping[int, int]
     """``MINCOST_I`` for every subset mask ``I`` (the full DP table)."""
 
-    best_last: Dict[int, int]
+    best_last: Mapping[int, int]
     """For each non-empty subset mask, the minimizing last variable ``i*``."""
 
-    level_cost_by_choice: Dict[Tuple[int, int], int]
+    level_cost_by_choice: Mapping[Tuple[int, int], int]
     """``Cost_i(f, pi_{(I, i)})`` for every pair ``(I_mask, i)`` with ``i``
     not in ``I`` — the width of variable ``i``'s level when placed directly
     above the bottom set ``I``.  Well-defined by Lemma 3; recorded for every
-    candidate the DP evaluates."""
+    candidate the DP evaluates.
+
+    The three maps are read-only :class:`~collections.abc.Mapping` views
+    over the sweep's dense DP arrays (:class:`repro.core.engine.DPTables`);
+    ``dict(...)`` of one gives a mutable copy.  A cache hit carries plain
+    dicts along its one chain (see :attr:`from_cache`)."""
 
     counters: OperationCounters = field(default_factory=OperationCounters)
 

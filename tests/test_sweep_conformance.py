@@ -11,12 +11,11 @@ must resume to the same run, since only equality of cells matters.  The
 sweep refuses a node-tracking base; replaying the winner's chain from
 one builds exactly ``mincost`` nodes, the oracle's.  Along a random
 chain, every ``compact()`` step must equal the cell-at-a-time
-``COMPACT`` oracle bit for bit.  A stack of unrelated parent tables
-compacted in one kernel call at the sweep's cell dtype, each row at its
-own cofactor position and its node ids on either side of a key-width
-boundary, must equal that oracle row by row, and one-row calls of the
-same rows, keys included.  A malformed kernel call, of either entry,
-must raise before it writes anything.
+``COMPACT`` oracle bit for bit.  Unrelated parent tables compacted one
+row per kernel call at the sweep's cell dtype, each at its own cofactor
+position and with its node ids on either side of a key-width boundary,
+must equal that oracle, keys included.  A malformed kernel call, of
+either entry, must raise before it writes anything.
 """
 
 import base64
@@ -52,7 +51,8 @@ from repro.core import (
 from repro.core import executor
 from repro.core.executor import BACKENDS
 from repro.core.checkpoint import (
-    fingerprint_hash, read_checked_json, write_checked_json,
+    corrupt_checkpoint, fingerprint_hash, read_checked_json,
+    write_checked_json,
 )
 from repro.core.compaction import compact_table, settle_batch
 from repro.core.frontier import Layer
@@ -173,49 +173,91 @@ def test_earlier_checkpoint_formats_never_resume(tmp_path):
     mincosts all wrong — end in a cold start when they carry their own
     fingerprint, and in :class:`CheckpointError` when they carry the
     current one; never in a wrong answer.  The formats: the per-entry
-    one that preceded the dense layer blob, and a dense layer without
-    tables (``"dtype": null``) as a mincost-only layer wrote it.  Full
-    dense layers keep the fingerprint they had when both kinds could be
-    written, so those still resume."""
+    one that preceded the dense layer blob, a dense layer without tables
+    (``"dtype": null``) as a mincost-only layer wrote it, and layer
+    format 2, a dense layer beside the whole accumulated DP maps.  Each
+    writes layers 1 and 2."""
     table = TruthTable.random(5, seed=3)
     clean = run_fs(table)
     full = (1 << 5) - 1
     current = sweep_fingerprint(initial_state(table), full, "bdd", 5)
-    assert fingerprint_hash(current) == "a8b37b56febe"
+    assert fingerprint_hash(current) == "e96a014fbbe5"
     per_entry = {key: value for key, value in current.items()
                  if key != "layer_format"}
     per_entry.update(kernel="numpy", track_nodes=False)
-    masks = list(subsets_of_size(full, 2))
-    common = {
-        "layer": 2,
-        "mincost_by_subset": sorted({0: 0, **dict.fromkeys(masks, 0)}.items()),
-        "best_last": sorted((mask, bits_of(mask)[-1]) for mask in masks),
-        "level_cost_by_choice": [],
-        "subsets_processed": len(masks),
-        "counter_delta": {},
-    }
-    entries = dict(common, entries=[
-        [mask, {"kind": "skeleton", "pi": bits_of(mask), "mincost": 0}]
-        for mask in sorted(masks)
-    ])
-    blob = np.array(masks, np.int64).tobytes() + bytes(8 * len(masks))
-    no_tables = dict(common, frontier={
-        "rows": len(masks), "cells": 0, "dtype": None,
-        "blob": base64.b64encode(blob).decode("ascii"),
-    })
-    for earlier, payload in ((per_entry, entries),
-                             (dict(current, frontier="mincost"), no_tables)):
+    earlier_formats = (per_entry, dict(current, frontier="mincost"),
+                       dict(current, layer_format=2))
+
+    def payloads(k):
+        """Layer ``k`` in each earlier format, every mincost 0."""
+        masks = list(subsets_of_size(full, k))
+        below = [mask for size in range(k + 1)
+                 for mask in subsets_of_size(full, size)]
+        common = {
+            "layer": k,
+            "mincost_by_subset": sorted(dict.fromkeys(below, 0).items()),
+            "best_last": sorted((mask, bits_of(mask)[-1])
+                                for mask in below if mask),
+            "level_cost_by_choice": [],
+            "subsets_processed": len(below) - 1,
+            "counter_delta": {},
+        }
+        blob = np.array(masks, np.int64).tobytes() + bytes(8 * len(masks))
+        cells = 1 << (5 - k)
+        return (
+            dict(common, entries=[
+                [mask, {"kind": "skeleton", "pi": bits_of(mask),
+                        "mincost": 0}]
+                for mask in sorted(masks)
+            ]),
+            dict(common, frontier={
+                "rows": len(masks), "cells": 0, "dtype": None,
+                "blob": base64.b64encode(blob).decode("ascii"),
+            }),
+            dict(common, frontier={
+                "rows": len(masks), "cells": cells, "dtype": "uint8",
+                "blob": base64.b64encode(
+                    blob + bytes(cells * len(masks))).decode("ascii"),
+            }, level_cost_by_choice=[
+                [[mask ^ 1 << var, var], 0]
+                for mask in below for var in bits_of(mask)
+            ]),
+        )
+
+    for index, earlier in enumerate(earlier_formats):
         for fingerprint in (earlier, current):
             directory = tmp_path / fingerprint_hash(fingerprint)
             shutil.rmtree(directory, ignore_errors=True)
-            path = CheckpointStore(str(directory), fingerprint).layer_path(2)
-            write_checked_json(path, dict(payload, fingerprint=fingerprint))
+            store = CheckpointStore(str(directory), fingerprint)
+            for k in (1, 2):
+                write_checked_json(store.layer_path(k), dict(
+                    payloads(k)[index], fingerprint=fingerprint))
         resumed = run_fs(table, checkpoint_dir=str(
             tmp_path / fingerprint_hash(earlier)), resume=True)
         assert outcome(resumed) == outcome(clean)
         with pytest.raises(CheckpointError):
             run_fs(table, checkpoint_dir=str(tmp_path / fingerprint_hash(
                 current)), resume=True)
+
+
+@pytest.mark.parametrize("damage", ["delete", "truncate", "flip", "garbage"])
+def test_damaged_earlier_layer_never_resumes(tmp_path, damage):
+    """A resume from layer ``k`` reads layers ``1..k`` back, so deleting
+    or damaging any layer file below the newest raises
+    :class:`CheckpointError` naming that file: never a cold start, never
+    a wrong answer."""
+    table = TruthTable.random(5, seed=3)
+    for k in range(1, 5):
+        directory = str(tmp_path / f"k{k}")
+        run_fs(table, checkpoint_dir=directory)
+        (path,) = glob.glob(os.path.join(directory, f"*_layer_{k:04d}.json"))
+        if damage == "delete":
+            os.remove(path)
+        else:
+            corrupt_checkpoint(path, damage)
+        with pytest.raises(CheckpointError) as excinfo:
+            run_fs(table, checkpoint_dir=directory, resume=True)
+        assert path in str(excinfo.value)
 
 
 @pytest.mark.parametrize("rule", list(ReductionRule))
@@ -290,11 +332,11 @@ def stacks(draw, rule, boundary, shifts):
     free variable next.  With a ``boundary``, one offset renames every row's
     internal node ids so the node-id bound :meth:`Layer.cell_dtype` uses
     ends up ``shifts(span)`` past it, ``span`` being how many ids a row
-    can hold.  At a cell width (``2^8``, ``2^16``) that puts the stack's
+    can hold.  At a cell width (``2^8``, ``2^16``) that puts the rows'
     ids just below or just above it, so its keys on either side of a
     key-width boundary; at half a cell width (``2^7``, ``2^15``) a row's
-    ids straddle the top bit of its cells.  The stack is stored at the
-    dtype :meth:`Layer.cell_dtype` picks for its rows, or at ``int64``
+    ids straddle the top bit of its cells.  The rows are stored at the
+    dtype :meth:`Layer.cell_dtype` picks for them, or at ``int64``
     when no boundary is asked for.
     """
     n = draw(st.integers(1, 6))
@@ -343,14 +385,13 @@ def across(span):
     return st.integers(1, span - 1)
 
 
-def test_stacked_kernel_matches_single_rows():
+def test_kernel_rows_match_oracle():
     """Under every rule, unshifted, on each side of both cell-width
-    boundaries and across half of each, a stack at its cell dtype, each
-    row read by index and folding its own position, compacts like the
-    cell-at-a-time oracle row by row, bit for bit: same tables, node
-    counts and counters; and a one-row call of each row at the cell
-    dtype writes the same table and returns the oracle's new nodes as
-    keys, in creation order."""
+    boundaries and across half of each, a one-row kernel call at the
+    rows' cell dtype compacts like the cell-at-a-time oracle, bit for
+    bit: same table, node count and counters, and the oracle's new nodes
+    as keys, in creation order.  (Stacks of rows are settled, and
+    checked, by ``settle_batch`` in :func:`test_chunk_loop_conforms`.)"""
     for rule in ReductionRule:
         for boundary, shifts in ((0, None), (1 << 8, below), (1 << 8, above),
                                  (1 << 16, below), (1 << 16, above),
@@ -362,96 +403,73 @@ def test_stacked_kernel_matches_single_rows():
 
 def check_stack(stack):
     rule, _, rows, dtype = stack
-    stacked = np.stack([state.table for state, _, _ in rows]).astype(dtype)
-    # Read the parent rows in reverse, so stack row r is parent row
-    # `parents[r]`, not row r.
-    parents = np.arange(len(rows))[::-1].copy()
-    positions = np.array([rows[p][2] for p in parents])
-    next_ids = np.array([rows[p][0].next_id for p in parents])
-    width = stacked.shape[1] // 2
-    out = np.empty((len(rows), width), dtype)
-    counts = np.empty(len(rows), np.int64)
-    counted = OperationCounters()
-    created = compact_table(stacked, parents, positions, next_ids, rule, out,
-                            counts, counters=counted)
-    assert created == counts.sum()
-    assert counted == OperationCounters(
-        compactions=len(rows), table_cells=out.size, nodes_created=created)
     shift = 8 * min(dtype.itemsize, 4)
-    for r, p in enumerate(parents.tolist()):
-        state, var, position = rows[p]
+    for state, var, position in rows:
         oracle = compact_python(replace(state, nodes={}), var, rule)
-        assert np.array_equal(out[r], oracle.table)
-        assert counts[r] == oracle.mincost - state.mincost
-
+        width = state.table.shape[0] // 2
         table = np.empty(width, dtype)
         keys = np.empty(width, np.uint64)
-        single = compact_table(stacked[p], 0, position, state.next_id, rule,
-                               table, keys=keys)
-        assert np.array_equal(table, out[r])
-        assert single == counts[r]
+        counted = OperationCounters()
+        created = compact_table(state.table.astype(dtype), position,
+                                state.next_id, rule, table, keys, counted)
+        assert np.array_equal(table, oracle.table)
+        assert created == oracle.mincost - state.mincost
+        assert counted == OperationCounters(
+            compactions=1, table_cells=width, nodes_created=created)
         assert {
             state.next_id + j: (var, key >> shift, key & ((1 << shift) - 1))
-            for j, key in enumerate(keys[:single].tolist())
+            for j, key in enumerate(keys[:created].tolist())
         } == oracle.nodes
 
 
 def test_malformed_kernel_calls_raise():
-    """A wrong dtype, a non-contiguous or read-only array, a row or
-    cofactor position out of range, or an output too short raises
-    :class:`TypeError` or :class:`ValueError` and writes nothing: the
-    output rows and the guard rows around them keep their fill.  The
-    same holds for the batch entry (:func:`check_malformed_batches`)."""
-    parents = np.arange(32, dtype=np.uint16).reshape(4, 8) % 5
-    read_only = np.full((2, 4), 99, np.uint16)
+    """A wrong dtype, a non-contiguous, read-only or 2-D array, a
+    cofactor position or next id out of range, or an output or key array
+    too short raises :class:`TypeError` or :class:`ValueError` and writes
+    nothing: the output row and the guard cells around it keep their
+    fill.  The same holds for the batch entry
+    (:func:`check_malformed_batches`)."""
+    parent = np.arange(8, dtype=np.uint16) % 5
+    read_only = np.full(4, 99, np.uint16)
     read_only.flags.writeable = False
 
     def filled(shape, dtype=np.uint16):
         return np.full(shape, 99, dtype)
 
     cases = [
-        dict(tables=parents.astype(np.float64)),
-        dict(tables=parents.astype(np.int32)),
-        dict(tables=parents.astype(">u2")),
-        dict(out=filled((2, 4), np.uint8)),
-        dict(rows=np.array([0, 3], np.int32)),
-        dict(rows=np.array([0.0, 3.0])),
-        dict(tables=parents[:, ::2]),
-        dict(tables=parents.T),
-        dict(out=filled((2, 8))[:, ::2]),
+        dict(table=parent.astype(np.float64)),
+        dict(table=parent.astype(np.int32)),
+        dict(table=parent.astype(">u2")),
+        dict(out=filled(4, np.uint8)),
+        dict(table=np.arange(16, dtype=np.uint16)[::2]),
+        dict(table=parent.reshape(2, 4)),
+        dict(out=filled(8)[::2]),
         dict(out=read_only),
-        dict(rows=np.array([0, 4])),
-        dict(rows=np.array([-1, 0])),
-        dict(rows=np.array([0, 1, 2])),
-        dict(positions=3),
-        dict(positions=-1),
-        dict(positions=np.array([2, 3])),
-        dict(next_ids=-1),
         dict(out=filled((1, 4))),
-        dict(out=filled((2, 3))),
-        dict(out=filled(4)),
-        dict(counts=np.zeros(1, np.int64)),
-        dict(counts=np.zeros(2, np.int32)),
-        dict(keys=np.zeros(8, np.uint64)),
-        dict(rows=0, out=filled(4), keys=np.zeros(3, np.uint64)),
-        dict(rows=0, out=filled(4), keys=np.zeros(4, np.float64)),
-        dict(rows=0, out=filled(4), keys=np.zeros(4, "i4,i4")),
-        dict(tables=parents[:, :1].copy()),
-        dict(tables=parents[:, :6].copy(), out=filled((2, 3))),
+        dict(position=3),
+        dict(position=-1),
+        dict(position=np.array([2, 3])),
+        dict(position=1.0),
+        dict(next_id=-1),
+        dict(out=filled(3)),
+        dict(out=filled(5)),
+        dict(keys=np.zeros(3, np.uint64)),
+        dict(keys=np.zeros(4, np.float64)),
+        dict(keys=np.zeros(4, "i4,i4")),
+        dict(table=parent[:1].copy()),
+        dict(table=parent[:6].copy(), out=filled(3)),
     ]
     for case in cases:
-        backing = filled((4, 4))
-        call = dict(tables=parents, rows=np.array([0, 3]), positions=2,
-                    next_ids=5, out=backing[1:3], counts=None, keys=None)
+        backing = filled(6)
+        call = dict(table=parent, position=2, next_id=5, out=backing[1:5],
+                    keys=None)
         call.update(case)
         with pytest.raises((TypeError, ValueError)):
-            compact_table(call["tables"], call["rows"], call["positions"],
-                          call["next_ids"], ReductionRule.BDD, call["out"],
-                          call["counts"], call["keys"])
+            compact_table(call["table"], call["position"], call["next_id"],
+                          ReductionRule.BDD, call["out"], call["keys"])
         assert (backing == 99).all() and (call["out"] == 99).all(), case
     with pytest.raises(OverflowError):
-        compact_table(parents, 0, 2, 1 << 31, ReductionRule.BDD,
-                      filled(4))
+        compact_table(parent, 2, 1 << 31, ReductionRule.BDD, filled(4))
     check_malformed_batches()
 
 
