@@ -1,8 +1,8 @@
-"""Daemon throughput: requests/sec through one warm pool + shared cache.
+"""Daemon throughput: requests/sec through one daemon + shared cache.
 
 The ``repro serve`` daemon exists to amortize two costs across requests:
-pool spin-up (paid once at startup instead of per invocation) and kernel
-work (paid once per canonical function instead of per request).  This
+process start-up (paid once instead of per invocation) and kernel work
+(paid once per canonical function instead of per request).  This
 benchmark measures both effects at n <= 10: a *cold* pass (every request
 a distinct function — pure kernel throughput through the daemon) against
 a *warm* pass (the same requests again — pure cache throughput), and
@@ -80,7 +80,7 @@ def test_serve_throughput_artifact():
     speedup = warm_rps / cold_rps
 
     print_table(
-        "serve throughput (one warm pool, shared cache)",
+        "serve throughput (one daemon, shared cache)",
         ["pass", "requests", "seconds", "req/sec"],
         [
             ("cold (all kernel)", len(corpus), f"{cold_seconds:.3f}",

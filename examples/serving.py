@@ -4,8 +4,8 @@
 A synthesis pipeline or CI fleet that calls the optimizer from many
 places wastes most of its wall-clock on per-call setup: pool spin-up,
 cold caches, repeated kernel work for functions that are the same up to
-variable renaming.  The daemon amortizes all three — one warm execution
-backend, one shared canonical result cache, and single-flighted
+variable renaming.  The daemon amortizes all three — one long-lived
+process, one shared canonical result cache, and single-flighted
 duplicate requests — behind a newline-delimited-JSON socket.
 
 This example embeds a server in-process (``running_server``; the
@@ -21,7 +21,7 @@ from repro.serve import ServeClient, ServeConfig, running_server
 
 
 def main() -> None:
-    # 1. Stand up a daemon: one warm backend, one shared cache.  The
+    # 1. Stand up a daemon: one shared cache, two concurrent solves.  The
     #    standalone equivalent:
     #    python -m repro serve --backend serial --jobs 2 --timeout 60
     config = ServeConfig(

@@ -188,20 +188,8 @@ def _run_optimize(args: argparse.Namespace) -> int:
             fallback_spec,
         )
     elif args.algorithm == "fs" and fallback_spec is not None:
-        from .core.budget import parse_ladder, run_ladder
-
-        result = run_ladder(
-            table,
-            budget=engine_kwargs.get("budget"),
-            ladder=parse_ladder(fallback_spec),
-            rule=rule,
-            jobs=args.jobs,
-            backend=getattr(args, "backend", "serial"),
-            cache=engine_kwargs.get("cache"),
-            profiler=profiler,
-            checkpoint_dir=engine_kwargs.get("checkpoint_dir"),
-            resume=bool(engine_kwargs.get("resume", False)),
-        )
+        result = _run_ladder(table, fallback_spec, profiler, engine_kwargs,
+                             rule=rule)
     elif args.algorithm == "fs":
         result = run_fs(table, rule=rule, profiler=profiler,
                         **engine_kwargs)
@@ -586,21 +574,20 @@ def _governed_exact(table, args, profiler, rule=None):
     if fallback_spec is None:
         result = run_fs(table, profiler=profiler, **kwargs, **engine_kwargs)
         return result, True, None
+    result = _run_ladder(table, fallback_spec, profiler, engine_kwargs,
+                         **kwargs)
+    return result, result.exact, result.rung
+
+
+def _run_ladder(table, fallback_spec, profiler, engine_kwargs, **kwargs):
+    """Degrade through the ``--fallback`` ladder under the options
+    :func:`_engine_kwargs` built (the ladder takes no ``io_retry``)."""
     from .core.budget import parse_ladder, run_ladder
 
-    result = run_ladder(
-        table,
-        budget=engine_kwargs.get("budget"),
-        ladder=parse_ladder(fallback_spec),
-        jobs=args.jobs,
-        backend=getattr(args, "backend", "serial"),
-        cache=engine_kwargs.get("cache"),
-        profiler=profiler,
-        checkpoint_dir=engine_kwargs.get("checkpoint_dir"),
-        resume=bool(engine_kwargs.get("resume", False)),
-        **kwargs,
-    )
-    return result, result.exact, result.rung
+    options = {key: value for key, value in engine_kwargs.items()
+               if key != "io_retry"}
+    return run_ladder(table, ladder=parse_ladder(fallback_spec),
+                      profiler=profiler, **options, **kwargs)
 
 
 def _run_gap(args: argparse.Namespace) -> int:
@@ -665,14 +652,7 @@ def _run_portfolio_cmd(args: argparse.Namespace) -> int:
     engine_kwargs = _engine_kwargs(args)
     from .core.engine import EngineConfig
 
-    config = EngineConfig(
-        jobs=args.jobs,
-        backend=getattr(args, "backend", "serial"),
-        cache=engine_kwargs.get("cache"),
-        profiler=profiler,
-        budget=engine_kwargs.get("budget"),
-        strategy="portfolio",
-    )
+    config = EngineConfig(profiler=profiler, **engine_kwargs)
     names = None
     if args.strategies:
         names = tuple(
@@ -730,16 +710,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=positive_int, default=1,
-                       help="workers per DP layer (subsets of equal "
-                            "size are independent); results and operation "
-                            "counters are identical for every value")
-        p.add_argument("--backend", choices=list(BACKENDS),
+                       help="threads per large DP layer under --backend "
+                            "thread (subsets of equal size are "
+                            "independent); results and operation counters "
+                            "are identical for every value")
+        p.add_argument("--backend", choices=BACKENDS,
                        default="serial",
-                       help="where --jobs workers run: 'serial' (default; "
-                            "inline) or 'thread' (a pool of --jobs threads "
-                            "over the GIL-free kernel, sharing both DP "
-                            "layers in memory).  Results and counters are "
-                            "bit-identical across backends")
+                       help="where DP layers run: 'serial' (default; "
+                            "inline) or 'thread' (a layer of at least two "
+                            "kernel batches splits over up to --jobs "
+                            "threads over the GIL-free kernel, sharing "
+                            "both DP layers in memory).  Results and "
+                            "counters are bit-identical across backends")
         p.add_argument("--checkpoint-dir",
                        help="snapshot every finished DP layer into this "
                             "directory so an interrupted run can be "
@@ -884,8 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="run the ordering daemon: one warm pool + one shared cache "
-             "serving newline-delimited JSON requests",
+        help="run the ordering daemon: bounded concurrent solves + one "
+             "shared cache serving newline-delimited JSON requests",
     )
     srv.add_argument("--host", default="127.0.0.1",
                      help="TCP interface to bind (default 127.0.0.1)")
@@ -895,12 +877,13 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--unix-socket", default=None, metavar="PATH",
                      help="serve on this unix-domain socket instead of TCP")
     srv.add_argument("--jobs", type=positive_int, default=None,
-                     help="threads per DP layer in the one warm pool "
-                          "(default: CPU count)")
-    srv.add_argument("--backend", choices=list(BACKENDS),
+                     help="threads per large DP layer of one request's "
+                          "sweep under --backend thread; each such sweep "
+                          "starts its own pool (default: CPU count)")
+    srv.add_argument("--backend", choices=BACKENDS,
                      default="thread",
-                     help="execution backend kept for the server's "
-                          "lifetime (default 'thread')")
+                     help="execution backend of every request's sweep "
+                          "(default 'thread')")
     srv.add_argument("--cache-dir",
                      help="persist the shared result cache into this "
                           "directory (cross-process-safe; restarts and "
@@ -924,9 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bounded request-queue depth; requests beyond it "
                           "are rejected with status 429 (default 64)")
     srv.add_argument("--max-inflight", type=positive_int, default=2,
-                     help="concurrently executing requests (default 2; "
-                          "kernel sweeps additionally serialize on the one "
-                          "warm backend)")
+                     help="concurrently executing requests, kernel "
+                          "sweeps included (default 2)")
     srv.add_argument("--timeout", type=positive_float, default=None,
                      metavar="SECONDS",
                      help="per-request wall-clock ceiling; a request's own "

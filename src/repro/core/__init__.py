@@ -70,16 +70,7 @@ from .engine import (
     SweepOutcome,
     run_layered_sweep,
 )
-from .executor import (
-    BACKENDS,
-    ChunkResult,
-    ExecutorBackend,
-    SerialBackend,
-    SweepContext,
-    ThreadBackend,
-    create_backend,
-    shared_backend,
-)
+from .executor import BACKENDS, ChunkResult
 from .divide_conquer import (
     OptOBDDResult,
     SplitCheck,
@@ -162,12 +153,6 @@ __all__ = [
     "Layer",
     "BACKENDS",
     "ChunkResult",
-    "ExecutorBackend",
-    "SerialBackend",
-    "SweepContext",
-    "ThreadBackend",
-    "create_backend",
-    "shared_backend",
     "run_fs_star",
     "fs_star_levels",
     "make_fs_star_solver",

@@ -425,7 +425,7 @@ def run_ladder(
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
     jobs: int = 1,
-    backend: Any = "serial",
+    backend: str = "serial",
     cache: Optional[Any] = None,
     profiler: Optional[Profiler] = None,
     window_width: int = 3,
@@ -476,10 +476,8 @@ def run_ladder(
     (or if a caller-supplied ladder ends with a rung that itself runs
     out — e.g. a single-rung ladder).
 
-    ``backend`` (a name or a live
-    :class:`~repro.core.executor.ExecutorBackend`) selects where the
-    ``fs`` and ``window`` rungs execute their layer chunks; it is
-    resolved once so every rung shares a single worker pool.
+    ``backend`` (``"serial"`` or ``"thread"``) and ``jobs`` select how
+    the ``fs`` and ``window`` rungs execute their layers.
     """
     if counters is None:
         counters = OperationCounters()
@@ -499,68 +497,63 @@ def run_ladder(
             f"{sorted(known)}"
         )
 
-    from .executor import resolve_backend  # deferred: engine-family import
+    from .executor import check_backend  # deferred: engine-family import
 
     attempts: List[RungAttempt] = []
     seed_order: Optional[Tuple[int, ...]] = None
     last_error: Optional[BudgetExceeded] = None
-    backend_obj, owns_backend = resolve_backend(backend)
     opts = {
         "rule": rule,
         "jobs": jobs,
-        "backend": backend_obj,
+        "backend": check_backend(backend),
         "cache": cache,
         "profiler": profiler,
         "window_width": window_width,
         "checkpoint_dir": checkpoint_dir,
         "resume": resume,
     }
-    try:
-        for index, rung in enumerate(ladder):
-            # Only cancellation stops the ladder itself; an exhausted
-            # deadline is precisely what the lower rungs exist for.
-            if budget.cancelled():
-                budget.check(counters=counters, where=f"ladder rung {rung!r}")
-            rungs_left = len(ladder) - index
-            remaining = budget.remaining()
-            if index == len(ladder) - 1:
-                share: Optional[float] = None  # the safety net always finishes
-            elif remaining is None:
-                share = None
-            else:
-                share = remaining / rungs_left
-            sub = budget.subbudget(share)
-            started = time.perf_counter()
-            runner = _RUNG_RUNNERS.get(rung) or _make_strategy_rung(rung)
-            try:
-                result = runner(table, sub, counters, seed_order, opts)
-            except BudgetExceeded as exc:
-                attempts.append(RungAttempt(
-                    rung=rung,
-                    status="budget_exceeded",
-                    seconds=time.perf_counter() - started,
-                    detail=str(exc),
-                ))
-                if exc.reason == "cancelled":
-                    exc.best_order = exc.best_order or seed_order
-                    raise
-                if exc.best_order is not None:
-                    seed_order = tuple(exc.best_order)
-                last_error = exc
-                continue
+    for index, rung in enumerate(ladder):
+        # Only cancellation stops the ladder itself; an exhausted
+        # deadline is precisely what the lower rungs exist for.
+        if budget.cancelled():
+            budget.check(counters=counters, where=f"ladder rung {rung!r}")
+        rungs_left = len(ladder) - index
+        remaining = budget.remaining()
+        if index == len(ladder) - 1:
+            share: Optional[float] = None  # the safety net always finishes
+        elif remaining is None:
+            share = None
+        else:
+            share = remaining / rungs_left
+        sub = budget.subbudget(share)
+        started = time.perf_counter()
+        runner = _RUNG_RUNNERS.get(rung) or _make_strategy_rung(rung)
+        try:
+            result = runner(table, sub, counters, seed_order, opts)
+        except BudgetExceeded as exc:
             attempts.append(RungAttempt(
                 rung=rung,
-                status="ok",
+                status="budget_exceeded",
                 seconds=time.perf_counter() - started,
+                detail=str(exc),
             ))
-            if index > 0:
-                counters.add_extra("fallback_used")
-            result.attempts = attempts
-            result.counters = counters
-            return result
-    finally:
-        if owns_backend:
-            backend_obj.close()
+            if exc.reason == "cancelled":
+                exc.best_order = exc.best_order or seed_order
+                raise
+            if exc.best_order is not None:
+                seed_order = tuple(exc.best_order)
+            last_error = exc
+            continue
+        attempts.append(RungAttempt(
+            rung=rung,
+            status="ok",
+            seconds=time.perf_counter() - started,
+        ))
+        if index > 0:
+            counters.add_extra("fallback_used")
+        result.attempts = attempts
+        result.counters = counters
+        return result
     assert last_error is not None
     last_error.best_order = last_error.best_order or seed_order
     raise last_error

@@ -91,7 +91,6 @@ from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (budget imports .fs)
     from .budget import Budget
-    from .executor import ExecutorBackend
 
 CACHE_FORMAT = 1
 """Bumping this invalidates every existing fingerprint (entries simply
@@ -853,7 +852,7 @@ def optimize_many(
     rule: ReductionRule = ReductionRule.BDD,
     cache: Optional[ResultCache] = None,
     jobs: int = 1,
-    backend: "Union[str, ExecutorBackend]" = "serial",
+    backend: str = "serial",
     profiler: Optional[Profiler] = None,
     per_item_timeout: Optional[float] = None,
     fallback: Union[None, str, Sequence[str]] = None,
@@ -871,12 +870,10 @@ def optimize_many(
 
     How ``jobs`` parallelizes depends on ``backend``: with the default
     ``"serial"`` backend, misses fan over a ``jobs``-wide thread pool,
-    each item running the sequential engine.  With ``backend="thread"``
-    (or a live :class:`~repro.core.executor.ExecutorBackend` instance),
-    items run one at a time but each item fans its DP layers over one
-    thread pool shared across the whole batch — the right shape when
-    items are big, and what keeps worker count bounded at ``jobs``
-    either way.
+    each item running the sequential engine.  With ``backend="thread"``,
+    items run one at a time and each item splits its large DP layers
+    over ``jobs`` threads — the right shape when items are big, and what
+    keeps worker count bounded at ``jobs`` either way.
 
     Failures are **isolated per item**: a table the canonicalizer or the
     solver rejects becomes a structured :class:`BatchError` on
@@ -913,27 +910,16 @@ def optimize_many(
     """
     from .budget import Budget, handle_signals, parse_ladder, \
         run_ladder  # deferred: budget's ladder imports .fs
-    from .executor import ExecutorBackend, resolve_backend
+    from .executor import check_backend
     from .fs import run_fs  # deferred: fs imports this module
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     # The serial backend parallelizes *across* items (thread fan-out of
-    # sequential solves); a thread backend parallelizes *within* each
-    # item, sharing one pool across the batch so worker count stays
-    # bounded at ``jobs`` and pool startup is paid once.
-    share_pool = jobs > 1 and (
-        backend == "thread" or isinstance(backend, ExecutorBackend)
-    )
-    batch_backend: Optional[ExecutorBackend] = None
-    owns_backend = False
-    if share_pool:
-        batch_backend, owns_backend = resolve_backend(backend)
-        solve_backend: "Union[str, ExecutorBackend]" = batch_backend
-        solve_jobs = jobs
-    else:
-        solve_backend = backend
-        solve_jobs = 1
+    # sequential solves); the thread backend parallelizes *within* each
+    # item, so worker count stays bounded at ``jobs`` either way.
+    within_items = check_backend(backend) == "thread"
+    solve_jobs = jobs if within_items else 1
     if cache is None:
         cache = ResultCache()
     if io_retry is not None and cache.retry is None:
@@ -994,14 +980,14 @@ def optimize_many(
                     ladder=ladder,
                     rule=rule,
                     jobs=solve_jobs,
-                    backend=solve_backend,
+                    backend=backend,
                     cache=cache,
                 )
                 status = "ok" if outcome.rung == ladder[0] else "fallback"
                 return BatchItem(index=index, status=status, result=outcome)
             result = run_fs(
                 tables[index], rule=rule, jobs=solve_jobs,
-                backend=solve_backend, cache=cache, budget=sub,
+                backend=backend, cache=cache, budget=sub,
             )
             return BatchItem(index=index, status="ok", result=result)
         except Exception as exc:
@@ -1017,7 +1003,7 @@ def optimize_many(
             )
 
     def run_batch() -> None:
-        if jobs > 1 and len(representatives) > 1 and not share_pool:
+        if jobs > 1 and len(representatives) > 1 and not within_items:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(
@@ -1066,15 +1052,11 @@ def optimize_many(
             else:
                 items[i] = solve_item(i)  # resolves as a cache hit
 
-    try:
-        if install_signal_handlers:
-            with handle_signals(parent):
-                run_batch()
-        else:
+    if install_signal_handlers:
+        with handle_signals(parent):
             run_batch()
-    finally:
-        if owns_backend and batch_backend is not None:
-            batch_backend.close()
+    else:
+        run_batch()
 
     final_items = [item for item in items if item is not None]
     assert len(final_items) == len(tables)

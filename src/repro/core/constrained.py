@@ -33,7 +33,6 @@ from .spec import ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - budget imports this package lazily
     from .budget import Budget
-    from .executor import ExecutorBackend
 
 Precedence = Sequence[Tuple[int, int]]  # (earlier, later) pairs
 
@@ -107,7 +106,7 @@ def run_fs_constrained(
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
     jobs: int = 1,
-    backend: "str | ExecutorBackend" = "serial",
+    backend: str = "serial",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,

@@ -10,12 +10,12 @@ This module owns that sweep; the entry points only prepare a base state
 and interpret the outcome.  Centralizing it buys three things at once:
 
 * **layer parallelism** — masks of equal cardinality are independent
-  (Lemma 4's recurrence only reads the previous layer), so ``jobs=N``
-  splits each layer into row ranges for an
-  :class:`~repro.core.executor.ExecutorBackend` (``serial`` or
-  ``thread``, selected via ``EngineConfig(backend=...)``; see
-  :mod:`repro.core.executor`).  Every chunk writes its rows straight
-  into the next layer's preallocated columns and tallies into its own
+  (Lemma 4's recurrence only reads the previous layer), so with
+  ``EngineConfig(backend="thread", jobs=N)`` a layer large enough to pay
+  for threads splits into at most ``N`` row ranges that run on a thread
+  pool (see :mod:`repro.core.executor` for the split rule).  Every chunk
+  writes its rows straight into the next layer's preallocated columns
+  and tallies into its own
   :class:`~repro.analysis.counters.OperationCounters`; the engine merges
   counters in deterministic chunk order, so results *and counters* are
   bit-identical across backends and job counts;
@@ -55,11 +55,10 @@ is checked at every layer boundary — before a layer starts and after it
 (and its checkpoint) commits — so a deadline, a frontier-size cap or a
 cooperative cancellation aborts the sweep promptly with a
 :class:`~repro.errors.BudgetExceeded` that names the layers completed,
-the best-so-far bound and the last durable checkpoint.  Pooled chunks of
-the thread backend also poll the budget between batches; a layer they
-abandon is discarded whole, so the abort still names the last committed
-layer.  All five DP entry points inherit this the same way they inherit
-crash safety.
+the best-so-far bound and the last durable checkpoint.  Pooled chunks
+also poll the budget between batches; a layer they abandon is discarded
+whole, so the abort still names the last committed layer.  All five DP
+entry points inherit this the same way they inherit crash safety.
 """
 
 from __future__ import annotations
@@ -68,12 +67,12 @@ import functools
 import operator
 import time
 from collections.abc import ItemsView, Mapping, ValuesView
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple,
-    Union,
 )
 
 import numpy as np
@@ -87,10 +86,7 @@ from ..observability import Profiler
 from .checkpoint import (
     CheckpointStore, FaultInjector, RetryPolicy, sweep_fingerprint,
 )
-from .executor import (
-    BACKENDS, ExecutorBackend, NextLayer, SweepContext, resolve_backend,
-    split_chunks,
-)
+from .executor import NextLayer, check_backend, run_layer, split_layer
 from .frontier import Layer
 from .spec import FSState, ReductionRule
 
@@ -110,13 +106,12 @@ class EngineConfig:
 
     jobs: int = 1
 
-    backend: Union[str, ExecutorBackend] = "serial"
+    backend: str = "serial"
     """Where layer chunks execute (see :mod:`repro.core.executor`):
-    ``"serial"`` (inline on the caller), ``"thread"`` (a pool of ``jobs``
-    threads over the GIL-free kernel), or a live
-    :class:`~repro.core.executor.ExecutorBackend` instance whose pool the
-    caller owns and wants shared across several sweeps.  Results and
-    counters are bit-identical across backends."""
+    ``"serial"`` (inline on the caller) or ``"thread"`` (layers large
+    enough to pay for it split over a pool of ``jobs`` threads, which the
+    sweep starts and shuts down).  Results and counters are bit-identical
+    across backends."""
 
     profiler: Optional[Profiler] = None
 
@@ -166,13 +161,7 @@ class EngineConfig:
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir")
         # Checked eagerly so configuration errors surface at call sites.
-        if not isinstance(self.backend, ExecutorBackend) and (
-            not isinstance(self.backend, str) or self.backend not in BACKENDS
-        ):
-            raise ValueError(
-                f"backend must be one of {sorted(BACKENDS)} or an "
-                f"ExecutorBackend instance, got {self.backend!r}"
-            )
+        check_backend(self.backend)
 
 
 # Candidates whose layers the DP tables gather before one scatter: a
@@ -563,10 +552,10 @@ def run_layered_sweep(
                 start_k = restored.layer + 1
                 last_checkpoint_path = restored.path
 
-    backend, engine_owns_backend = resolve_backend(config.backend)
-    backend.begin_sweep(
-        SweepContext(base=base, rule=rule, jobs=config.jobs, budget=budget)
-    )
+    threads = config.jobs if config.backend == "thread" else 1
+    # Started at the first layer that splits; shut down when the sweep
+    # ends, however it ends.
+    pool: Optional[ThreadPoolExecutor] = None
     try:
         for k in range(start_k, upto + 1):
             if budget is not None:
@@ -585,9 +574,11 @@ def run_layered_sweep(
             masks = layer_masks(k)
             started = time.perf_counter()
             out = NextLayer.allocate(masks, previous)
-            parts = backend.run_layer(
-                k, split_chunks(len(masks), config.jobs), previous, out
-            )
+            chunks = split_layer(out, threads)
+            if len(chunks) > 1 and pool is None:
+                pool = ThreadPoolExecutor(threads,
+                                          thread_name_prefix="repro-sweep")
+            parts = run_layer(chunks, previous, out, base, rule, pool, budget)
             if any(part.cancelled for part in parts):
                 # A pooled chunk saw the budget spent and stopped
                 # mid-layer.  Discard the partial layer wholesale (no
@@ -675,9 +666,8 @@ def run_layered_sweep(
                         where=f"layer boundary (after k={k})",
                     )
     finally:
-        backend.end_sweep()
-        if engine_owns_backend:
-            backend.close()
+        if pool is not None:
+            pool.shutdown()
 
     tables.flush()
     indices = tables.index(previous.masks).tolist()

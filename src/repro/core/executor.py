@@ -1,32 +1,36 @@
-"""Execution backends for the layered sweep.
+"""Running a DP layer: inline, or on threads.
 
-The engine (:func:`repro.core.engine.run_layered_sweep`) splits every DP
-layer into contiguous row ranges of disjoint masks, its *chunks*, and
-hands them to an :class:`ExecutorBackend`; the backend decides *where*
-the chunks run.  Two implementations ship, named in :data:`BACKENDS`:
+The engine (:func:`repro.core.engine.run_layered_sweep`) builds every DP
+layer in contiguous row ranges of disjoint masks, its *chunks*, and
+:func:`run_layer` runs them.  A backend is a name, one of
+:data:`BACKENDS`:
 
-* ``serial`` (the default) — chunks run inline on the coordinator, one
-  after another.
-* ``thread`` — a layer of more than one chunk fans out over a lazily
-  created :class:`~concurrent.futures.ThreadPoolExecutor` of ``jobs``
-  threads.  The compiled kernel settles a whole batch of successors per
-  call and releases the GIL for batches of at least ``2^14`` candidate
-  cells, so the chunks of a large layer run on separate cores while
-  sharing both layers in one address space: nothing is pickled, shipped
-  or copied back.
+* ``serial`` (the default): every layer is one chunk, run inline.
+* ``thread``: :func:`split_layer` splits a layer into
+  ``min(jobs, candidate cells // _BATCH_CELLS)`` chunks, at least one,
+  so every pooled chunk holds about a whole kernel batch or more.  A
+  layer of more than one chunk runs on a
+  :class:`~concurrent.futures.ThreadPoolExecutor` of ``jobs`` threads,
+  which the sweep starts at its first split layer and shuts down when it
+  ends.  The compiled kernel settles a whole batch of successors per call
+  and releases the GIL for batches of at least ``2^14`` candidate cells,
+  so the chunks of a large layer run on separate cores while sharing
+  both layers in one address space: nothing is pickled, shipped or
+  copied back.  Smaller layers run inline at any ``jobs``, because
+  handing them to threads costs more than it saves.
 
-Every chunk, serial or pooled, writes its winners straight into its own
+Every chunk, inline or pooled, writes its winners straight into its own
 row range of the next layer's preallocated columns (:class:`NextLayer`);
 chunks read only the previous layer (Lemma 4), so no two chunks touch
 the same memory.
 
-Determinism contract: every backend executes the *same* chunks (the
-split depends only on ``jobs``), runs each chunk through the same
+Determinism contract: every chunk runs through the same
 :func:`sweep_chunk` routine with a fresh
 :class:`~repro.analysis.counters.OperationCounters`, and the engine
-merges chunk counters and level costs in fixed chunk order — so results
-*and whole counter snapshots* are bit-identical across ``serial`` /
-``thread`` and any ``jobs`` value.
+merges chunk counters and level costs in fixed chunk order.  Chunks are
+contiguous row ranges, so their number never shows: results *and whole
+counter snapshots* are bit-identical across ``serial`` / ``thread`` and
+any ``jobs`` value.
 
 Budget propagation: pooled chunks poll the sweep's
 :class:`~repro.core.budget.Budget` between batches (cancelled, or no
@@ -48,33 +52,18 @@ survive such a kill checkpoints (``checkpoint_dir``) and resumes.
 
 Cache lookups stay coordinator-only: chunks never see a
 :class:`~repro.core.cache.ResultCache`.
-
-Lifecycle: passing a backend *name* to
-:class:`~repro.core.engine.EngineConfig` makes the engine create the
-backend for one sweep and close it afterwards.  Passing an *instance*
-leaves ownership with the caller (``begin_sweep``/``end_sweep`` still
-run per sweep) so one pool can serve many sweeps — a window sweep's
-inner FS* solves, or a whole :func:`~repro.core.cache.optimize_many`
-batch.  Pools are created lazily, on the first layer that actually has
-more than one chunk; ``jobs=1`` runs (and tiny sweeps) never start one.
 """
 
 from __future__ import annotations
 
-import abc
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
-    Sequence, Tuple, Type, Union,
-)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..analysis.counters import OperationCounters
-from ..errors import OrderingError
 from .compaction import settle_batch
 from .frontier import Layer
 from .spec import FSState, ReductionRule
@@ -82,10 +71,26 @@ from .spec import FSState, ReductionRule
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from .budget import Budget
 
-# Candidate table cells one kernel call settles.  Batches only set how
-# often a chunk polls the budget and, on the thread backend, how often
-# the GIL changes hands: each call runs whole in C.
+# Candidate table cells one kernel call settles.  Batches set how often
+# a chunk polls the budget and, under threads, how often the GIL changes
+# hands (each call runs whole in C), and the split rule hands a pooled
+# chunk at least about one batch.
 _BATCH_CELLS = 1 << 16
+
+#: The backend names ``EngineConfig(backend=...)``, every ``backend=``
+#: parameter, the CLI ``--backend`` flag and ``ServeConfig.backend``
+#: accept.
+BACKENDS = ("serial", "thread")
+
+
+def check_backend(backend: Any) -> str:
+    """``backend`` if it is one of the :data:`BACKENDS` names, else
+    :class:`ValueError` naming both."""
+    if not isinstance(backend, str) or backend not in BACKENDS:
+        raise ValueError(
+            f"backend must be 'serial' or 'thread', got {backend!r}"
+        )
+    return backend
 
 
 # ----------------------------------------------------------------------
@@ -158,13 +163,12 @@ def sweep_chunk(
     counters: OperationCounters,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> ChunkResult:
-    """Finalize rows ``rows`` of ``out`` (runs wherever the backend
-    says).
+    """Finalize rows ``rows`` of ``out``, inline or on a pool thread.
 
     Reads ``previous`` without mutating it and writes only its own rows
-    of ``out``.  This routine is the bit-identity anchor: every backend
-    routes every chunk through it, so where a chunk ran can never change
-    what it computed.
+    of ``out``.  This routine is the bit-identity anchor: every chunk
+    runs through it, so where a chunk ran can never change what it
+    computed.
 
     The rows are taken in batches of consecutive successors holding
     about ``_BATCH_CELLS`` candidate table cells, each settled in one
@@ -202,250 +206,63 @@ def sweep_chunk(
 
 
 # ----------------------------------------------------------------------
-# backend protocol
+# the split rule, and running a layer
 # ----------------------------------------------------------------------
 
-@dataclass
-class SweepContext:
-    """Everything a backend needs to know about the sweep it executes."""
+def split_layer(out: NextLayer, jobs: int) -> List[slice]:
+    """The chunks of the layer ``out`` holds, for ``jobs`` threads:
+    ``min(jobs, candidate cells // _BATCH_CELLS)`` of them, and at least
+    one, where a layer's candidate cells are its rows x k x its table
+    width.  A pooled chunk so settles at least about one kernel batch,
+    and a layer of fewer than two batches runs inline at any ``jobs``."""
+    rows, width = out.tables.shape
+    k = int(out.masks[0]).bit_count()
+    cells = rows * k * width
+    return split_chunks(rows, max(1, min(jobs, cells // _BATCH_CELLS)))
 
-    base: FSState
-    rule: ReductionRule
-    jobs: int
-    budget: Optional["Budget"] = None
 
+def run_layer(
+    chunks: Sequence[slice],
+    previous: Layer,
+    out: NextLayer,
+    base: FSState,
+    rule: ReductionRule,
+    pool: Optional[ThreadPoolExecutor] = None,
+    budget: Optional["Budget"] = None,
+) -> List[ChunkResult]:
+    """Fill ``out`` chunk by chunk and return the results in chunk order.
 
-class ExecutorBackend(abc.ABC):
-    """Where the engine's layer chunks execute.
-
-    The engine only ever calls the four lifecycle methods below, so an
-    instance of any subclass may be passed as
-    ``EngineConfig(backend=...)``.  A backend instance serves one sweep
-    at a time (``begin_sweep``/``end_sweep`` bracket each sweep) but may
-    serve many sweeps over its life; :meth:`close` releases long-lived
-    resources such as thread pools.
-
-    One-sweep-at-a-time is *enforced*, not assumed: ``begin_sweep``
-    takes an internal mutex that ``end_sweep`` releases, so when several
-    threads share one warm instance (the :mod:`repro.serve` daemon's
-    request workers, a caller-owned pool handed to concurrent solves)
-    their sweeps serialize instead of silently overwriting each other's
-    context mid-layer.  A *nested* sweep on the thread that already owns
-    the instance raises :class:`~repro.errors.OrderingError` — that is a
-    programming error, and blocking on it would deadlock.
+    A single chunk, or any chunks without a ``pool``, run inline.  More
+    than one chunk run on ``pool`` and poll ``budget`` between batches
+    (see the module docstring).
     """
-
-    name: str = "custom"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self._jobs = jobs
-        self._context: Optional[SweepContext] = None
-        self._sweep_lock = threading.Lock()
-        self._sweep_owner: Optional[int] = None
-
-    def begin_sweep(self, context: SweepContext) -> None:
-        """Adopt a sweep (blocking while another thread's sweep runs)."""
-        if self._sweep_owner == threading.get_ident():
-            raise OrderingError(
-                f"backend {self.name!r} is already mid-sweep on this "
-                "thread; a sweep cannot nest another sweep on the same "
-                "backend instance — pass a separate backend (or a name, "
-                "which creates a fresh one) for the inner run"
-            )
-        self._sweep_lock.acquire()
-        self._sweep_owner = threading.get_ident()
-        self._context = context
-
-    @abc.abstractmethod
-    def run_layer(
-        self,
-        layer: int,
-        chunks: Sequence[slice],
-        previous: Layer,
-        out: NextLayer,
-    ) -> List[ChunkResult]:
-        """Fill ``out`` chunk by chunk; return results in chunk order."""
-
-    def end_sweep(self) -> None:
-        """Release the sweep; the backend stays usable for the next
-        ``begin_sweep``.  Safe to call without an open sweep: only the
-        thread that owns the sweep releases the mutex."""
-        self._context = None
-        if self._sweep_owner == threading.get_ident():
-            self._sweep_owner = None
-            self._sweep_lock.release()
-
-    def close(self) -> None:
-        """Release everything, thread pools included."""
-
-    def __enter__(self) -> "ExecutorBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # Shared by serial execution and every backend's single-chunk fast
-    # path: same fresh-counters-per-chunk structure as the pooled path,
-    # so where a chunk ran never shows in the numbers.
-    def _run_inline(
-        self,
-        chunks: Sequence[slice],
-        previous: Layer,
-        out: NextLayer,
-    ) -> List[ChunkResult]:
-        context = self._context
-        assert context is not None, (
-            "run_layer called outside begin_sweep/end_sweep"
-        )
+    if pool is None or len(chunks) == 1:
         return [
-            sweep_chunk(rows, previous, out, context.base, context.rule,
-                        OperationCounters())
+            sweep_chunk(rows, previous, out, base, rule, OperationCounters())
             for rows in chunks
         ]
+    # Set when this call unwinds early (a chunk raised, or the
+    # coordinator was interrupted), so the other chunks stop at their
+    # next batch instead of writing into a discarded layer.
+    abandon = threading.Event()
 
-
-def create_backend(name: str, jobs: Optional[int] = None) -> ExecutorBackend:
-    """Instantiate the backend :data:`BACKENDS` names ``name`` (``jobs``
-    caps its pool width; defaults to each sweep's ``EngineConfig.jobs``);
-    ``ValueError`` on unknown names."""
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {sorted(BACKENDS)}"
+    def should_stop() -> bool:
+        if abandon.is_set():
+            return True
+        if budget is None:
+            return False
+        remaining = budget.remaining()
+        return budget.cancelled() or (
+            remaining is not None and remaining <= 0
         )
-    return BACKENDS[name](jobs=jobs)
 
-
-def resolve_backend(
-    spec: Union[str, ExecutorBackend],
-) -> Tuple[ExecutorBackend, bool]:
-    """``(backend, engine_owned)`` for an ``EngineConfig.backend`` value.
-
-    A string creates a fresh engine-owned backend (closed after the
-    sweep); an instance stays caller-owned (only ``begin_sweep`` /
-    ``end_sweep`` run), which is how one pool serves many sweeps.
-    """
-    if isinstance(spec, ExecutorBackend):
-        return spec, False
-    return create_backend(spec), True
-
-
-@contextmanager
-def shared_backend(config: Any) -> Iterator[Any]:
-    """Pin ``config.backend`` to one live instance for a whole block.
-
-    Entry points that run *many* sweeps per call (a window sweep's inner
-    FS* solves, a fallback ladder) use this so a string backend spec
-    costs one pool, not one pool per sweep.  Yields ``config`` itself
-    when it is ``None`` or already carries an instance.
-
-    When the body is already unwinding an exception, a failure of
-    ``close()`` is swallowed so it can never mask the original error; a
-    close failure on a clean exit still propagates.
-    """
-    if config is None or isinstance(config.backend, ExecutorBackend):
-        yield config
-        return
-    backend = create_backend(config.backend)
+    futures = [
+        pool.submit(sweep_chunk, rows, previous, out, base, rule,
+                    OperationCounters(), should_stop)
+        for rows in chunks
+    ]
     try:
-        yield replace(config, backend=backend)
-    except BaseException:
-        try:
-            backend.close()
-        except Exception:
-            pass
-        raise
-    else:
-        backend.close()
-
-
-# ----------------------------------------------------------------------
-# the two backends
-# ----------------------------------------------------------------------
-
-class SerialBackend(ExecutorBackend):
-    """Chunks run inline on the coordinator — the reference executor
-    (``jobs`` is accepted for interface symmetry and ignored)."""
-
-    name = "serial"
-
-    def run_layer(
-        self,
-        layer: int,
-        chunks: Sequence[slice],
-        previous: Layer,
-        out: NextLayer,
-    ) -> List[ChunkResult]:
-        return self._run_inline(chunks, previous, out)
-
-
-class ThreadBackend(ExecutorBackend):
-    """Chunks fan out over a thread pool of ``jobs`` threads.
-
-    Single-chunk layers run inline, so ``jobs=1`` thread runs are
-    exactly serial runs and never start the pool.  Pooled chunks poll
-    the sweep's budget between batches (see the module docstring).
-    """
-
-    name = "thread"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        super().__init__(jobs)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def run_layer(
-        self,
-        layer: int,
-        chunks: Sequence[slice],
-        previous: Layer,
-        out: NextLayer,
-    ) -> List[ChunkResult]:
-        if len(chunks) <= 1:
-            return self._run_inline(chunks, previous, out)
-        context = self._context
-        assert context is not None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._jobs or context.jobs,
-                thread_name_prefix="repro-sweep",
-            )
-        budget = context.budget
-        # Set when this call unwinds early (a chunk raised, or the
-        # coordinator was interrupted), so the other chunks stop at
-        # their next batch instead of writing into a discarded layer.
-        abandon = threading.Event()
-
-        def should_stop() -> bool:
-            if abandon.is_set():
-                return True
-            if budget is None:
-                return False
-            remaining = budget.remaining()
-            return budget.cancelled() or (
-                remaining is not None and remaining <= 0
-            )
-
-        futures = [
-            self._pool.submit(
-                sweep_chunk, rows, previous, out, context.base, context.rule,
-                OperationCounters(), should_stop,
-            )
-            for rows in chunks
-        ]
-        try:
-            return [future.result() for future in futures]
-        finally:
-            abandon.set()
-            wait(futures)
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
-#: The backends ``EngineConfig(backend=...)``, :func:`create_backend`
-#: and the CLI ``--backend`` flag accept, by name.
-BACKENDS: Dict[str, Type[ExecutorBackend]] = {
-    "serial": SerialBackend,
-    "thread": ThreadBackend,
-}
+        return [future.result() for future in futures]
+    finally:
+        abandon.set()
+        wait(futures)

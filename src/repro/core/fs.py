@@ -17,7 +17,7 @@ measures exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - budget imports fs lazily
     from .budget import Budget
-    from .executor import ExecutorBackend
 
 
 def initial_state(
@@ -198,7 +197,7 @@ def run_fs(
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
     jobs: int = 1,
-    backend: Union[str, "ExecutorBackend"] = "serial",
+    backend: str = "serial",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
@@ -219,14 +218,13 @@ def run_fs(
     counters:
         Optional instrumentation sink.
     jobs:
-        Fan each DP layer over this many workers (masks of equal
+        Threads per DP layer under ``backend="thread"`` (masks of equal
         cardinality are independent).  Results and counters are
         bit-identical for every value.
     backend:
-        Where those workers run — ``"serial"`` (default, inline) or
-        ``"thread"`` (a pool of ``jobs`` threads over the GIL-free
-        kernel), or a live :class:`repro.core.executor.ExecutorBackend`
-        instance to share one pool across several runs.  Results and counters are
+        ``"serial"`` (default: every layer inline) or ``"thread"``
+        (layers large enough to pay for it split over a pool of ``jobs``
+        threads over the GIL-free kernel).  Results and counters are
         bit-identical across backends (see :mod:`repro.core.executor`).
     profiler:
         Optional :class:`repro.observability.Profiler` receiving the
@@ -304,11 +302,7 @@ def run_fs(
         profiler.meta.setdefault("rule", rule.value)
         profiler.meta.setdefault("kernel", KERNEL)
         profiler.meta.setdefault("jobs", jobs)
-        profiler.meta.setdefault(
-            "backend",
-            backend if isinstance(backend, str)
-            else getattr(backend, "name", type(backend).__name__),
-        )
+        profiler.meta.setdefault("backend", backend)
         if checkpoint_dir is not None:
             profiler.meta.setdefault("checkpoint_dir", checkpoint_dir)
             profiler.meta.setdefault("resume", resume)
@@ -349,7 +343,7 @@ def find_optimal_ordering(
     n: Optional[int] = None,
     rule: ReductionRule = ReductionRule.BDD,
     jobs: int = 1,
-    backend: Union[str, "ExecutorBackend"] = "serial",
+    backend: str = "serial",
 ) -> FSResult:
     """Convenience front end accepting any evaluable representation.
 

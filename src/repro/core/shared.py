@@ -41,7 +41,6 @@ from .spec import FSState, ReductionRule
 
 if TYPE_CHECKING:  # pragma: no cover - budget imports this package lazily
     from .budget import Budget
-    from .executor import ExecutorBackend
 
 
 def initial_state_shared(
@@ -104,7 +103,7 @@ def run_fs_shared(
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
     jobs: int = 1,
-    backend: "str | ExecutorBackend" = "serial",
+    backend: str = "serial",
     profiler: Optional[Profiler] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,

@@ -28,7 +28,6 @@ from ..truth_table import TruthTable
 from .cache import raw_table_key
 from .compaction import compact
 from .engine import EngineConfig
-from .executor import shared_backend
 from .fs import initial_state
 from .fs_star import run_fs_star
 from .spec import ReductionRule
@@ -225,38 +224,34 @@ def window_sweep(
     size = initial_size
     solved = 0
 
-    # A sweep runs O(n * rounds) inner FS* solves; pin the configured
-    # backend to one live instance so a pool-bearing backend spec costs
-    # one pool for the whole sweep, not one per window.
-    with shared_backend(config) as config:
-        for _ in range(max_rounds):
-            round_improved = False
-            for start in range(n - width + 1):
-                if budget is not None:
-                    budget.check(
-                        counters=counters,
-                        best_bound=size,
-                        best_order=tuple(order),
-                        where=f"window boundary (start={start})",
-                    )
-                try:
-                    result = exact_window(
-                        table, order, start, width, rule, counters, config,
-                        known_size=size,
-                    )
-                except BudgetExceeded as exc:
-                    # The inner FS* raise describes a sub-lattice state;
-                    # the sweep-level progress is what a caller can use.
-                    exc.best_order = tuple(order)
-                    exc.best_bound = size
-                    raise
-                solved += 1
-                if result.size < size:
-                    size = result.size
-                    order = list(result.order)
-                    round_improved = True
-            if not round_improved:
-                break
+    for _ in range(max_rounds):
+        round_improved = False
+        for start in range(n - width + 1):
+            if budget is not None:
+                budget.check(
+                    counters=counters,
+                    best_bound=size,
+                    best_order=tuple(order),
+                    where=f"window boundary (start={start})",
+                )
+            try:
+                result = exact_window(
+                    table, order, start, width, rule, counters, config,
+                    known_size=size,
+                )
+            except BudgetExceeded as exc:
+                # The inner FS* raise describes a sub-lattice state;
+                # the sweep-level progress is what a caller can use.
+                exc.best_order = tuple(order)
+                exc.best_bound = size
+                raise
+            solved += 1
+            if result.size < size:
+                size = result.size
+                order = list(result.order)
+                round_improved = True
+        if not round_improved:
+            break
     if cache is not None and fingerprint is not None:
         cache.store(fingerprint, {
             "kind": "window_sweep",

@@ -3,12 +3,12 @@
 The exact FS-family DP certifies optima but costs ``O*(3^n)``; the
 heuristics literature the paper's introduction surveys trades that
 certificate for speed.  This module makes the inexact side a first-class
-subsystem, mirroring the backend registry:
-every heuristic registers under a name (:func:`register_strategy`), runs
-standalone (:func:`run_strategy`) under a :class:`~repro.core.budget.Budget`,
-or races against the whole field (:func:`run_portfolio`) with a
-deterministic winner — best size, ties broken by the lexicographically
-lowest strategy name — independent of ``jobs`` and backend.
+subsystem: every heuristic registers under a name
+(:func:`register_strategy`), runs standalone (:func:`run_strategy`)
+under a :class:`~repro.core.budget.Budget`, or races against the whole
+field (:func:`run_portfolio`) with a deterministic winner — best size,
+ties broken by the lexicographically lowest strategy name — independent
+of ``jobs`` and backend.
 
 It is also the canonical home of Rudell sifting.  The repo historically
 grew two independent implementations (an evaluation-level sifter over a
@@ -431,7 +431,7 @@ class StrategyContext:
     budget: Budget
     counters: OperationCounters
     jobs: int = 1
-    backend: Any = "serial"
+    backend: str = "serial"
     cache: Optional[Any] = None
     profiler: Optional[Any] = None
     seed: int = 0
@@ -865,8 +865,8 @@ def run_portfolio(
     Every member receives its own fresh
     :class:`~repro.analysis.counters.OperationCounters` and an equal
     :meth:`~repro.core.budget.Budget.subbudget` share of the remaining
-    deadline; with ``config.jobs > 1`` members run on racing threads
-    (exact inner sweeps serialize on the shared warm backend).  The
+    deadline; with ``config.jobs > 1`` members run on racing threads,
+    each sweeping under ``config``'s backend and jobs.  The
     winner minimizes ``(size, strategy name)`` and the per-member
     counters merge into ``counters`` in sorted-name order, so both the
     answer and the merged counters are bit-identical across jobs counts
@@ -891,12 +891,9 @@ def run_portfolio(
     remaining = budget.remaining()
     share = None if remaining is None else remaining / len(names)
 
-    from .core.executor import resolve_backend  # deferred: engine family
-
-    backend_obj, owns_backend = resolve_backend(config.backend)
     member_config = EngineConfig(
         jobs=config.jobs,
-        backend=backend_obj,
+        backend=config.backend,
         cache=config.cache,
         profiler=config.profiler,
     )
@@ -913,18 +910,14 @@ def run_portfolio(
             config=member_config,
         )
 
-    try:
-        race_jobs = min(config.jobs, len(names))
-        if race_jobs > 1:
-            with ThreadPoolExecutor(
-                max_workers=race_jobs, thread_name_prefix="portfolio"
-            ) as pool:
-                results = list(pool.map(run_one, names))
-        else:
-            results = [run_one(name) for name in names]
-    finally:
-        if owns_backend:
-            backend_obj.close()
+    race_jobs = min(config.jobs, len(names))
+    if race_jobs > 1:
+        with ThreadPoolExecutor(
+            max_workers=race_jobs, thread_name_prefix="portfolio"
+        ) as pool:
+            results = list(pool.map(run_one, names))
+    else:
+        results = [run_one(name) for name in names]
 
     for result in sorted(results, key=lambda r: r.name):
         counters.merge(result.counters)

@@ -1,18 +1,17 @@
 """Ordering-as-a-service: the ``repro serve`` daemon.
 
-The library grew everything a long-lived reordering service needs — warm
-:class:`~repro.core.executor.ExecutorBackend` pools, a fingerprint-deduped
-:class:`~repro.core.cache.ResultCache`, :class:`~repro.core.budget.Budget`
-admission with cooperative cancellation — but each caller still paid
-process startup and a cold cache per invocation.  This module turns
-those five library entry points into a system that serves traffic: a
-single-process stdlib-``asyncio`` front-end multiplexing many concurrent
-clients over
+The library grew everything a long-lived reordering service needs — a
+fingerprint-deduped :class:`~repro.core.cache.ResultCache`,
+:class:`~repro.core.budget.Budget` admission with cooperative
+cancellation — but each caller still paid process startup and a cold
+cache per invocation.  This module turns those five library entry
+points into a system that serves traffic: a single-process
+stdlib-``asyncio`` front-end multiplexing many concurrent clients over
 
-* **one warm execution backend** (created once for the server's
-  lifetime, so its thread pool is started once and reused by every
-  request; concurrent sweeps serialize on the backend's sweep mutex
-  while canonicalization, cache traffic and I/O overlap freely), and
+* **up to ``max_inflight`` concurrent solves** on request worker
+  threads, each sweeping under the configured backend name and ``jobs``
+  (under ``thread``, a sweep with layers large enough to split starts
+  its own pool of ``jobs`` threads and shuts it down when it ends), and
 * **one shared result cache** (in-memory LRU plus optional
   cross-process-safe disk store), so every request benefits from every
   previous answer — the accumulation point the learned-ordering
@@ -117,7 +116,7 @@ from .analysis.counters import OperationCounters
 from .api import solve
 from .core.budget import Budget
 from .core.cache import ResultCache, table_key
-from .core.executor import ExecutorBackend, create_backend
+from .core.executor import check_backend
 from .core.spec import ReductionRule
 from .errors import BudgetExceeded, ReproError, ServeError
 from .truth_table import TruthTable
@@ -156,11 +155,11 @@ class ServeConfig:
     """Serve on this unix-domain socket path instead of TCP."""
 
     backend: str = "thread"
-    """Execution backend kept for the server's lifetime."""
+    """Execution backend of every request's sweep: ``"serial"`` or
+    ``"thread"``."""
 
     jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
-    """Threads per DP layer in the warm pool (layer parallelism per
-    sweep)."""
+    """Threads per large DP layer of one sweep under ``thread``."""
 
     cache_dir: Optional[str] = None
     """Optional on-disk store for the shared result cache
@@ -183,8 +182,7 @@ class ServeConfig:
     is full is rejected with 429, never buffered without bound."""
 
     max_inflight: int = 2
-    """Concurrent request executions (canonicalization/cache/IO overlap;
-    kernel sweeps additionally serialize on the one warm backend)."""
+    """Concurrent request executions, sweeps included."""
 
     default_timeout: Optional[float] = None
     """Per-request wall-clock ceiling; a request's own ``timeout`` may
@@ -391,7 +389,8 @@ def _parse_rule(payload: Dict[str, Any]) -> ReductionRule:
 
 
 class OrderingServer:
-    """The daemon: one warm backend, one shared cache, many clients.
+    """The daemon: bounded concurrent solves, one shared cache, many
+    clients.
 
     Lifecycle: :meth:`start` binds and begins serving; :meth:`shutdown`
     (or the first SIGTERM/SIGINT when signal handlers are installed)
@@ -406,6 +405,7 @@ class OrderingServer:
             raise ValueError("max_inflight must be >= 1")
         if self.config.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
+        check_backend(self.config.backend)
         self.metrics = ServerMetrics()
         self.cache = ResultCache(
             maxsize=self.config.cache_size,
@@ -425,7 +425,6 @@ class OrderingServer:
 
         self.totals = OperationCounters()
         self._totals_lock = threading.Lock()
-        self._backend: Optional[ExecutorBackend] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._queue: "asyncio.PriorityQueue[_QueuedRequest]" = None  # type: ignore[assignment]
         self._workers: List[asyncio.Task] = []
@@ -444,14 +443,11 @@ class OrderingServer:
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Bind, warm the backend, and begin serving."""
+        """Bind and begin serving."""
         config = self.config
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.PriorityQueue(maxsize=config.queue_limit)
         self._done = asyncio.Event()
-        # ONE live backend instance for the whole server lifetime;
-        # every request's sweep reuses its warm pool.
-        self._backend = create_backend(config.backend)
         self._pool = ThreadPoolExecutor(
             max_workers=config.max_inflight,
             thread_name_prefix="repro-serve",
@@ -540,9 +536,6 @@ class OrderingServer:
         self._installed_signals.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
         for conn in list(self._connections):
             conn.writer.close()
         try:
@@ -1211,7 +1204,7 @@ class OrderingServer:
                     seed=prepared.strategy_seed,
                     rule=prepared.rule,
                     jobs=config.jobs,
-                    backend=self._backend,
+                    backend=config.backend,
                     cache=self.cache,
                     budget=sub,
                 )
@@ -1222,7 +1215,7 @@ class OrderingServer:
                     method=prepared.method,
                     rule=prepared.rule,
                     jobs=config.jobs,
-                    backend=self._backend,
+                    backend=config.backend,
                     cache=self.cache,
                     budget=sub,
                     **prepared.solve_kwargs,

@@ -167,6 +167,29 @@ class TestOtherCommands:
         assert "sift" in out
         assert "(1.00x)" in out  # exact row at least
 
+    def test_portfolio_lists_strategies(self, run):
+        from repro.portfolio import available_strategies
+
+        code, out, _ = run("portfolio")
+        assert code == 0
+        assert out.splitlines()[0] == "registered strategies:"
+        for name in available_strategies():
+            assert f"  {name} " in out
+
+    @pytest.mark.parametrize("extra", [
+        (), ("--backend", "thread", "--jobs", "2"),
+    ])
+    def test_portfolio_races_on_an_input(self, run, extra):
+        code, out, _ = run(
+            "portfolio", "--expr", "x0 & x1 | x2 & x3",
+            "--strategies", "sift,window3", *extra,
+        )
+        assert code == 0
+        assert "winner           : sift (size 6)" in out
+        assert "best ordering    : x0 x1 x2 x3" in out
+        assert "  sift            size    6  [ok]  x0 x1 x2 x3" in out
+        assert "  window3         size    6  [ok]  x0 x1 x2 x3" in out
+
 
 class TestSharedOptimize:
     def test_all_outputs_blif(self, run, tmp_path):

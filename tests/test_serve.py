@@ -1,4 +1,5 @@
-"""Daemon tests: one warm pool + one shared cache serving many clients.
+"""Daemon tests: one long-lived process + one shared cache serving many
+clients.
 
 The contract under test (ISSUE acceptance criteria): the daemon survives
 16 concurrent mixed requests with every answer bit-identical to a direct

@@ -80,7 +80,9 @@ configs = st.tuples(
     st.sampled_from(sorted(BACKENDS)),
     st.sampled_from([1, 2, 4]),
     # The chunk loop's batch cap in table cells: one subset per batch, a
-    # few subsets, or the default (every n <= 6 layer in one batch).
+    # few subsets, or the default (every n <= 6 layer in one batch).  The
+    # split rule reads the same cap, so under the thread backend the
+    # small caps split layers into up to ``jobs`` pooled chunks.
     st.one_of(st.just(1), st.integers(2, 64),
               st.just(executor._BATCH_CELLS)),
     # A crash after layer k (clamped to n), optionally with the layer's
