@@ -65,7 +65,6 @@ from .portfolio import (
     SearchResult,
     StrategyResult,
     available_strategies,
-    register_strategy,
     run_portfolio,
     run_strategy,
     sift_search,
@@ -117,7 +116,6 @@ __all__ = [
     "count_subfunctions",
     # heuristic strategy portfolio
     "available_strategies",
-    "register_strategy",
     "run_portfolio",
     "run_strategy",
     "sift_search",

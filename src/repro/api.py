@@ -26,13 +26,15 @@ selects *how hard to try* rather than *what to compute*.
 heuristic (:func:`repro.portfolio.run_portfolio`) and returns the
 deterministic winner; and any single registered strategy name (see
 :func:`repro.portfolio.available_strategies`) runs that heuristic
-standalone.  Inexact strategies always come back ``exact=False`` so
-``certify``-style consumers refuse them uniformly.
+standalone.  Every strategy takes the same engine knobs, as one
+:class:`~repro.core.engine.EngineConfig`.  Inexact strategies always
+come back ``exact=False`` (the ladder only when its exact rung
+finished) so ``certify``-style consumers refuse them uniformly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from .analysis.counters import OperationCounters
@@ -44,11 +46,10 @@ from .truth_table import TruthTable
 METHODS = ("fs", "shared", "constrained", "window", "fs_star")
 
 # The uniformly accepted engine kwargs: EngineConfig fields, and the
-# same-named parameters of the run_* entry points.
-_ENGINE_KWARGS = (
-    "jobs", "backend", "profiler",
-    "checkpoint_dir", "resume", "fault_injector", "cache", "budget",
-    "io_retry",
+# same-named parameters of the run_* entry points.  The checkpoint tag
+# is entry-point state that the constrained DP sets itself.
+_ENGINE_KWARGS = tuple(
+    f.name for f in fields(EngineConfig) if f.name != "checkpoint_tag"
 )
 
 
@@ -155,26 +156,49 @@ def _engine_config(method: str, kwargs: Dict[str, Any]) -> EngineConfig:
     return EngineConfig(**_split_engine_kwargs(method, kwargs))
 
 
-# The subset of engine kwargs the inexact strategy paths accept (no
-# fault injection / io_retry: strategies run many small exact sweeps and
-# never checkpoint mid-heuristic).
-_STRATEGY_ENGINE_KWARGS = (
-    "jobs", "backend", "profiler", "cache",
-    "budget", "checkpoint_dir", "resume",
-)
+def check_strategy(
+    method: str,
+    strategy: str,
+    strategies: Optional[Tuple[str, ...]] = None,
+    fallback_rungs: Any = None,
+) -> None:
+    """Check that a solve's strategy fields agree with each other.
 
-
-def _strategy_engine_kwargs(
-    strategy: str, kwargs: Dict[str, Any]
-) -> Dict[str, Any]:
-    unknown = sorted(set(kwargs) - set(_STRATEGY_ENGINE_KWARGS))
-    if unknown:
+    A strategy other than ``"exact"`` needs ``method="fs"``;
+    ``strategies=`` needs ``strategy="portfolio"`` and ``fallback_rungs=``
+    needs ``strategy="fallback"`` (``TypeError``).  Every strategy name
+    must be registered and the ladder valid
+    (:class:`~repro.errors.OrderingError`).  :func:`solve` and the serve
+    daemon both call this before any work starts.
+    """
+    if strategy == "exact" and strategies is None and fallback_rungs is None:
+        return
+    if strategy != "exact" and method != "fs":
         raise TypeError(
-            f"solve(strategy={strategy!r}) got unexpected keyword "
-            f"argument(s) {unknown}; engine options are "
-            f"{sorted(_STRATEGY_ENGINE_KWARGS)}"
+            f"strategy {strategy!r} only supports method 'fs' (got "
+            f"{method!r}); inexact strategies search orderings of a single "
+            "table"
         )
-    return dict(kwargs)
+    if strategies is not None and strategy != "portfolio":
+        raise TypeError(
+            "strategies (a portfolio member subset) requires strategy "
+            "'portfolio'"
+        )
+    if fallback_rungs is not None and strategy != "fallback":
+        raise TypeError(
+            "fallback_rungs (a degradation ladder) requires strategy "
+            "'fallback'"
+        )
+    from .portfolio import get_strategy
+
+    if strategy not in ("exact", "fallback", "portfolio"):
+        get_strategy(strategy)
+    for name in strategies or ():
+        get_strategy(name)
+    if strategy == "fallback":
+        from .core.budget import parse_ladder
+
+        parse_ladder(fallback_rungs)
 
 
 def solve(
@@ -219,20 +243,22 @@ def solve(
         How hard to try (orthogonal to ``method``, which must stay
         ``"fs"`` for anything but ``"exact"``): ``"exact"`` runs the
         method as-is; ``"fallback"`` runs the degradation ladder
-        (``fallback_rungs=`` names the rungs, built-in or registered
-        strategies, default ``fs → window → sift``); ``"portfolio"``
-        races registered heuristics (``strategies=`` restricts the
-        field, ``seed=`` feeds the stochastic members) and returns the
-        deterministic best-``(size, name)`` winner; any registered
-        strategy name runs that one heuristic standalone.
+        (``fallback_rungs=`` names the rungs: ``fs``, ``window`` or any
+        registered strategy, default ``fs → window → sift``);
+        ``"portfolio"`` races registered heuristics (``strategies=``
+        restricts the field, ``seed=`` feeds the stochastic members) and
+        returns the deterministic best-``(size, name)`` winner; any
+        registered strategy name runs that one heuristic standalone.
     counters:
         Optional instrumentation sink (a fresh one is created and
         returned on the solution otherwise).
     **engine_kwargs:
-        Uniform execution knobs, identical across methods: ``jobs``,
-        ``backend``, ``profiler``, ``checkpoint_dir``,
-        ``resume``, ``fault_injector``, ``cache``, ``budget``,
-        ``io_retry``.
+        Uniform execution knobs, identical across methods and
+        strategies: ``jobs``, ``backend``, ``profiler``,
+        ``checkpoint_dir``, ``resume``, ``fault_injector``, ``cache``,
+        ``budget``, ``io_retry``.  Only exact sweeps checkpoint (the
+        ladder's ``fs`` rung included); heuristic strategies ignore the
+        checkpoint options.
 
     Returns
     -------
@@ -244,31 +270,18 @@ def solve(
         raise ValueError(
             f"unknown method {method!r}; expected one of {list(METHODS)}"
         )
+    check_strategy(method, strategy, strategies, fallback_rungs)
     if counters is None:
         counters = OperationCounters()
     profile = engine_kwargs.get("profiler")
 
     if strategy != "exact":
-        if method != "fs":
-            raise TypeError(
-                f"solve(strategy={strategy!r}) only supports method='fs' "
-                f"(got method={method!r}); inexact strategies search "
-                "orderings of a single table"
-            )
         return _solve_strategy(
             problem, strategy=strategy, strategies=strategies,
             fallback_rungs=fallback_rungs, seed=seed, rule=rule,
             counters=counters, n=n, initial_order=initial_order,
-            width=width, max_rounds=max_rounds, profile=profile,
+            max_rounds=max_rounds, profile=profile,
             engine_kwargs=engine_kwargs,
-        )
-    if strategies is not None:
-        raise TypeError(
-            "solve() got strategies= without strategy='portfolio'"
-        )
-    if fallback_rungs is not None:
-        raise TypeError(
-            "solve() got fallback_rungs= without strategy='fallback'"
         )
 
     if method == "fs":
@@ -379,7 +392,6 @@ def _solve_strategy(
     counters: OperationCounters,
     n: Optional[int],
     initial_order: Optional[Tuple[int, ...]],
-    width: int,
     max_rounds: int,
     profile: Optional[Profiler],
     engine_kwargs: Dict[str, Any],
@@ -388,33 +400,15 @@ def _solve_strategy(
     registered strategy.  Always ``method="fs"`` (the orderings are
     scored by exact FS-family sweeps) and ``exact`` only when the
     ladder's exact rung finished."""
-    if strategies is not None and strategy != "portfolio":
-        raise TypeError(
-            "solve() got strategies= without strategy='portfolio'"
-        )
-    if fallback_rungs is not None and strategy != "fallback":
-        raise TypeError(
-            "solve() got fallback_rungs= without strategy='fallback'"
-        )
     table = _as_table(problem, n)
-    kwargs = _strategy_engine_kwargs(strategy, engine_kwargs)
+    config = _engine_config("fs", engine_kwargs)
 
     if strategy == "fallback":
         from .core.budget import run_ladder
 
         outcome = run_ladder(
-            table,
-            budget=kwargs.get("budget"),
-            rule=rule,
-            counters=counters,
-            jobs=kwargs.get("jobs", 1),
-            backend=kwargs.get("backend", "serial"),
-            cache=kwargs.get("cache"),
-            profiler=kwargs.get("profiler"),
-            window_width=width,
-            checkpoint_dir=kwargs.get("checkpoint_dir"),
-            resume=kwargs.get("resume", False),
-            fallback_rungs=fallback_rungs,
+            table, ladder=fallback_rungs, rule=rule, counters=counters,
+            config=config,
         )
         return OrderingSolution(
             method="fs", n=outcome.n, rule=rule, order=outcome.order,
@@ -423,16 +417,6 @@ def _solve_strategy(
             profile=profile, result=outcome, strategy=strategy,
             rung=outcome.rung,
         )
-
-    config = EngineConfig(
-        jobs=kwargs.get("jobs", 1),
-        backend=kwargs.get("backend", "serial"),
-        profiler=kwargs.get("profiler"),
-        cache=kwargs.get("cache"),
-        budget=kwargs.get("budget"),
-        checkpoint_dir=kwargs.get("checkpoint_dir"),
-        resume=kwargs.get("resume", False),
-    )
 
     if strategy == "portfolio":
         from .portfolio import run_portfolio

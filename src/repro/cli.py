@@ -80,9 +80,11 @@ def _make_cache(args: argparse.Namespace):
     return None
 
 
-def _make_budget(args: argparse.Namespace):
+def _make_budget(args: argparse.Namespace, deadline: bool = True):
     """A :class:`~repro.core.budget.Budget` from ``--timeout`` /
-    ``--max-frontier-mb``, or ``None`` when neither was given."""
+    ``--max-frontier-mb``, or ``None`` when neither was given.  Every
+    budget the CLI builds comes from here.  ``deadline=False`` leaves
+    ``--timeout`` off the budget: a batch grants it to each item."""
     timeout = getattr(args, "timeout", None)
     frontier_mb = getattr(args, "max_frontier_mb", None)
     if timeout is None and frontier_mb is None:
@@ -90,7 +92,7 @@ def _make_budget(args: argparse.Namespace):
     from .core.budget import Budget
 
     return Budget(
-        deadline=timeout,
+        deadline=timeout if deadline else None,
         max_frontier_bytes=(
             int(frontier_mb * 1024 * 1024) if frontier_mb is not None
             else None
@@ -175,24 +177,25 @@ def _run_optimize(args: argparse.Namespace) -> int:
     fallback_spec = getattr(args, "fallback", None)
     if fallback_spec is not None and args.algorithm != "fs":
         raise ReproError("--fallback requires --algorithm fs")
-    strategy = getattr(args, "strategy", None)
-    if strategy is not None and strategy != "exact":
+    # The strategy line prints only for an explicit --strategy.
+    named = getattr(args, "strategy", None) not in (None, "exact")
+    if named:
         if args.algorithm != "fs":
             raise ReproError("--strategy requires --algorithm fs")
-        if fallback_spec is not None and strategy != "fallback":
+        if fallback_spec is not None and args.strategy != "fallback":
             raise ReproError(
                 "--fallback only combines with --strategy fallback"
             )
-        result = _solve_with_strategy(
-            table, strategy, rule, args, profiler, engine_kwargs,
-            fallback_spec,
+        strategy = args.strategy
+    else:
+        strategy = "exact" if fallback_spec is None else "fallback"
+    if args.algorithm == "fs":
+        from .api import solve
+
+        result = solve(
+            table, strategy=strategy, fallback_rungs=fallback_spec,
+            rule=rule, seed=args.seed, profiler=profiler, **engine_kwargs,
         )
-    elif args.algorithm == "fs" and fallback_spec is not None:
-        result = _run_ladder(table, fallback_spec, profiler, engine_kwargs,
-                             rule=rule)
-    elif args.algorithm == "fs":
-        result = run_fs(table, rule=rule, profiler=profiler,
-                        **engine_kwargs)
     elif args.algorithm == "astar":
         result = astar_optimal_ordering(table, rule=rule)
     elif args.algorithm == "optobdd":
@@ -211,15 +214,13 @@ def _run_optimize(args: argparse.Namespace) -> int:
     print(f"internal nodes   : {result.mincost}")
     print(f"total size       : {result.size}")
     rung = getattr(result, "rung", None)
-    used_strategy = getattr(result, "strategy", None)
-    if used_strategy not in (None, "exact"):
-        print(f"strategy         : {used_strategy}")
+    if named:
+        print(f"strategy         : {strategy}")
     if rung is not None:
-        flavor = ("fallback" if used_strategy in (None, "fallback")
-                  else "heuristic")
+        flavor = "fallback" if strategy == "fallback" else "heuristic"
         print(f"method           : {rung} "
               f"({'exact' if exact else f'{flavor}, not certified optimal'})")
-    if used_strategy == "portfolio":
+    if strategy == "portfolio":
         for member in result.result.results:
             print(f"  {member.name:<15} size {member.size:4d}  "
                   f"[{member.status}]")
@@ -231,21 +232,14 @@ def _run_optimize(args: argparse.Namespace) -> int:
     _emit_profile(args, profiler, engine_kwargs.get("cache"))
     if args.dot or args.json:
         if not exact:
-            producer = (
-                f"the {rung!r} rung" if rung is not None
-                else f"strategy {used_strategy!r}"
-            )
             raise ReproError(
                 "--dot/--json reconstruct the minimum diagram, which needs "
-                f"an exact result; {producer} produced an uncertified "
-                "ordering (raise --timeout, or use strategy/fallback "
-                "settings that let the exact DP finish)"
+                f"an exact result; the {rung!r} rung produced an "
+                "uncertified ordering (raise --timeout, or use "
+                "strategy/fallback settings that let the exact DP finish)"
             )
-        while rung is not None and hasattr(result, "result") \
-                and result.result is not None:
-            result = result.result  # unwrap to the fs rung's native FSResult
         fs_result = (
-            result if args.algorithm == "fs"
+            _fs_result(result) if args.algorithm == "fs"
             else run_fs(table, rule=rule, **engine_kwargs)
         )
         diagram = reconstruct_minimum_diagram(table, fs_result)
@@ -259,25 +253,12 @@ def _run_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_with_strategy(table, strategy, rule, args, profiler,
-                         engine_kwargs, fallback_spec):
-    """Dispatch one table through ``repro.solve(strategy=...)`` with the
-    engine options the inexact strategy paths accept."""
-    from .api import solve
-
-    allowed = ("jobs", "backend", "cache",
-               "budget", "checkpoint_dir", "resume")
-    kwargs = {k: v for k, v in engine_kwargs.items() if k in allowed}
-    if profiler is not None:
-        kwargs["profiler"] = profiler
-    return solve(
-        table,
-        strategy=strategy,
-        rule=rule,
-        seed=getattr(args, "seed", 0),
-        fallback_rungs=fallback_spec if strategy == "fallback" else None,
-        **kwargs,
-    )
+def _fs_result(solution):
+    """The ``FSResult`` behind an exact solve, or behind the ladder's
+    ``fs`` rung."""
+    if solution.rung is None:
+        return solution.result
+    return solution.result.result
 
 
 def _run_optimize_shared(args: argparse.Namespace) -> int:
@@ -408,14 +389,7 @@ def _run_optimize_batch(args: argparse.Namespace) -> int:
         cache = ResultCache(retry=_make_io_retry(args))
     # --timeout is *per item* in batch mode; only the frontier cap spans
     # the whole batch.
-    batch_budget = None
-    frontier_mb = getattr(args, "max_frontier_mb", None)
-    if frontier_mb is not None:
-        from .core.budget import Budget
-
-        batch_budget = Budget(
-            max_frontier_bytes=int(frontier_mb * 1024 * 1024)
-        )
+    batch_budget = _make_budget(args, deadline=False)
     outcome = optimize_many(
         tables, rule=rule, cache=cache, jobs=args.jobs,
         backend=getattr(args, "backend", "serial"),
@@ -562,32 +536,17 @@ def _run_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _governed_exact(table, args, profiler, rule=None):
-    """Run the exact DP, or the --fallback ladder when requested.
+def _governed_exact(table, args, profiler):
+    """Solve ``table`` exactly, or through the ``--fallback`` ladder when
+    given; the solution's ``exact`` and ``rung`` say which answered."""
+    from .api import solve
 
-    Returns an object with ``order``/``size`` plus an ``exact`` verdict
-    (always True without --fallback) and the producing ``rung``.
-    """
-    engine_kwargs = _engine_kwargs(args)
     fallback_spec = getattr(args, "fallback", None)
-    kwargs = {} if rule is None else {"rule": rule}
-    if fallback_spec is None:
-        result = run_fs(table, profiler=profiler, **kwargs, **engine_kwargs)
-        return result, True, None
-    result = _run_ladder(table, fallback_spec, profiler, engine_kwargs,
-                         **kwargs)
-    return result, result.exact, result.rung
-
-
-def _run_ladder(table, fallback_spec, profiler, engine_kwargs, **kwargs):
-    """Degrade through the ``--fallback`` ladder under the options
-    :func:`_engine_kwargs` built (the ladder takes no ``io_retry``)."""
-    from .core.budget import parse_ladder, run_ladder
-
-    options = {key: value for key, value in engine_kwargs.items()
-               if key != "io_retry"}
-    return run_ladder(table, ladder=parse_ladder(fallback_spec),
-                      profiler=profiler, **options, **kwargs)
+    return solve(
+        table, strategy="exact" if fallback_spec is None else "fallback",
+        fallback_rungs=fallback_spec, profiler=profiler,
+        **_engine_kwargs(args),
+    )
 
 
 def _run_gap(args: argparse.Namespace) -> int:
@@ -597,9 +556,9 @@ def _run_gap(args: argparse.Namespace) -> int:
         table = achilles_heel(pairs)
         good = obdd_size(table, achilles_good_order(pairs))
         bad = obdd_size(table, achilles_bad_order(pairs))
-        result, exact, _ = _governed_exact(table, args, profiler)
+        result = _governed_exact(table, args, profiler)
         # '~' marks an upper bound from a fallback rung, not the optimum.
-        opt_text = f"{result.size}" if exact else f"{result.size}~"
+        opt_text = f"{result.size}" if result.exact else f"{result.size}~"
         print(f"{pairs:5d}  {2 * pairs:4d}  {good:10d}  {bad:12d}  "
               f"{opt_text:>7}")
     _emit_profile(args, profiler)
@@ -609,12 +568,14 @@ def _run_gap(args: argparse.Namespace) -> int:
 def _run_heuristics(args: argparse.Namespace) -> int:
     table = _load_table(args)
     profiler = _make_profiler(args)
-    exact, is_exact, rung = _governed_exact(table, args, profiler)
+    baseline = _governed_exact(table, args, profiler)
     baseline_label = (
-        "exact (FS)" if is_exact else f"{rung} (fallback, not optimal)"
+        "exact (FS)" if baseline.exact
+        else f"{baseline.rung} (fallback, not optimal)"
     )
     rows = [
-        (baseline_label, exact.size, " ".join(f"x{v}" for v in exact.order)),
+        (baseline_label, baseline.size,
+         " ".join(f"x{v}" for v in baseline.order)),
     ]
     for name, result in (
         ("sift", sift_search(table)),
@@ -626,7 +587,7 @@ def _run_heuristics(args: argparse.Namespace) -> int:
         rows.append((name, result.size, " ".join(f"x{v}" for v in result.order)))
     width = max(len(r[0]) for r in rows)
     for name, size, order in rows:
-        ratio = size / exact.size
+        ratio = size / baseline.size
         print(f"{name:<{width}}  size {size:4d}  ({ratio:.2f}x)  {order}")
     _emit_profile(args, profiler)
     return 0
@@ -993,16 +954,14 @@ def _run_certify(args: argparse.Namespace) -> int:
     if table.n > 12:
         raise ReproError("certificate extraction needs the full DP (n <= 12)")
     profiler = _make_profiler(args)
-    result, exact, rung = _governed_exact(table, args, profiler)
-    if not exact:
+    solution = _governed_exact(table, args, profiler)
+    if not solution.exact:
         raise ReproError(
-            f"cannot certify: the {rung!r} fallback rung produced an "
-            "ordering without an optimality proof (raise --timeout or "
+            f"cannot certify: the {solution.rung!r} fallback rung produced "
+            "an ordering without an optimality proof (raise --timeout or "
             "drop --fallback)"
         )
-    if rung is not None:
-        result = result.result  # the fs rung's native FSResult
-    certificate = extract_certificate(result)
+    certificate = extract_certificate(_fs_result(solution))
     print(f"optimal ordering : {' '.join(f'x{v}' for v in certificate.order)}")
     print(f"certified optimum: {certificate.mincost} internal nodes")
     if args.out:

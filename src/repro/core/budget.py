@@ -28,9 +28,11 @@ counters, reusing the crash-safety machinery unchanged.
 On top of the budget sits a **degradation ladder**,
 :func:`run_ladder`: try the exact DP, and when its share of
 the budget is exhausted step down to the Lemma-8 exact-window sweep,
-then to Rudell sifting — each rung cheaper and less exact than the one
-above, the last rung always completing (it honors cancellation but no
-deadline) so a governed call always yields *an* ordering.  The returned
+then to Rudell sifting (the registered ``window3`` and ``sift``
+strategies of :mod:`repro.portfolio`) — each rung cheaper and less
+exact than the one above, the last rung always completing (it honors
+cancellation but no deadline) so a governed call always yields *an*
+ordering.  The returned
 :class:`FallbackResult` is explicitly tagged with ``exact`` and the
 ``rung`` that produced it; sifting-style reordering and cheap heuristics
 as the fallback tier follow the hybrid-reordering literature (Popel's
@@ -49,15 +51,15 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from ..analysis.counters import OperationCounters
 from ..errors import BudgetExceeded, OrderingError
-from ..observability import Profiler
 from .checkpoint import RetryPolicy  # re-exported: the governance toolkit
+from .engine import EngineConfig
 from .spec import ReductionRule
 
 __all__ = [
@@ -379,11 +381,9 @@ class FallbackResult:
 
     counters: OperationCounters = field(default_factory=OperationCounters)
     result: Any = None
-    """The producing rung's native result object
-    (:class:`~repro.core.fs.FSResult`,
-    :class:`~repro.core.window.WindowResult` or
-    :class:`~repro.portfolio.SearchResult` or
-    :class:`~repro.portfolio.StrategyResult`)."""
+    """The producing rung's native result object: the ``fs`` rung's
+    :class:`~repro.core.fs.FSResult`, any other rung's
+    :class:`~repro.portfolio.StrategyResult`."""
 
     @property
     def size(self) -> int:
@@ -395,43 +395,17 @@ class FallbackResult:
         return bool(getattr(self.result, "from_cache", False))
 
 
-def _governed_size_fn(
-    rule: ReductionRule,
-    counters: OperationCounters,
-    budget: Budget,
-):
-    """Ordering-size oracle for the sifting rung: exact chain cost under
-    ``rule`` (total nodes, terminals included, matching
-    :func:`repro.truth_table.obdd_size`'s convention), with a budget
-    check per evaluation so even the heuristic rung honors cancellation
-    promptly."""
-    from .compaction import compact
-    from .fs import initial_state, terminal_values
-
-    def size_fn(table: Any, order: Sequence[int]) -> int:
-        budget.check(counters=counters, where="sift evaluation")
-        state = initial_state(table, rule)
-        for var in reversed(list(order)):
-            state = compact(state, var, rule, counters)
-        return state.mincost + len(terminal_values(table, rule))
-
-    return size_fn
+_RUNG_STRATEGY: Dict[str, str] = {"window": "window3"}
+"""Rungs named apart from the registered strategy they run."""
 
 
 def run_ladder(
     table: Any,
     budget: Optional[Budget] = None,
-    ladder: Sequence[str] = DEFAULT_LADDER,
+    ladder: Union[str, Sequence[str], None] = DEFAULT_LADDER,
     rule: ReductionRule = ReductionRule.BDD,
     counters: Optional[OperationCounters] = None,
-    jobs: int = 1,
-    backend: str = "serial",
-    cache: Optional[Any] = None,
-    profiler: Optional[Profiler] = None,
-    window_width: int = 3,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    fallback_rungs: Union[str, Sequence[str], None] = None,
+    config: Optional[EngineConfig] = None,
 ) -> FallbackResult:
     """Optimize under a budget, degrading through ``ladder`` as needed.
 
@@ -448,70 +422,42 @@ def run_ladder(
     ``"fs"``
         The exact ``O*(3^n)`` DP (:func:`repro.core.fs.run_fs`); the only
         rung whose success tags the result ``exact=True``.  With
-        ``checkpoint_dir`` its progress survives the abort, so a later
-        retry under a bigger budget resumes rather than restarts.
+        ``config.checkpoint_dir`` its progress survives the abort, so a
+        later retry under a bigger budget resumes rather than restarts.
     ``"window"``
-        The Lemma-8 exact-window sweep
-        (:func:`repro.core.window.window_sweep`) at ``window_width``:
-        locally optimal, globally heuristic.
-    ``"sift"``
-        Rudell sifting (:func:`repro.portfolio.sift_search`) scored by an
-        exact chain-cost oracle under ``rule``.  Seeds from the best
-        ordering a deeper rung found before its budget ran out (carried
-        on ``BudgetExceeded.best_order``), so partial work is not lost.
-    any registered strategy name
-        Every strategy in the :mod:`repro.portfolio` registry (e.g.
-        ``"sift_symmetric"``, ``"window4"``, ``"anneal"``, ``"entropy"``)
-        is a valid rung: it runs under the rung's budget share and, if
-        its share runs out, degrades to the next rung seeded with its
-        best-so-far ordering.
+        The registered ``window3`` strategy: the Lemma-8 exact-window
+        sweep of width 3, locally optimal, globally heuristic (the
+        ``window4`` rung is the wider sweep).
+    any registered strategy name, ``"sift"`` included
+        That strategy (:func:`repro.portfolio.run_strategy`) under the
+        rung's budget share, seeded from the best ordering a deeper rung
+        found before its budget ran out (carried on
+        ``BudgetExceeded.best_order``), so partial work is not lost.  If
+        its share runs out, its own best-so-far ordering seeds the next
+        rung.  Strategies never checkpoint.
 
-    ``fallback_rungs`` is the new spelling of ``ladder`` (matching the
-    ``repro.solve`` keyword): a comma-separated string or a sequence of
-    rung names, parsed with :func:`parse_ladder`.  When given it takes
-    precedence over ``ladder``.
+    ``ladder`` is a sequence of rung names or a comma-separated string,
+    checked by :func:`parse_ladder`.  ``config`` (an
+    :class:`~repro.core.engine.EngineConfig`) carries the engine options
+    every rung runs under; ``budget`` overrides ``config.budget``.
 
     A rung below the first tallies the ``fallback_used`` extra counter.
     Raises :class:`~repro.errors.BudgetExceeded` only on cancellation
     (or if a caller-supplied ladder ends with a rung that itself runs
     out — e.g. a single-rung ladder).
-
-    ``backend`` (``"serial"`` or ``"thread"``) and ``jobs`` select how
-    the ``fs`` and ``window`` rungs execute their layers.
     """
+    ladder = parse_ladder(ladder)
+    if config is None:
+        config = EngineConfig()
+    if budget is None:
+        budget = config.budget if config.budget is not None else Budget()
     if counters is None:
         counters = OperationCounters()
-    if budget is None:
-        budget = Budget()
     budget.arm()
-    if fallback_rungs is not None:
-        ladder = parse_ladder(fallback_rungs)
-    ladder = tuple(ladder)
-    if not ladder:
-        raise ValueError("ladder must name at least one rung")
-    known = set(_RUNG_RUNNERS) | set(_registered_strategy_names())
-    unknown = [rung for rung in ladder if rung not in known]
-    if unknown:
-        raise ValueError(
-            f"unknown ladder rung(s) {unknown}; expected a subset of "
-            f"{sorted(known)}"
-        )
-
-    from .executor import check_backend  # deferred: engine-family import
 
     attempts: List[RungAttempt] = []
     seed_order: Optional[Tuple[int, ...]] = None
     last_error: Optional[BudgetExceeded] = None
-    opts = {
-        "rule": rule,
-        "jobs": jobs,
-        "backend": check_backend(backend),
-        "cache": cache,
-        "profiler": profiler,
-        "window_width": window_width,
-        "checkpoint_dir": checkpoint_dir,
-        "resume": resume,
-    }
     for index, rung in enumerate(ladder):
         # Only cancellation stops the ladder itself; an exhausted
         # deadline is precisely what the lower rungs exist for.
@@ -525,11 +471,12 @@ def run_ladder(
             share = None
         else:
             share = remaining / rungs_left
-        sub = budget.subbudget(share)
         started = time.perf_counter()
-        runner = _RUNG_RUNNERS.get(rung) or _make_strategy_rung(rung)
         try:
-            result = runner(table, sub, counters, seed_order, opts)
+            result = _run_rung(
+                rung, table, rule, counters, seed_order,
+                replace(config, budget=budget.subbudget(share)),
+            )
         except BudgetExceeded as exc:
             attempts.append(RungAttempt(
                 rung=rung,
@@ -559,176 +506,71 @@ def run_ladder(
     raise last_error
 
 
-def _run_rung_fs(
+def _run_rung(
+    rung: str,
     table: Any,
-    sub: Budget,
+    rule: ReductionRule,
     counters: OperationCounters,
     seed_order: Optional[Tuple[int, ...]],
-    opts: Dict[str, Any],
+    config: EngineConfig,
 ) -> FallbackResult:
-    from .fs import run_fs
+    """Run one rung under ``config``, whose budget is the rung's share.
 
-    result = run_fs(
+    A strategy that exhausts its share returns its best-so-far row; the
+    rung re-raises that as :class:`~repro.errors.BudgetExceeded` carrying
+    the ordering and its size, so the ladder can seed the next rung with
+    it — the contract an aborted ``fs`` rung honors too."""
+    if rung == "fs":
+        from .fs import _run_fs  # deferred: fs imports the engine family
+
+        fs_result = _run_fs(table, rule, counters, config)
+        return FallbackResult(
+            n=fs_result.n,
+            rule=fs_result.rule,
+            order=fs_result.order,
+            mincost=fs_result.mincost,
+            num_terminals=fs_result.num_terminals,
+            exact=True,
+            rung=rung,
+            result=fs_result,
+        )
+    from ..portfolio import run_strategy  # deferred: portfolio imports us
+
+    result = run_strategy(
+        _RUNG_STRATEGY.get(rung, rung),
         table,
-        rule=opts["rule"],
+        rule=rule,
         counters=counters,
-        jobs=opts["jobs"],
-        backend=opts["backend"],
-        profiler=opts["profiler"],
-        cache=opts["cache"],
-        checkpoint_dir=opts["checkpoint_dir"],
-        resume=opts["resume"],
-        budget=sub,
+        initial_order=seed_order,
+        config=config,
     )
+    if result.status != "ok":
+        raise BudgetExceeded(
+            f"strategy rung {rung!r} exhausted its budget share",
+            reason=result.budget_reason or "deadline",
+            best_order=result.order,
+            best_bound=result.size,
+        )
     return FallbackResult(
-        n=result.n,
-        rule=result.rule,
+        n=table.n,
+        rule=rule,
         order=result.order,
         mincost=result.mincost,
         num_terminals=result.num_terminals,
-        exact=True,
-        rung="fs",
-        result=result,
-    )
-
-
-def _run_rung_window(
-    table: Any,
-    sub: Budget,
-    counters: OperationCounters,
-    seed_order: Optional[Tuple[int, ...]],
-    opts: Dict[str, Any],
-) -> FallbackResult:
-    from .engine import EngineConfig
-    from .fs import terminal_values
-    from .window import window_sweep
-
-    config = EngineConfig(
-        jobs=opts["jobs"],
-        backend=opts["backend"],
-        profiler=opts["profiler"],
-        cache=opts["cache"],
-        budget=sub,
-    )
-    result = window_sweep(
-        table,
-        initial_order=seed_order,
-        width=min(opts["window_width"], table.n) if table.n >= 2 else 2,
-        rule=opts["rule"],
-        counters=counters,
-        config=config,
-    )
-    return FallbackResult(
-        n=table.n,
-        rule=opts["rule"],
-        order=result.order,
-        mincost=result.size,
-        num_terminals=len(terminal_values(table, opts["rule"])),
         exact=False,
-        rung="window",
+        rung=rung,
         result=result,
     )
-
-
-def _run_rung_sift(
-    table: Any,
-    sub: Budget,
-    counters: OperationCounters,
-    seed_order: Optional[Tuple[int, ...]],
-    opts: Dict[str, Any],
-) -> FallbackResult:
-    from ..portfolio import sift_search
-    from .fs import terminal_values
-
-    size_fn = _governed_size_fn(opts["rule"], counters, sub)
-    result = sift_search(table, initial_order=seed_order, size_fn=size_fn)
-    num_terminals = len(terminal_values(table, opts["rule"]))
-    return FallbackResult(
-        n=table.n,
-        rule=opts["rule"],
-        order=result.order,
-        mincost=result.size - num_terminals,
-        num_terminals=num_terminals,
-        exact=False,
-        rung="sift",
-        result=result,
-    )
-
-
-_RUNG_RUNNERS: Dict[str, Callable[..., FallbackResult]] = {
-    "fs": _run_rung_fs,
-    "window": _run_rung_window,
-    "sift": _run_rung_sift,
-}
-
-
-def _registered_strategy_names() -> Tuple[str, ...]:
-    from ..portfolio import available_strategies  # deferred: cycle
-
-    return available_strategies()
-
-
-def _make_strategy_rung(name: str) -> Callable[..., FallbackResult]:
-    """Adapt a registered portfolio strategy into a ladder rung.
-
-    A strategy that exhausts its budget share raises
-    :class:`~repro.errors.BudgetExceeded` carrying its best-so-far
-    ordering and size, so the ladder can seed the next rung with it —
-    the same contract the built-in rungs honor."""
-
-    def run(
-        table: Any,
-        sub: Budget,
-        counters: OperationCounters,
-        seed_order: Optional[Tuple[int, ...]],
-        opts: Dict[str, Any],
-    ) -> FallbackResult:
-        from ..portfolio import run_strategy
-        from .engine import EngineConfig
-
-        config = EngineConfig(
-            jobs=opts["jobs"],
-            backend=opts["backend"],
-            profiler=opts["profiler"],
-            cache=opts["cache"],
-        )
-        result = run_strategy(
-            name,
-            table,
-            rule=opts["rule"],
-            budget=sub,
-            counters=counters,
-            initial_order=seed_order,
-            config=config,
-        )
-        if result.status != "ok":
-            raise BudgetExceeded(
-                f"strategy rung {name!r} exhausted its budget share",
-                reason=result.budget_reason or "deadline",
-                best_order=result.order,
-                best_bound=result.size,
-            )
-        return FallbackResult(
-            n=table.n,
-            rule=opts["rule"],
-            order=result.order,
-            mincost=result.mincost,
-            num_terminals=result.num_terminals,
-            exact=False,
-            rung=name,
-            result=result,
-        )
-
-    return run
 
 
 def parse_ladder(spec: Union[str, Sequence[str], None]) -> Tuple[str, ...]:
-    """Parse a CLI-style ladder spec (``"fs,window,sift"``) or sequence.
+    """Parse a ladder: a comma-separated string (``"fs,window,sift"``) or
+    a sequence of rung names.
 
-    ``None`` yields :data:`DEFAULT_LADDER`; valid rungs are the built-in
-    triple plus every registered :mod:`repro.portfolio` strategy name,
-    and unknown names raise :class:`~repro.errors.OrderingError` naming
-    the valid ones.
+    ``None`` yields :data:`DEFAULT_LADDER`; valid rungs are ``fs``,
+    ``window`` and every registered :mod:`repro.portfolio` strategy
+    name.  An empty ladder or an unknown name raises
+    :class:`~repro.errors.OrderingError` naming the valid ones.
     """
     if spec is None:
         return DEFAULT_LADDER
@@ -738,7 +580,9 @@ def parse_ladder(spec: Union[str, Sequence[str], None]) -> Tuple[str, ...]:
         rungs = tuple(spec)
     if not rungs:
         raise OrderingError("fallback ladder must name at least one rung")
-    known = set(_RUNG_RUNNERS) | set(_registered_strategy_names())
+    from ..portfolio import available_strategies  # deferred: cycle
+
+    known = {"fs", *_RUNG_STRATEGY, *available_strategies()}
     unknown = [rung for rung in rungs if rung not in known]
     if unknown:
         raise OrderingError(

@@ -910,6 +910,7 @@ def optimize_many(
     """
     from .budget import Budget, handle_signals, parse_ladder, \
         run_ladder  # deferred: budget's ladder imports .fs
+    from .engine import EngineConfig
     from .executor import check_backend
     from .fs import run_fs  # deferred: fs imports this module
 
@@ -979,9 +980,8 @@ def optimize_many(
                     budget=sub,
                     ladder=ladder,
                     rule=rule,
-                    jobs=solve_jobs,
-                    backend=backend,
-                    cache=cache,
+                    config=EngineConfig(jobs=solve_jobs, backend=backend,
+                                        cache=cache),
                 )
                 status = "ok" if outcome.rung == ladder[0] else "fallback"
                 return BatchItem(index=index, status=status, result=outcome)

@@ -266,15 +266,28 @@ def run_fs(
         ``MINCOST_I`` table for downstream analysis (Lemma 9 checks,
         enumeration of all optima, ...).
     """
-    n = table.n
-    if counters is None:
-        counters = OperationCounters()
     config = EngineConfig(
         jobs=jobs, backend=backend, profiler=profiler,
         checkpoint_dir=checkpoint_dir, resume=resume,
         fault_injector=fault_injector, cache=cache,
         budget=budget, io_retry=io_retry,
     )
+    return _run_fs(table, rule, counters, config)
+
+
+def _run_fs(
+    table: TruthTable,
+    rule: ReductionRule,
+    counters: Optional[OperationCounters],
+    config: EngineConfig,
+) -> FSResult:
+    """:func:`run_fs` over an assembled :class:`EngineConfig`; the
+    fallback ladder's ``fs`` rung calls it with its own config."""
+    n = table.n
+    if counters is None:
+        counters = OperationCounters()
+    cache = config.cache
+    profiler = config.profiler
     key = None
     if cache is not None:
         key = table_key([table], rule, spec="fs", profiler=profiler)
@@ -301,11 +314,11 @@ def run_fs(
         profiler.meta.setdefault("n", n)
         profiler.meta.setdefault("rule", rule.value)
         profiler.meta.setdefault("kernel", KERNEL)
-        profiler.meta.setdefault("jobs", jobs)
-        profiler.meta.setdefault("backend", backend)
-        if checkpoint_dir is not None:
-            profiler.meta.setdefault("checkpoint_dir", checkpoint_dir)
-            profiler.meta.setdefault("resume", resume)
+        profiler.meta.setdefault("jobs", config.jobs)
+        profiler.meta.setdefault("backend", config.backend)
+        if config.checkpoint_dir is not None:
+            profiler.meta.setdefault("checkpoint_dir", config.checkpoint_dir)
+            profiler.meta.setdefault("resume", config.resume)
     else:
         state0 = initial_state(table, rule)
     full = (1 << n) - 1

@@ -3,12 +3,16 @@
 The exact FS-family DP certifies optima but costs ``O*(3^n)``; the
 heuristics literature the paper's introduction surveys trades that
 certificate for speed.  This module makes the inexact side a first-class
-subsystem: every heuristic registers under a name
-(:func:`register_strategy`), runs standalone (:func:`run_strategy`)
-under a :class:`~repro.core.budget.Budget`, or races against the whole
-field (:func:`run_portfolio`) with a deterministic winner — best size,
-ties broken by the lexicographically lowest strategy name — independent
-of ``jobs`` and backend.
+subsystem: every heuristic is listed under its name in
+:data:`STRATEGIES`, runs standalone (:func:`run_strategy`) under a
+:class:`~repro.core.budget.Budget`, or races against the whole field
+(:func:`run_portfolio`) with a deterministic winner — best size, ties
+broken by the lexicographically lowest strategy name — independent of
+``jobs`` and backend.  The same functions are the fallback ladder's
+heuristic rungs (:func:`repro.core.budget.run_ladder`), and every one
+runs under the caller's :class:`~repro.core.engine.EngineConfig` with
+checkpointing stripped: a strategy runs many small sweeps, and none of
+them checkpoints.
 
 It is also the canonical home of Rudell sifting.  The repo historically
 grew two independent implementations (an evaluation-level sifter over a
@@ -60,7 +64,7 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -72,7 +76,7 @@ from .analysis.counters import OperationCounters
 from .analysis.entropy import binary_entropy
 from .analysis.influence import influence_order
 from .analysis.symmetry import symmetry_classes
-from .core.budget import Budget, _governed_size_fn
+from .core.budget import Budget
 from .core.engine import EngineConfig
 from .core.spec import ReductionRule
 from .errors import BudgetExceeded, OrderingError
@@ -365,7 +369,11 @@ def window_permutation_search(
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """A registered strategy: the callable plus its shelf card."""
+    """A registered strategy: the callable plus its shelf card.
+
+    Registered names are the entries of :data:`STRATEGIES`; each is a
+    valid ``repro.solve(strategy=...)`` value, fallback ladder rung, CLI
+    ``--strategy`` and serve-request ``strategy``."""
 
     name: str
     fn: Callable[["StrategyContext"], "_Outcome"]
@@ -374,33 +382,11 @@ class StrategySpec:
     """``sift`` / ``window`` / ``anneal`` / ``static`` — for display."""
 
 
-_STRATEGIES: Dict[str, StrategySpec] = {}
-
-
-def register_strategy(
-    name: str, *, description: str, kind: str = "search",
-) -> Callable[[Callable], Callable]:
-    """Decorator registering an ordering strategy under ``name``.
-
-    The callable receives a :class:`StrategyContext` and returns the
-    order/size/evaluations it found; registered names become valid for
-    ``repro.solve(strategy=...)``, ``fallback_rungs=`` ladders, the CLI
-    ``--strategy`` flag and the serve daemon's ``strategy`` field."""
-    def deco(fn: Callable) -> Callable:
-        if name in _STRATEGIES:
-            raise ValueError(f"strategy {name!r} is already registered")
-        _STRATEGIES[name] = StrategySpec(
-            name=name, fn=fn, description=description, kind=kind
-        )
-        return fn
-    return deco
-
-
 def get_strategy(name: str) -> StrategySpec:
     """Resolve a registered strategy; raises ``OrderingError`` on
     unknown names, listing the valid ones."""
     try:
-        return _STRATEGIES[name]
+        return STRATEGIES[name]
     except KeyError:
         raise OrderingError(
             f"unknown strategy {name!r}; registered strategies: "
@@ -410,12 +396,35 @@ def get_strategy(name: str) -> StrategySpec:
 
 def available_strategies() -> Tuple[str, ...]:
     """Registered strategy names, sorted (for CLI listings and errors)."""
-    return tuple(sorted(_STRATEGIES))
+    return tuple(sorted(STRATEGIES))
 
 
 # ----------------------------------------------------------------------
 # Strategy execution context and results
 # ----------------------------------------------------------------------
+
+def _governed_size_fn(
+    rule: ReductionRule,
+    counters: OperationCounters,
+    budget: Budget,
+) -> SizeFn:
+    """Ordering-size oracle: exact chain cost under ``rule`` (total
+    nodes, terminals included, matching
+    :func:`repro.truth_table.obdd_size`'s convention), with a budget
+    check per evaluation so even a cheap heuristic honors cancellation
+    promptly."""
+    from .core.compaction import compact
+    from .core.fs import initial_state, terminal_values
+
+    def size_fn(table: Any, order: Sequence[int]) -> int:
+        budget.check(counters=counters, where="sift evaluation")
+        state = initial_state(table, rule)
+        for var in reversed(list(order)):
+            state = compact(state, var, rule, counters)
+        return state.mincost + len(terminal_values(table, rule))
+
+    return size_fn
+
 
 @dataclass
 class StrategyContext:
@@ -424,16 +433,15 @@ class StrategyContext:
     ``budget`` is the strategy's own (sub)budget share; ``counters`` is
     the strategy's own sink — a raced portfolio gives every member a
     fresh one and merges them in sorted-name order, which is what makes
-    the merged counters independent of scheduling."""
+    the merged counters independent of scheduling.  ``config`` is the
+    engine configuration of the strategy's sweeps, without a budget or
+    checkpointing."""
 
     table: TruthTable
     rule: ReductionRule
     budget: Budget
     counters: OperationCounters
-    jobs: int = 1
-    backend: str = "serial"
-    cache: Optional[Any] = None
-    profiler: Optional[Any] = None
+    config: EngineConfig
     seed: int = 0
     initial_order: Optional[Tuple[int, ...]] = None
     max_rounds: int = 10
@@ -535,11 +543,6 @@ class PortfolioResult:
 # The registered strategies
 # ----------------------------------------------------------------------
 
-@register_strategy(
-    "sift",
-    description="Rudell sifting, scored by the exact chain-cost oracle",
-    kind="sift",
-)
 def _strategy_sift(ctx: StrategyContext) -> _Outcome:
     result = sift_search(
         ctx.table,
@@ -551,12 +554,6 @@ def _strategy_sift(ctx: StrategyContext) -> _Outcome:
                     result.trajectory)
 
 
-@register_strategy(
-    "sift_group",
-    description="group sifting: adjacent pairs of the start order move "
-                "as blocks",
-    kind="sift",
-)
 def _strategy_sift_group(ctx: StrategyContext) -> _Outcome:
     start = ctx.start_order()
     groups = [tuple(start[i:i + 2]) for i in range(0, len(start), 2)]
@@ -572,12 +569,6 @@ def _strategy_sift_group(ctx: StrategyContext) -> _Outcome:
                     detail=f"{len(groups)} blocks")
 
 
-@register_strategy(
-    "sift_symmetric",
-    description="symmetric sifting: symmetry classes "
-                "(analysis.symmetry) move as blocks",
-    kind="sift",
-)
 def _strategy_sift_symmetric(ctx: StrategyContext) -> _Outcome:
     classes = symmetry_classes(ctx.table)
     result = sift_search(
@@ -593,13 +584,6 @@ def _strategy_sift_symmetric(ctx: StrategyContext) -> _Outcome:
                     detail=f"{len(classes)} classes ({nontrivial} symmetric)")
 
 
-@register_strategy(
-    "sift_swap",
-    description="swap-based sifting on a live ReorderingBDD "
-                "(bdd.swap level swaps); final order rescored under the "
-                "requested rule",
-    kind="sift",
-)
 def _strategy_sift_swap(ctx: StrategyContext) -> _Outcome:
     table = ctx.table
     oracle = ctx.governed_size_fn()
@@ -631,13 +615,6 @@ def _window_strategy(width: int) -> Callable[[StrategyContext], _Outcome]:
         from .core.fs import terminal_values
         from .core.window import window_sweep
 
-        config = EngineConfig(
-            jobs=ctx.jobs,
-            backend=ctx.backend,
-            cache=ctx.cache,
-            profiler=ctx.profiler,
-            budget=ctx.budget,
-        )
         result = window_sweep(
             table,
             initial_order=ctx.initial_order,
@@ -645,7 +622,7 @@ def _window_strategy(width: int) -> Callable[[StrategyContext], _Outcome]:
             rule=ctx.rule,
             max_rounds=ctx.max_rounds,
             counters=ctx.counters,
-            config=config,
+            config=replace(ctx.config, budget=ctx.budget),
         )
         total = result.size + len(terminal_values(table, ctx.rule))
         return _Outcome(
@@ -657,25 +634,6 @@ def _window_strategy(width: int) -> Callable[[StrategyContext], _Outcome]:
     return run
 
 
-register_strategy(
-    "window3",
-    description="exact-window sweep (Lemma 8) of width 3",
-    kind="window",
-)(_window_strategy(3))
-
-register_strategy(
-    "window4",
-    description="exact-window sweep (Lemma 8) of width 4",
-    kind="window",
-)(_window_strategy(4))
-
-
-@register_strategy(
-    "anneal",
-    description="simulated annealing over transpositions with a seeded "
-                "deterministic RNG",
-    kind="anneal",
-)
 def _strategy_anneal(ctx: StrategyContext) -> _Outcome:
     table = ctx.table
     n = table.n
@@ -712,12 +670,6 @@ def _strategy_anneal(ctx: StrategyContext) -> _Outcome:
                     detail=f"{steps} proposals, seed {ctx.seed}")
 
 
-@register_strategy(
-    "influence",
-    description="static order by descending variable influence "
-                "(analysis.influence)",
-    kind="static",
-)
 def _strategy_influence(ctx: StrategyContext) -> _Outcome:
     order = influence_order(ctx.table, descending=True)
     size = ctx.governed_size_fn()(ctx.table, order)
@@ -746,12 +698,6 @@ def entropy_gain_order(table: TruthTable) -> List[int]:
     return sorted(range(n), key=lambda v: (-gains[v], v))
 
 
-@register_strategy(
-    "entropy",
-    description="static order by descending information gain "
-                "(Popel's entropy measure, via analysis.entropy)",
-    kind="static",
-)
 def _strategy_entropy(ctx: StrategyContext) -> _Outcome:
     if ctx.table.n == 0:
         order: Tuple[int, ...] = ()
@@ -759,6 +705,63 @@ def _strategy_entropy(ctx: StrategyContext) -> _Outcome:
         order = tuple(entropy_gain_order(ctx.table))
     size = ctx.governed_size_fn()(ctx.table, list(order))
     return _Outcome(order, size, 1, [size])
+
+
+STRATEGIES: Dict[str, StrategySpec] = {spec.name: spec for spec in (
+    StrategySpec(
+        "sift", _strategy_sift,
+        description="Rudell sifting, scored by the exact chain-cost oracle",
+        kind="sift",
+    ),
+    StrategySpec(
+        "sift_group", _strategy_sift_group,
+        description="group sifting: adjacent pairs of the start order move "
+                    "as blocks",
+        kind="sift",
+    ),
+    StrategySpec(
+        "sift_symmetric", _strategy_sift_symmetric,
+        description="symmetric sifting: symmetry classes "
+                    "(analysis.symmetry) move as blocks",
+        kind="sift",
+    ),
+    StrategySpec(
+        "sift_swap", _strategy_sift_swap,
+        description="swap-based sifting on a live ReorderingBDD "
+                    "(bdd.swap level swaps); final order rescored under the "
+                    "requested rule",
+        kind="sift",
+    ),
+    StrategySpec(
+        "window3", _window_strategy(3),
+        description="exact-window sweep (Lemma 8) of width 3",
+        kind="window",
+    ),
+    StrategySpec(
+        "window4", _window_strategy(4),
+        description="exact-window sweep (Lemma 8) of width 4",
+        kind="window",
+    ),
+    StrategySpec(
+        "anneal", _strategy_anneal,
+        description="simulated annealing over transpositions with a seeded "
+                    "deterministic RNG",
+        kind="anneal",
+    ),
+    StrategySpec(
+        "influence", _strategy_influence,
+        description="static order by descending variable influence "
+                    "(analysis.influence)",
+        kind="static",
+    ),
+    StrategySpec(
+        "entropy", _strategy_entropy,
+        description="static order by descending information gain "
+                    "(Popel's entropy measure, via analysis.entropy)",
+        kind="static",
+    ),
+)}
+"""Every registered strategy, by name."""
 
 
 # ----------------------------------------------------------------------
@@ -779,13 +782,12 @@ def run_strategy(
 ) -> StrategyResult:
     """Run one registered strategy standalone under a budget.
 
-    Engine knobs (jobs, backend, cache, profiler) come
-    from ``config`` (an
-    :class:`~repro.core.engine.EngineConfig`); ``budget`` overrides
-    ``config.budget``.  A deadline or frontier-cap abort returns the
-    best-so-far ordering with ``status="budget_exceeded"`` — its size
-    honestly rescored — instead of raising; only cancellation
-    propagates.
+    The strategy's sweeps run under ``config`` (an
+    :class:`~repro.core.engine.EngineConfig`) without its checkpoint
+    options; ``budget`` overrides ``config.budget``.  A deadline or
+    frontier-cap abort returns the best-so-far ordering with
+    ``status="budget_exceeded"`` — its size honestly rescored — instead
+    of raising; only cancellation propagates.
     """
     spec = get_strategy(name)
     if config is None:
@@ -800,10 +802,11 @@ def run_strategy(
         rule=rule,
         budget=budget,
         counters=counters,
-        jobs=config.jobs,
-        backend=config.backend,
-        cache=config.cache,
-        profiler=config.profiler,
+        # A strategy runs many small sweeps, and none of them checkpoints:
+        # a checkpoint names one sweep, and the search around it would
+        # not resume.
+        config=replace(config, budget=None, checkpoint_dir=None,
+                       resume=False, fault_injector=None),
         seed=seed,
         initial_order=tuple(initial_order) if initial_order is not None
         else None,
@@ -866,7 +869,7 @@ def run_portfolio(
     :class:`~repro.analysis.counters.OperationCounters` and an equal
     :meth:`~repro.core.budget.Budget.subbudget` share of the remaining
     deadline; with ``config.jobs > 1`` members run on racing threads,
-    each sweeping under ``config``'s backend and jobs.  The
+    each sweeping under ``config`` (see :func:`run_strategy`).  The
     winner minimizes ``(size, strategy name)`` and the per-member
     counters merge into ``counters`` in sorted-name order, so both the
     answer and the merged counters are bit-identical across jobs counts
@@ -891,13 +894,6 @@ def run_portfolio(
     remaining = budget.remaining()
     share = None if remaining is None else remaining / len(names)
 
-    member_config = EngineConfig(
-        jobs=config.jobs,
-        backend=config.backend,
-        cache=config.cache,
-        profiler=config.profiler,
-    )
-
     def run_one(name: str) -> StrategyResult:
         return run_strategy(
             name,
@@ -907,7 +903,7 @@ def run_portfolio(
             seed=seed,
             initial_order=initial_order,
             max_rounds=max_rounds,
-            config=member_config,
+            config=config,
         )
 
     race_jobs = min(config.jobs, len(names))

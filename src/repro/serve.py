@@ -113,8 +113,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .analysis.counters import OperationCounters
-from .api import solve
-from .core.budget import Budget
+from .api import check_strategy, solve
+from .core.budget import Budget, parse_ladder
 from .core.cache import ResultCache, table_key
 from .core.executor import check_backend
 from .core.spec import ReductionRule
@@ -311,9 +311,9 @@ class _Prepared:
     fingerprint: Optional[str]
     solve_kwargs: Dict[str, Any] = field(default_factory=dict)
     fallback: Optional[Tuple[str, ...]] = None
-    """Parsed ``fallback`` ladder (``fs`` only): run through
-    :func:`repro.core.budget.run_ladder` so a budget abort degrades to
-    the next rung instead of failing the item."""
+    """Parsed ``fallback`` ladder (strategy ``fallback`` only): run
+    through :func:`repro.core.budget.run_ladder` so a budget abort
+    degrades to the next rung instead of failing the item."""
 
     budget: Optional[Budget] = None
     """Pre-made subbudget (batch items share one); ``None`` means
@@ -338,7 +338,7 @@ class _Prepared:
         path makes 'the same function' not 'the same outcome', so
         propagating a leader's terminal status across them would be
         wrong."""
-        if self.fallback is not None or self.strategy != "exact":
+        if self.strategy != "exact":
             return None
         return self.fingerprint
 
@@ -1096,39 +1096,10 @@ class OrderingServer:
                     int(v) for v in payload["initial_order"]
                 )
         fallback = payload.get("fallback")
-        if fallback is not None:
-            if method != "fs":
-                raise ReproError(
-                    "'fallback' (a degradation ladder) is only supported "
-                    "for method 'fs'"
-                )
-            from .core.budget import parse_ladder
-
-            try:
-                fallback = parse_ladder(fallback)
-            except (ReproError, ValueError, TypeError) as exc:
-                raise ReproError(f"bad 'fallback' ladder: {exc}") from None
         strategy = str(payload.get("strategy", "exact"))
         if payload.get("strategy") is None and fallback is not None:
             # Legacy spelling: a bare ladder means strategy="fallback".
             strategy = "fallback"
-        if strategy != "exact":
-            if method != "fs":
-                raise ReproError(
-                    "'strategy' is only supported for method 'fs'"
-                )
-            if strategy not in ("fallback", "portfolio"):
-                from .portfolio import get_strategy
-
-                try:
-                    get_strategy(strategy)
-                except ReproError as exc:
-                    raise ReproError(str(exc)) from None
-        if fallback is not None and strategy != "fallback":
-            raise ReproError(
-                "'fallback' (a degradation ladder) only combines with "
-                "strategy 'fallback'"
-            )
         try:
             strategy_seed = int(payload.get("seed", 0))
         except (TypeError, ValueError):
@@ -1138,24 +1109,18 @@ class OrderingServer:
         strategies_field = payload.get("strategies")
         strategies: Optional[Tuple[str, ...]] = None
         if strategies_field is not None:
-            if strategy != "portfolio":
-                raise ReproError(
-                    "'strategies' (a portfolio member subset) requires "
-                    "strategy 'portfolio'"
-                )
             if not isinstance(strategies_field, list) or not strategies_field:
                 raise ReproError(
                     "'strategies' must be a non-empty list of registered "
                     "strategy names"
                 )
             strategies = tuple(str(name) for name in strategies_field)
-            from .portfolio import get_strategy
-
-            for name in strategies:
-                try:
-                    get_strategy(name)
-                except ReproError as exc:
-                    raise ReproError(str(exc)) from None
+        try:
+            check_strategy(method, strategy, strategies, fallback)
+        except (TypeError, ReproError) as exc:
+            raise ReproError(str(exc)) from None
+        if fallback is not None:
+            fallback = parse_ladder(fallback)
         timeout = payload.get("timeout")
         if timeout is not None:
             timeout = float(timeout)
@@ -1189,37 +1154,21 @@ class OrderingServer:
             else self.parent_budget.subbudget(prepared.timeout)
         )
         started = time.perf_counter()
-        rung: Optional[str] = None
         try:
-            if prepared.strategy != "exact":
-                solution = solve(
-                    prepared.problem,
-                    method=prepared.method,
-                    strategy=prepared.strategy,
-                    strategies=prepared.strategies,
-                    fallback_rungs=(
-                        prepared.fallback
-                        if prepared.strategy == "fallback" else None
-                    ),
-                    seed=prepared.strategy_seed,
-                    rule=prepared.rule,
-                    jobs=config.jobs,
-                    backend=config.backend,
-                    cache=self.cache,
-                    budget=sub,
-                )
-                rung = solution.rung
-            else:
-                solution = solve(
-                    prepared.problem,
-                    method=prepared.method,
-                    rule=prepared.rule,
-                    jobs=config.jobs,
-                    backend=config.backend,
-                    cache=self.cache,
-                    budget=sub,
-                    **prepared.solve_kwargs,
-                )
+            solution = solve(
+                prepared.problem,
+                method=prepared.method,
+                strategy=prepared.strategy,
+                strategies=prepared.strategies,
+                fallback_rungs=prepared.fallback,
+                seed=prepared.strategy_seed,
+                rule=prepared.rule,
+                jobs=config.jobs,
+                backend=config.backend,
+                cache=self.cache,
+                budget=sub,
+                **prepared.solve_kwargs,
+            )
         except BudgetExceeded as exc:
             status = 503 if exc.reason == "cancelled" else 504
             with self._totals_lock:
@@ -1252,13 +1201,11 @@ class OrderingServer:
             if prepared.strategy != "exact":
                 tally = self.metrics.strategy_solves
                 tally[prepared.strategy] = tally.get(prepared.strategy, 0) + 1
-                if prepared.strategy == "portfolio" and rung is not None:
+                if prepared.strategy == "portfolio":
                     wins = self.metrics.portfolio_wins
-                    wins[rung] = wins.get(rung, 0) + 1
+                    wins[solution.rung] = wins.get(solution.rung, 0) + 1
         result = solution.to_wire()
         result["elapsed_seconds"] = round(elapsed, 6)
-        if rung is not None:
-            result["rung"] = rung
         return {"ok": True, "status": 200, "result": result}
 
     # -- observability -------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -18,6 +19,36 @@ def run(capsys):
         return code, captured.out, captured.err
 
     return invoke
+
+
+def fake_clock(step=1.0):
+    """A monotonic clock advancing ``step`` seconds per reading."""
+    ticks = [0.0]
+
+    def clock():
+        ticks[0] += step
+        return ticks[0]
+
+    return clock
+
+
+@pytest.fixture
+def stepping_clock(monkeypatch):
+    """Every budget the CLI builds reads a clock that advances one second
+    per reading.  A solve of n variables reads it 2n + 1 times, so a
+    ``--timeout`` in seconds aborts after a fixed number of reads,
+    whatever the host's speed."""
+    from repro import cli
+
+    make_budget = cli._make_budget
+
+    def stepping(args, deadline=True):
+        budget = make_budget(args, deadline)
+        if budget is not None:
+            budget.clock = fake_clock()
+        return budget
+
+    monkeypatch.setattr(cli, "_make_budget", stepping)
 
 
 class TestOptimize:
@@ -189,6 +220,63 @@ class TestOtherCommands:
         assert "best ordering    : x0 x1 x2 x3" in out
         assert "  sift            size    6  [ok]  x0 x1 x2 x3" in out
         assert "  window3         size    6  [ok]  x0 x1 x2 x3" in out
+
+
+class TestStrategyFlags:
+    """``optimize --strategy`` / ``--fallback``: the whole stdout of each
+    form, and the one rejected combination."""
+
+    EXPR = "(x0 & x3) | (x1 & x4) | (x2 & x5)"
+    HEAD = ("variables        : 6\n"
+            "rule             : bdd\n"
+            "algorithm        : fs\n")
+    TAIL = "natural ordering : 16 total nodes\n"
+
+    @pytest.mark.parametrize("flags, body", [
+        (("--strategy", "sift"),
+         "best ordering    : x3 x0 x1 x4 x2 x5\n"
+         "internal nodes   : 6\n"
+         "total size       : 8\n"
+         "strategy         : sift\n"
+         "method           : sift (heuristic, not certified optimal)\n"),
+        (("--strategy", "portfolio"),
+         "best ordering    : x4 x1 x0 x3 x2 x5\n"
+         "internal nodes   : 6\n"
+         "total size       : 8\n"
+         "strategy         : portfolio\n"
+         "method           : anneal (heuristic, not certified optimal)\n"
+         "  anneal          size    8  [ok]\n"
+         "  sift            size    8  [ok]\n"
+         "  sift_swap       size    8  [ok]\n"
+         "  sift_symmetric  size    8  [ok]\n"
+         "  window3         size    8  [ok]\n"
+         "  window4         size    8  [ok]\n"
+         "  sift_group      size   12  [ok]\n"
+         "  entropy         size   16  [ok]\n"
+         "  influence       size   16  [ok]\n"),
+        (("--fallback",),
+         "optimal ordering : x0 x3 x1 x4 x2 x5\n"
+         "internal nodes   : 6\n"
+         "total size       : 8\n"
+         "method           : fs (exact)\n"),
+        (("--strategy", "fallback", "--fallback", "fs,sift"),
+         "optimal ordering : x0 x3 x1 x4 x2 x5\n"
+         "internal nodes   : 6\n"
+         "total size       : 8\n"
+         "strategy         : fallback\n"
+         "method           : fs (exact)\n"),
+    ])
+    def test_stdout(self, run, flags, body):
+        code, out, err = run("optimize", "--expr", self.EXPR, *flags)
+        assert code == 0, err
+        assert out == self.HEAD + body + self.TAIL
+
+    def test_named_strategy_rejects_fallback(self, run):
+        code, out, err = run("optimize", "--expr", self.EXPR,
+                             "--strategy", "sift", "--fallback")
+        assert code == 2
+        assert out == ""
+        assert "--fallback only combines with --strategy fallback" in err
 
 
 class TestSharedOptimize:
@@ -448,28 +536,31 @@ class TestBatchOptimize:
 
 
 class TestResourceGovernance:
-    """--timeout / --max-frontier-mb / --fallback / --max-retries."""
+    """--timeout / --max-frontier-mb / --fallback / --max-retries.
 
-    def heavy_pla(self, tmp_path, n=14, seed=3):
-        # An exact solve of about 0.15-0.2 s on a 2-vCPU host (n = 13
-        # takes about 0.06 s): past the 0.05 s budgets below.  Unmerged
-        # minterms write in milliseconds.
+    The ``--timeout`` cases run under :func:`stepping_clock`: an exact
+    solve of the n = 10 input reads the clock 21 times, past the 8 s
+    budgets below, while one of ``x0 & x1`` reads it 5 times."""
+
+    def heavy_pla(self, tmp_path, n=10, seed=3):
         path = tmp_path / f"heavy{n}.pla"
         path.write_text(write_pla(TruthTable.random(n, seed=seed),
                                   merge=False))
         return str(path)
 
-    def test_timeout_without_fallback_is_a_clean_error(self, run, tmp_path):
+    def test_timeout_without_fallback_is_a_clean_error(
+            self, run, tmp_path, stepping_clock):
         code, out, err = run("optimize", "--pla", self.heavy_pla(tmp_path),
-                             "--timeout", "0.05")
+                             "--timeout", "8")
         assert code == 2
         assert "error:" in err
         assert "wall-clock budget" in err
         assert "Traceback" not in err
 
-    def test_timeout_with_fallback_degrades_and_tags(self, run, tmp_path):
+    def test_timeout_with_fallback_degrades_and_tags(
+            self, run, tmp_path, stepping_clock):
         code, out, _ = run("optimize", "--pla", self.heavy_pla(tmp_path),
-                           "--timeout", "0.05", "--fallback")
+                           "--timeout", "8", "--fallback")
         assert code == 0
         assert "best ordering" in out
         assert "fallback, not certified optimal" in out
@@ -503,30 +594,57 @@ class TestResourceGovernance:
         assert code == 2
         assert "requires --algorithm fs" in err
 
-    def test_dot_rejected_for_uncertified_ordering(self, run, tmp_path):
+    def test_dot_rejected_for_uncertified_ordering(
+            self, run, tmp_path, stepping_clock):
         code, _, err = run("optimize", "--pla", self.heavy_pla(tmp_path),
-                           "--timeout", "0.05", "--fallback",
+                           "--timeout", "8", "--fallback",
                            "--dot", str(tmp_path / "out.dot"))
         assert code == 2
         assert "uncertified" in err
 
-    def test_certify_rejects_inexact_result(self, run, tmp_path):
-        # Certificates stop at n = 12, whose exact solve takes about
-        # 0.02-0.03 s: a 5 ms budget forces the fallback.
-        code, _, err = run("certify", "--pla", self.heavy_pla(tmp_path, 12),
-                           "--timeout", "0.005", "--fallback",
+    def test_certify_rejects_inexact_result(
+            self, run, tmp_path, stepping_clock):
+        code, _, err = run("certify", "--pla", self.heavy_pla(tmp_path),
+                           "--timeout", "8", "--fallback",
                            "--out", str(tmp_path / "cert.json"))
         assert code == 2
         assert "cannot certify" in err
 
-    def test_gap_marks_fallback_bounds(self, run):
-        # Seven pairs end on an n = 14 function, whose exact solve takes
-        # about 0.1 s against the 0.05 s budget (six pairs end at n = 12,
-        # about 0.025 s, inside it).
-        code, out, _ = run("gap", "--max-pairs", "7",
-                           "--timeout", "0.05", "--fallback")
+    def test_gap_marks_fallback_bounds(self, run, stepping_clock):
+        # The fs rung's share of 30 s is (30 - 1) / 3: the n = 2 and 4
+        # rows (4 and 8 s) finish exactly, the n = 6, 8, 10 rows do not.
+        code, out, _ = run("gap", "--max-pairs", "5",
+                           "--timeout", "30", "--fallback")
         assert code == 0
-        assert "~" in out
+        rows = out.splitlines()[1:]
+        assert [row.endswith("~") for row in rows] == [
+            False, False, True, True, True]
+
+    def test_fallback_retries_a_transient_layer_write(
+            self, run, tmp_path, monkeypatch):
+        # The ladder's fs rung writes layer files under the same retry
+        # policy as a plain exact solve.
+        expr = "x0 & x1 | x2 & x3"
+        real_replace = os.replace
+        failures = {"left": 1}
+
+        def flaky_replace(src, dst):
+            if "_layer_" in os.path.basename(dst) and failures["left"] > 0:
+                failures["left"] -= 1
+                raise OSError("transient blip")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky_replace)
+        code, out, err = run("optimize", "--expr", expr, "--fallback",
+                             "--checkpoint-dir", str(tmp_path / "ck"),
+                             "--max-retries", "2")
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert code == 0, err
+        assert failures["left"] == 0
+        assert "method           : fs (exact)" in out
+        _, clean, _ = run("optimize", "--expr", expr)
+        assert ([line for line in out.splitlines() if "optimal" in line]
+                == [line for line in clean.splitlines() if "optimal" in line])
 
     def test_max_retries_flag_accepted(self, run, tmp_path):
         code, out, _ = run("optimize", "--expr", "x0 & x1 | x2",
@@ -541,26 +659,29 @@ class TestResourceGovernance:
         return str(path)
 
     def test_batch_timeout_without_fallback_fails_only_slow_items(
-            self, run, tmp_path):
+            self, run, tmp_path, stepping_clock):
         self.heavy_pla(tmp_path)
         path = self.manifest(tmp_path, [
-            {"pla": "heavy14.pla", "label": "slow"},
+            {"pla": "heavy10.pla", "label": "slow"},
             {"expr": "x0 & x1", "label": "fast"},
         ])
-        code, out, _ = run("optimize", "--batch", path, "--timeout", "0.05")
+        code, out, _ = run("optimize", "--batch", path, "--timeout", "8")
         assert code == 1
         assert "[failed] BudgetExceeded" in out
         assert "fast" in out and "nodes=" in out
         assert "1 ok / 0 fallback / 1 failed" in out
 
-    def test_batch_timeout_with_fallback_tags_rung(self, run, tmp_path):
+    def test_batch_timeout_with_fallback_tags_rung(
+            self, run, tmp_path, stepping_clock):
+        # Each item's fs rung gets a third of the 18 s after the ladder's
+        # first reading: enough for x0 & x1, not for the n = 10 input.
         self.heavy_pla(tmp_path)
         path = self.manifest(tmp_path, [
-            {"pla": "heavy14.pla", "label": "slow"},
+            {"pla": "heavy10.pla", "label": "slow"},
             {"expr": "x0 & x1", "label": "fast"},
         ])
         code, out, _ = run("optimize", "--batch", path,
-                           "--timeout", "0.05", "--fallback")
+                           "--timeout", "18", "--fallback")
         assert code == 0
         assert "[fallback:" in out
         assert "1 ok / 1 fallback / 0 failed" in out

@@ -399,7 +399,17 @@ class TestFallbackLadder:
         budget = Budget(deadline=0.5, clock=fake_clock(0.6))  # instantly over
         fb = run_ladder(table, budget=budget, ladder=("fs", "window"))
         assert fb.rung == "window"
+        assert fb.result.name == "window3"  # the registered strategy
         assert not fb.exact
+        assert fb.size == obdd_size(table, fb.order)
+
+    def test_sift_rung_above_the_last_honours_its_share(self):
+        table = TruthTable.random(7, seed=18)
+        budget = Budget(deadline=1.0, clock=fake_clock(0.2))
+        fb = run_ladder(table, budget=budget, ladder=("sift", "window"))
+        assert fb.rung == "window"
+        assert [(a.rung, a.status) for a in fb.attempts] == [
+            ("sift", "budget_exceeded"), ("window", "ok")]
         assert fb.size == obdd_size(table, fb.order)
 
     def test_window_rung_bound_is_at_least_optimal(self):
@@ -434,8 +444,12 @@ class TestFallbackLadder:
             parse_ladder("")
 
     def test_unknown_rung_rejected_up_front(self):
-        with pytest.raises(ValueError):
-            run_ladder(TruthTable.random(4, seed=1), ladder=("fs", "nope"))
+        for ladder in (("fs", "nope"), "fs,nope", ""):
+            budget = Budget()
+            with pytest.raises(OrderingError):
+                run_ladder(TruthTable.random(4, seed=1), budget=budget,
+                           ladder=ladder)
+            assert not budget.armed
 
 
 class TestSignalHandling:

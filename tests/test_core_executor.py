@@ -36,7 +36,6 @@ from repro.core import (
     run_fs_constrained,
     run_fs_shared,
     run_fs_star,
-    run_ladder,
     run_layered_sweep,
     window_sweep,
 )
@@ -108,7 +107,6 @@ class TestBackendRegistry:
                 lambda: EngineConfig(backend=backend),
                 lambda: run_fs(table, backend=backend),
                 lambda: optimize_many([table], backend=backend),
-                lambda: run_ladder(table, ladder=("sift",), backend=backend),
                 lambda: OrderingServer(ServeConfig(backend=backend)),
             ):
                 with pytest.raises(ValueError, match="serial.*thread"):

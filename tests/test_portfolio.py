@@ -21,6 +21,7 @@ from repro.core.budget import (
     parse_ladder,
     run_ladder,
 )
+from repro.core.checkpoint import FaultInjector, InjectedFault
 from repro.core.engine import EngineConfig
 from repro.errors import BudgetExceeded, OrderingError
 from repro.portfolio import (
@@ -28,7 +29,6 @@ from repro.portfolio import (
     StrategyResult,
     available_strategies,
     get_strategy,
-    register_strategy,
     run_portfolio,
     run_strategy,
 )
@@ -60,31 +60,6 @@ class TestRegistry:
     def test_get_strategy_unknown_names_valid_ones(self):
         with pytest.raises(OrderingError, match="sift"):
             get_strategy("teleport")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            @register_strategy("sift", description="dup")
-            def dup(ctx):  # pragma: no cover - never runs
-                raise AssertionError
-
-    def test_custom_strategy_runs_through_solve(self):
-        @register_strategy("natural_test", description="identity order")
-        def natural(ctx):
-            from repro.portfolio import _Outcome
-
-            order = tuple(range(ctx.table.n))
-            size = ctx.governed_size_fn()(ctx.table, list(order))
-            return _Outcome(order, size, 1)
-
-        try:
-            sol = solve(TABLE, strategy="natural_test")
-            assert sol.order == tuple(range(TABLE.n))
-            assert sol.exact is False
-            assert sol.strategy == "natural_test"
-        finally:
-            from repro import portfolio
-
-            del portfolio._STRATEGIES["natural_test"]
 
 
 class TestStrategyResults:
@@ -242,9 +217,22 @@ class TestSolveStrategyAPI:
         with pytest.raises(TypeError, match="method"):
             solve(TABLE, strategy="portfolio", method="window")
 
-    def test_strategy_rejects_exact_only_engine_kwargs(self):
-        with pytest.raises(TypeError, match="fault_injector"):
-            solve(TABLE, strategy="sift", fault_injector=object())
+    def test_engine_kwargs_reach_the_fs_rung(self, tmp_path):
+        # Every engine option reaches the ladder's fs rung; the heuristic
+        # strategies run no checkpointed sweep for it to act on.
+        with pytest.raises(InjectedFault):
+            solve(TABLE, strategy="fallback",
+                  checkpoint_dir=str(tmp_path / "ck"),
+                  fault_injector=FaultInjector(kill_after_layer=2))
+        injector = FaultInjector(kill_after_layer=2)
+        sol = solve(TABLE, strategy="window3",
+                    checkpoint_dir=str(tmp_path / "unused"),
+                    fault_injector=injector)
+        assert sol.exact is False
+        assert injector.commits_seen == 0
+        assert not (tmp_path / "unused").exists()
+        with pytest.raises(TypeError, match="teleport"):
+            solve(TABLE, strategy="sift", teleport=1)
 
 
 class TestLadderRegistry:
@@ -266,14 +254,8 @@ class TestLadderRegistry:
         assert result.counters.extra.get("fallback_used") == 1
 
     def test_run_ladder_unknown_rung_rejected_up_front(self):
-        with pytest.raises(ValueError, match="teleport"):
+        with pytest.raises(OrderingError, match="teleport"):
             run_ladder(TABLE, ladder=("fs", "teleport"))
-
-    def test_fallback_rungs_alias(self):
-        via_alias = run_ladder(TABLE, fallback_rungs="entropy")
-        via_ladder = run_ladder(TABLE, ladder=("entropy",))
-        assert via_alias.order == via_ladder.order
-        assert via_alias.rung == via_ladder.rung == "entropy"
 
 
 class TestSharedSiftDriver:
@@ -293,7 +275,7 @@ class TestSharedSiftDriver:
 class TestPackageSurface:
     def test_top_level_exports(self):
         for name in ("run_portfolio", "run_strategy",
-                     "available_strategies", "register_strategy",
+                     "available_strategies",
                      "PortfolioResult", "StrategyResult", "SearchResult",
                      "sift_search", "window_permutation_search"):
             assert hasattr(repro, name)

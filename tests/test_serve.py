@@ -330,6 +330,108 @@ class TestConcurrencyAcceptance:
         assert metrics["server"]["kernel_sweeps"] == 0
 
 
+class TestStrategyFields:
+    """The ``strategy`` / ``strategies`` / ``seed`` / ``fallback`` wire
+    fields: each reaches ``repro.solve`` and its tally, and every invalid
+    combination is a 400."""
+
+    @staticmethod
+    def _direct(table, **kwargs):
+        from repro.core.cache import ResultCache
+
+        wire = solve(table, jobs=2, backend="serial", cache=ResultCache(),
+                     **kwargs).to_wire()
+        return wire
+
+    @staticmethod
+    def _untimed(result):
+        result = dict(result)
+        result.pop("elapsed_seconds")
+        return result
+
+    def test_strategy_requests_match_direct_solves(self):
+        named, raced, laddered = (
+            TruthTable.random(6, seed=s) for s in (81, 82, 83)
+        )
+        with running_server(_config()) as server:
+            with ServeClient(server.address) as client:
+                sift = client.solve(strategy="sift", **_values_payload(named))
+                portfolio = client.solve(
+                    strategy="portfolio", strategies=["sift", "window3"],
+                    seed=3, **_values_payload(raced),
+                )
+                fallback = client.solve(fallback="fs,sift",
+                                        **_values_payload(laddered))
+                metrics = client.metrics()["server"]
+        assert self._untimed(sift) == self._direct(named, strategy="sift")
+        assert self._untimed(portfolio) == self._direct(
+            raced, strategy="portfolio", strategies=("sift", "window3"),
+            seed=3,
+        )
+        assert self._untimed(fallback) == self._direct(
+            laddered, strategy="fallback", fallback_rungs="fs,sift",
+        )
+        assert sift["rung"] == "sift" and sift["exact"] is False
+        assert portfolio["strategy"] == "portfolio"
+        assert portfolio["rung"] in ("sift", "window3")
+        assert fallback["strategy"] == "fallback"
+        assert fallback["rung"] == "fs" and fallback["exact"] is True
+        assert metrics["strategy_solves"] == {
+            "fallback": 1, "portfolio": 1, "sift": 1,
+        }
+        assert metrics["portfolio_wins"] == {portfolio["rung"]: 1}
+
+    @pytest.mark.parametrize("fields", [
+        {"strategy": "sift", "method": "window"},
+        {"fallback": "fs", "method": "window"},
+        {"strategy": "sift", "fallback": "fs"},
+        {"strategies": ["sift"]},
+        {"strategy": "sift", "strategies": ["sift"]},
+        {"strategy": "teleport"},
+        {"strategy": "portfolio", "strategies": ["teleport"]},
+        {"strategy": "portfolio", "strategies": []},
+        {"strategy": "portfolio", "strategies": "sift"},
+        {"fallback": "fs,teleport"},
+        {"fallback": ""},
+        {"strategy": "anneal", "seed": "x"},
+    ])
+    def test_invalid_combinations_are_400(self, fields):
+        with running_server(_config()) as server:
+            with ServeClient(server.address) as client:
+                response = client.request(
+                    {"op": "solve", "expr": "x0 & x1 | x2", **fields}
+                )
+                metrics = client.metrics()["server"]
+        assert response["ok"] is False
+        assert response["status"] == 400
+        assert response["error"]["type"] == "ReproError"
+        assert metrics["bad_requests"] == 1
+
+    def test_degraded_batch_and_singles(self):
+        # A 10-byte frontier cap aborts the fs rung at its first layer,
+        # every time, so each ladder steps down to sift.
+        tables = [TruthTable.random(6, seed=s) for s in (84, 85, 86, 87)]
+        with running_server(_config(max_frontier_mb=1e-5)) as server:
+            with ServeClient(server.address) as client:
+                batch = client.solve_many(
+                    [_values_payload(t) for t in tables[:2]],
+                    fallback="fs,sift",
+                )
+                single = client.solve(fallback="fs,sift",
+                                      **_values_payload(tables[2]))
+                raced = client.solve(strategy="portfolio",
+                                     **_values_payload(tables[3]))
+                metrics = client.metrics()["server"]
+        assert batch["statuses"] == ["fallback", "fallback"]
+        for body in batch["results"]:
+            assert body["result"]["rung"] == "sift"
+            assert body["result"]["exact"] is False
+        assert single["rung"] == "sift" and single["exact"] is False
+        assert raced["exact"] is False
+        assert metrics["strategy_solves"] == {"fallback": 3, "portfolio": 1}
+        assert metrics["portfolio_wins"] == {raced["rung"]: 1}
+
+
 class TestSigtermDrain:
     """The daemon as a process: real signals, real exit codes."""
 
